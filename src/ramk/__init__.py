@@ -18,7 +18,6 @@ from .errors import ConfigError, DataError, DimensionError, FormatError, RamkErr
 from .evaluation import Metrics, analyze_relevance, average_precision, evaluate
 from .features_io import (
     DatasetManifest,
-    Descriptor,
     GroundTruth,
     ImageFeatures,
     QueryGroundTruth,
@@ -52,7 +51,6 @@ from .kernels import (
 from .regional import (
     RegionSet,
     RegionStrategy,
-    RegionalAggregatedRepresentation,
     aggregate_regional,
     assign_to_region,
     regional_similarity,

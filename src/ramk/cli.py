@@ -389,7 +389,10 @@ def load_results(path: str | Path) -> list[RankedResult]:
                 image_id, sep, score = item.partition("=")
                 if not sep:
                     raise DataError(f"{path}:{lineno}: expected id=score, got {item!r}")
-                ranking.append((image_id, float(score)))
+                try:
+                    ranking.append((image_id, float(score)))
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: score {score!r} is not a number") from None
         flagged = tuple(fields["flagged"].split(",")) if fields.get("flagged") else ()
         out.append(RankedResult(query_id=fields["query"], ranking=ranking, flagged=flagged))
     return out
@@ -549,15 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args.command, args)
         _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        logger.error("%s", exc)
-        return 2
-    except DataError as exc:
-        logger.error("%s", exc)
-        return 3
     except RamkError as exc:
         logger.error("%s", exc)
-        return 4
+        return getattr(exc, "exit_code", 4)
     except Exception:  # noqa: BLE001 - report and map to the internal-error code
         logger.exception("internal error")
         return 4

@@ -198,18 +198,6 @@ class WordPartition:
     def count(self) -> int:
         return int(self.labels.shape[0])
 
-    def by_word(self) -> dict[int, np.ndarray]:
-        """Word -> ascending descriptor indices; only nonempty words appear."""
-        order = np.argsort(self.labels, kind="stable")
-        groups: dict[int, np.ndarray] = {}
-        if order.size == 0:
-            return groups
-        sorted_labels = self.labels[order]
-        boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-        for chunk in np.split(order, boundaries):
-            groups[int(self.labels[chunk[0]])] = chunk
-        return groups
-
     def subset(self, indices: np.ndarray) -> "WordPartition":
         return WordPartition(labels=self.labels[indices], vectors=self.vectors[indices])
 

@@ -86,17 +86,6 @@ class RegionBox:
         return self.xmin <= x < self.xmax and self.ymin <= y < self.ymax
 
 
-@dataclass(frozen=True)
-class Descriptor:
-    """Single local feature: vector plus position, scale and attention score."""
-
-    vector: np.ndarray
-    x: float
-    y: float
-    scale: float
-    attention: float
-
-
 @dataclass
 class ImageFeatures:
     """All local features of one image, stored column-wise as arrays.
@@ -122,19 +111,6 @@ class ImageFeatures:
     @property
     def dim(self) -> int:
         return int(self.vectors.shape[1])
-
-    @property
-    def descriptors(self) -> list[Descriptor]:
-        return [
-            Descriptor(
-                vector=self.vectors[i],
-                x=float(self.positions[i, 0]),
-                y=float(self.positions[i, 1]),
-                scale=float(self.scales[i]),
-                attention=float(self.attentions[i]),
-            )
-            for i in range(self.count)
-        ]
 
     def validate(self) -> None:
         m = self.count
@@ -395,12 +371,17 @@ def load_manifest(path: str | Path, *, check_files: bool = True) -> DatasetManif
             fields = dict(_parse_kv(tok, lineno, str(path)) for tok in tokens[1:])
             if "id" not in fields or "path" not in fields:
                 raise FormatError(f"{path}:{lineno}: image line needs id: and path:")
+            try:
+                width = int(fields["width"]) if "width" in fields else None
+                height = int(fields["height"]) if "height" in fields else None
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: width and height must be integers") from None
             images.append(
                 ManifestImage(
                     image_id=_check_identifier(fields["id"], "image id"),
                     path=_check_identifier(fields["path"], "feature path"),
-                    width=int(fields["width"]) if "width" in fields else None,
-                    height=int(fields["height"]) if "height" in fields else None,
+                    width=width,
+                    height=height,
                 )
             )
             continue

@@ -34,7 +34,7 @@ import numpy as np
 
 from .codebook import Codebook, codebook_digest, partition
 from .errors import ConfigError, DataError, DimensionError, FormatError
-from .features_io import DatasetManifest, ImageFeatures
+from .features_io import DatasetManifest, ImageFeatures, filter_by_attention
 from .kernels import (
     AggregatedRepresentation,
     DEFAULT_SELECTIVITY,
@@ -45,13 +45,14 @@ from .kernels import (
     is_binary_mode,
     is_regional_mode,
     is_vlad_family,
+    packed_inner_scaled_rows,
     selectivity_array,
 )
 from .regional import (
     RegionStrategy,
-    RegionalAggregatedRepresentation,
     aggregate_regional,
     as_regional_query,
+    region_aggregates,
     select_regions,
 )
 
@@ -120,15 +121,6 @@ class RetrievalIndex:
             seen.setdefault(e.image_id, None)
         return list(seen)
 
-    @property
-    def payload_width(self) -> int:
-        if is_binary_mode(self.mode):
-            return (self.dim + 7) // 8
-        return self.dim * 4
-
-    def payload_bytes(self) -> int:
-        return sum(ids.nbytes + payload.nbytes for ids, payload in self.postings.values())
-
 
 def _image_representation(
     features: ImageFeatures,
@@ -136,22 +128,12 @@ def _image_representation(
     mode: str,
     strategy: RegionStrategy,
     params: SelectivityParams,
-) -> list[tuple[int, AggregatedRepresentation | RegionalAggregatedRepresentation]]:
-    """(region_index, representation) pairs contributed by one image."""
-    if is_regional_mode(mode):
-        regions = select_regions(features, strategy)
-        return [(0, aggregate_regional(features, regions, codebook, mode, params))]
-    part = partition(codebook, features)
-    if strategy.kind == "whole":
-        return [(0, aggregate(part, codebook, mode, params))]
+) -> list[AggregatedRepresentation]:
+    """Representations contributed by one image, indexed by region."""
     regions = select_regions(features, strategy)
-    out = []
-    for r in range(regions.count):
-        from .regional import region_descriptor_indices
-
-        idx = region_descriptor_indices(features, regions, r)
-        out.append((r, aggregate(part.subset(idx), codebook, mode, params)))
-    return out
+    if is_regional_mode(mode):
+        return [aggregate_regional(features, regions, codebook, mode, params)]
+    return region_aggregates(features, regions, codebook, mode, params)
 
 
 def build_index(
@@ -176,11 +158,9 @@ def build_index(
         )
     manifest.validate(check_files=True)
 
-    def work(img) -> list[tuple[int, object]]:
+    def work(img) -> list[AggregatedRepresentation]:
         features = manifest.load_features(img)
         if attention_min is not None:
-            from .features_io import filter_by_attention
-
             features = filter_by_attention(features, attention_min)
         return _image_representation(features, codebook, mode, strategy, params)
 
@@ -195,7 +175,7 @@ def build_index(
     post_ids: dict[int, list[int]] = {}
     post_vecs: dict[int, list[np.ndarray]] = {}
     for img, reprs in zip(manifest.images, per_image):
-        for region_index, repr_ in reprs:
+        for region_index, repr_ in enumerate(reprs):
             entry_id = len(entries)
             entries.append(IndexEntry(entry_id, img.image_id, region_index))
             gammas.append(repr_.gamma)
@@ -286,8 +266,6 @@ def query(
         ids, payload = hit
         qvec = q_entries[word]
         if binary:
-            from .kernels import packed_inner_scaled_rows
-
             u = packed_inner_scaled_rows(payload, qvec, index.dim)
         else:
             u = payload.astype(np.float64) @ qvec.astype(np.float64)
@@ -436,7 +414,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
         entries.append(IndexEntry(i, ident, region_index))
         gammas[i] = gamma
     (n_words,) = cur.unpack(_U32)
-    binary = mode in ("asmk-star", "r-asmk-star")
+    binary = is_binary_mode(mode)
     width = (d + 7) // 8 if binary else d * 4
     postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     prev_word = -1

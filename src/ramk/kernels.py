@@ -22,6 +22,11 @@ Residual accumulation runs in float64 and entries are stored float32
 Words whose aggregated residual is exactly zero are dropped: they can
 never contribute to any match and per-word normalization would be
 undefined for them.
+
+``_fold_residuals`` is the one place that knows this storage rule, for
+the plain and the regional modes alike: ``aggregate`` feeds it the
+per-word residual sums of one descriptor set, and ``ramk.regional``
+feeds it the gamma-weighted sums of per-region aggregates.
 """
 
 from __future__ import annotations
@@ -168,15 +173,17 @@ class AggregatedRepresentation:
     """Sparse per-word aggregate of one image (or one image region).
 
     ``entries`` maps visual word to a float32 residual vector for the
-    dense modes or a bit-packed sign pattern for ``asmk-star``.
+    dense modes or a bit-packed sign pattern for the star modes.
     ``gamma`` is the self-similarity normalization factor; it is 0 for
-    an image with no usable words.
+    an image with no usable words.  ``region_count`` is the number of
+    regions a regional-mode aggregate averages over (1 otherwise).
     """
 
     mode: str
     dim: int
     entries: dict[int, np.ndarray]
     gamma: float
+    region_count: int = 1
 
     @property
     def word_count(self) -> int:
@@ -209,6 +216,49 @@ def gamma_from_entries(
     return total ** -0.5
 
 
+def _fold_residuals(
+    mode: str,
+    dim: int,
+    words: np.ndarray,
+    rows: np.ndarray,
+    params: SelectivityParams,
+    region_count: int = 1,
+) -> AggregatedRepresentation:
+    """Sum float64 residual ``rows`` per word, average them over
+    ``region_count`` and store the result the way ``mode`` stores entries.
+
+    Rows of one word are added in their input order (stable sort, then
+    one sequential ``np.add.reduceat``).  Stored are float32 rows for
+    vlad, r-vlad and naive-r-asmk, unit float32 rows for asmk and r-asmk,
+    and packed signs of the unit rows for the star modes.  All-zero rows
+    are dropped.
+    """
+    order = np.argsort(words, kind="stable")
+    words = words[order]
+    starts = np.flatnonzero(np.diff(words, prepend=-1))
+    sums = np.add.reduceat(rows[order], starts, axis=0) / region_count
+    words = words[starts]
+    if mode in (MODE_VLAD, MODE_R_VLAD, MODE_NAIVE_R_ASMK):
+        stored = sums.astype(np.float32)
+        keep = stored.any(axis=1)
+    else:
+        # matmul reduces a row against itself in the order of np.dot, so
+        # the norms equal normalize_residual's bit for bit (einsum and
+        # np.linalg.norm(axis=1) sum in other orders).
+        norms = np.sqrt(np.matmul(sums[:, None, :], sums[:, :, None])[:, 0, 0])
+        keep = norms != 0.0
+        unit = sums / np.where(keep, norms, 1.0)[:, None]
+        if is_binary_mode(mode):
+            stored = np.packbits(unit > 0, axis=1, bitorder="little")
+        else:
+            stored = unit.astype(np.float32)
+    entries = dict(zip(words[keep].tolist(), stored[keep]))
+    gamma = gamma_from_entries(mode, entries, dim, params)
+    return AggregatedRepresentation(
+        mode=mode, dim=dim, entries=entries, gamma=gamma, region_count=region_count
+    )
+
+
 def aggregate(
     part: WordPartition,
     codebook: Codebook,
@@ -220,25 +270,13 @@ def aggregate(
     if is_regional_mode(mode):
         raise ConfigError(f"aggregate() handles plain modes only, got {mode!r}")
     dim = codebook.dim
+    if part.count and part.vectors.shape[1] != dim:
+        raise DimensionError(
+            f"descriptor dimension {part.vectors.shape[1]} != centroid dimension {dim}"
+        )
     centroids = codebook.centroids.astype(np.float64)
-    entries: dict[int, np.ndarray] = {}
-    for word, idx in sorted(part.by_word().items()):
-        residual = vlad_residual(part.vectors[idx], centroids[word])
-        if mode == MODE_VLAD:
-            stored = residual.astype(np.float32)
-            if not stored.any():
-                continue
-            entries[word] = stored
-        else:
-            unit = normalize_residual(residual)
-            if unit is None:
-                continue
-            if mode == MODE_ASMK:
-                entries[word] = unit.astype(np.float32)
-            else:
-                entries[word] = pack_signs(unit)
-    gamma = gamma_from_entries(mode, entries, dim, params)
-    return AggregatedRepresentation(mode=mode, dim=dim, entries=entries, gamma=gamma)
+    residuals = part.vectors.astype(np.float64).reshape(-1, dim) - centroids[part.labels]
+    return _fold_residuals(mode, dim, part.labels, residuals, params)
 
 
 def word_match(

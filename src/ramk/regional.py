@@ -25,6 +25,10 @@ of its own; an optional per-image factor (same inverse-sqrt
 self-similarity rule as the plain kernel) is applied to both sides by
 default so scores are comparable across images, and can be disabled to
 study the raw kernel.
+
+``region_aggregates`` is the one loop over regions: it serves both the
+regional fold here and regional search in ``ramk.index``.  How a folded
+per-word sum is stored is decided by ``kernels._fold_residuals``.
 """
 
 from __future__ import annotations
@@ -39,21 +43,18 @@ from .errors import ConfigError, DataError
 from .features_io import ImageFeatures, RegionBox, whole_image_box
 from .kernels import (
     MODE_ASMK,
-    MODE_ASMK_STAR,
-    MODE_NAIVE_R_ASMK,
-    MODE_R_ASMK,
+    MODE_R_ASMK_STAR,
     MODE_R_VLAD,
     PLAIN_COUNTERPART,
     AggregatedRepresentation,
     DEFAULT_SELECTIVITY,
     SelectivityParams,
+    _fold_residuals,
     aggregate,
     check_mode,
     gamma_from_entries,
     is_regional_mode,
     match_sum,
-    normalize_residual,
-    pack_signs,
 )
 
 RMAC_MIN_OVERLAP = 0.4
@@ -192,36 +193,32 @@ def region_descriptor_indices(
     return assign_to_region(features, regions.boxes[region_index])
 
 
-@dataclass
-class RegionalAggregatedRepresentation:
-    """Per-word regional aggregate of one database image."""
+def region_aggregates(
+    features: ImageFeatures,
+    regions: RegionSet,
+    codebook: Codebook,
+    mode: str,
+    params: SelectivityParams = DEFAULT_SELECTIVITY,
+    part: WordPartition | None = None,
+) -> list[AggregatedRepresentation]:
+    """Plain ``mode`` aggregate of every region, in region order.
 
-    mode: str
-    dim: int
-    entries: dict[int, np.ndarray]
-    gamma: float
-    region_count: int
+    Descriptors are quantized once for the image and shared across
+    regions.
+    """
+    if part is None:
+        part = partition(codebook, features)
+    return [
+        aggregate(part.subset(region_descriptor_indices(features, regions, r)), codebook, mode, params)
+        for r in range(regions.count)
+    ]
 
-    @property
-    def word_count(self) -> int:
-        return len(self.entries)
 
-
-def regional_accumulate(
-    region_reprs: list[AggregatedRepresentation], dim: int
-) -> dict[int, np.ndarray]:
-    """Gamma-weighted sum of per-region entries, in float64 per word."""
-    acc: dict[int, np.ndarray] = {}
-    for repr_ in region_reprs:
-        if repr_.gamma == 0.0:
-            continue
-        for word, vec in repr_.entries.items():
-            contrib = repr_.gamma * vec.astype(np.float64)
-            if word in acc:
-                acc[word] += contrib
-            else:
-                acc[word] = contrib
-    return acc
+def _entry_rows(rep: AggregatedRepresentation) -> tuple[np.ndarray, np.ndarray]:
+    """Words and float64 rows of a dense representation's entries."""
+    words = np.fromiter(rep.entries, dtype=np.int64, count=rep.word_count)
+    rows = np.array(list(rep.entries.values()), dtype=np.float64).reshape(-1, rep.dim)
+    return words, rows
 
 
 def aggregate_regional(
@@ -231,49 +228,28 @@ def aggregate_regional(
     mode: str,
     params: SelectivityParams = DEFAULT_SELECTIVITY,
     part: WordPartition | None = None,
-) -> RegionalAggregatedRepresentation:
+) -> AggregatedRepresentation:
     """Fold all regions of an image into one per-word representation.
 
     Empty regions contribute nothing but still count toward the 1/R
-    averaging factor.  Descriptors are quantized once for the image and
-    shared across regions.
+    averaging factor.
     """
     check_mode(mode)
     if not is_regional_mode(mode):
         raise ConfigError(f"aggregate_regional() handles regional modes only, got {mode!r}")
     if regions.count < 1:
         raise DataError("region set must contain at least the whole image")
-    base_mode = PLAIN_COUNTERPART[mode]
-    if base_mode == MODE_ASMK_STAR:
-        base_mode = MODE_ASMK  # binarization happens after regional averaging
-    if part is None:
-        part = partition(codebook, features)
-    region_reprs = []
-    for r in range(regions.count):
-        idx = region_descriptor_indices(features, regions, r)
-        region_reprs.append(aggregate(part.subset(idx), codebook, base_mode, params))
-    acc = regional_accumulate(region_reprs, codebook.dim)
-
-    r_count = regions.count
-    entries: dict[int, np.ndarray] = {}
-    for word in sorted(acc):
-        averaged = acc[word] / r_count
-        if mode in (MODE_R_VLAD, MODE_NAIVE_R_ASMK):
-            stored = averaged.astype(np.float32)
-            if not stored.any():
-                continue
-            entries[word] = stored
-        else:
-            unit = normalize_residual(averaged)
-            if unit is None:
-                continue
-            if mode == MODE_R_ASMK:
-                entries[word] = unit.astype(np.float32)
-            else:
-                entries[word] = pack_signs(unit)
-    gamma = gamma_from_entries(mode, entries, codebook.dim, params)
-    return RegionalAggregatedRepresentation(
-        mode=mode, dim=codebook.dim, entries=entries, gamma=gamma, region_count=r_count
+    # r-asmk-star binarizes after regional averaging, so its regions stay dense.
+    base_mode = MODE_ASMK if mode == MODE_R_ASMK_STAR else PLAIN_COUNTERPART[mode]
+    words = [np.empty(0, dtype=np.int64)]
+    rows = [np.empty((0, codebook.dim))]
+    for rep in region_aggregates(features, regions, codebook, base_mode, params, part):
+        if rep.gamma != 0.0:
+            w, v = _entry_rows(rep)
+            words.append(w)
+            rows.append(rep.gamma * v)
+    return _fold_residuals(
+        mode, codebook.dim, np.concatenate(words), np.concatenate(rows), params, regions.count
     )
 
 
@@ -281,7 +257,7 @@ def as_regional_query(
     plain: AggregatedRepresentation,
     mode: str,
     params: SelectivityParams = DEFAULT_SELECTIVITY,
-) -> RegionalAggregatedRepresentation:
+) -> AggregatedRepresentation:
     """Lift a plain whole-image representation to the query side of a
     regional kernel (the asymmetric setting).
 
@@ -300,33 +276,26 @@ def as_regional_query(
             f"got {plain.mode!r}"
         )
     if mode == MODE_R_VLAD:
-        entries = {
-            word: (plain.gamma * vec.astype(np.float64)).astype(np.float32)
-            for word, vec in plain.entries.items()
-        }
-        entries = {w: v for w, v in entries.items() if v.any()}
-    else:
-        entries = dict(plain.entries)
+        words, rows = _entry_rows(plain)
+        return _fold_residuals(mode, plain.dim, words, plain.gamma * rows, params)
+    entries = dict(plain.entries)
     gamma = gamma_from_entries(mode, entries, plain.dim, params)
-    return RegionalAggregatedRepresentation(
-        mode=mode, dim=plain.dim, entries=entries, gamma=gamma, region_count=1
-    )
+    return AggregatedRepresentation(mode=mode, dim=plain.dim, entries=entries, gamma=gamma)
 
 
 def regional_similarity(
-    x_repr: AggregatedRepresentation | RegionalAggregatedRepresentation,
-    y_repr: RegionalAggregatedRepresentation,
+    x_repr: AggregatedRepresentation,
+    y_repr: AggregatedRepresentation,
     params: SelectivityParams = DEFAULT_SELECTIVITY,
     normalize: bool = True,
 ) -> float:
-    """Regional kernel similarity; the query side may be a plain
-    representation (lifted automatically) or a regional one (symmetric
-    comparison).  With ``normalize`` disabled the raw match sum is
-    returned, which for self-similarity equals the populated word count
-    of the asmk family."""
+    """Regional kernel similarity; the query side may be in a plain mode
+    (lifted automatically) or in the regional one (symmetric comparison).
+    With ``normalize`` disabled the raw match sum is returned, which for
+    self-similarity equals the populated word count of the asmk family."""
     if not is_regional_mode(y_repr.mode):
         raise ConfigError(f"database side must be regional, got {y_repr.mode!r}")
-    if isinstance(x_repr, AggregatedRepresentation):
+    if not is_regional_mode(x_repr.mode):
         x_repr = as_regional_query(x_repr, y_repr.mode, params)
     if x_repr.mode != y_repr.mode:
         raise ConfigError(f"mode mismatch: {x_repr.mode!r} vs {y_repr.mode!r}")

@@ -51,6 +51,19 @@ class TestExitCodes:
     def test_missing_required_flag_is_config_error(self):
         assert run("train-codebook", "--manifest", "x.txt") == 2
 
+    def test_non_integer_manifest_width_is_data_error(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("dataset:d\ndim:8\nimage id:a path:a.dtrf width:wide height:480\n")
+        assert run("train-codebook", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "cb.dtrc")) == 3
+
+    def test_non_numeric_result_score_is_data_error(self, pipeline, tmp_path):
+        root, data, cb = pipeline
+        results = tmp_path / "results.txt"
+        results.write_text("query:q0 ranked:a=high\n")
+        assert run("evaluate", "--results", str(results), "--manifest", str(data / "manifest.txt"),
+                   "--out", str(tmp_path / "metrics.txt")) == 3
+
     def test_unknown_config_key_rejected(self, pipeline, tmp_path):
         root, data, cb = pipeline
         cfg = tmp_path / "cfg.txt"

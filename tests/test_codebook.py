@@ -118,7 +118,7 @@ class TestPartition:
         rng = np.random.default_rng(9)
         cb = make_codebook(rng, 4, 8)
         part = partition(cb, make_features(rng, 0, 8))
-        assert part.by_word() == {}
+        assert part.labels.size == 0
 
     def test_identical_descriptors_in_one_word(self):
         rng = np.random.default_rng(10)
@@ -126,19 +126,15 @@ class TestPartition:
         f = make_features(rng, 5, 8)
         f.vectors[:] = f.vectors[0]
         part = partition(cb, f)
-        groups = part.by_word()
-        assert len(groups) == 1
-        (indices,) = groups.values()
-        np.testing.assert_array_equal(indices, np.arange(5))
+        assert part.labels.tolist() == [part.labels[0]] * 5  # one word holding descriptors 0..4
 
     def test_counts_sum_to_m_and_true_partition(self):
         rng = np.random.default_rng(11)
         cb = make_codebook(rng, 16, 8)
         f = make_features(rng, 123, 8)
-        groups = partition(cb, f).by_word()
-        all_idx = np.concatenate(list(groups.values()))
-        assert all_idx.size == 123
-        assert np.unique(all_idx).size == 123  # disjoint and covering
+        labels = partition(cb, f).labels
+        assert labels.shape == (123,)  # one word per descriptor: disjoint and covering
+        assert ((labels >= 0) & (labels < 16)).all()
 
 
 class TestCodebookFile:

@@ -6,6 +6,9 @@ region count.  The regional aggregate must reproduce it exactly for the
 vlad family (that identity is what makes single-descriptor-per-image
 storage possible), and the degenerate single-region case must collapse
 to the plain kernels.
+
+``oracle_entries`` rebuilds stored entries one word at a time from the
+residual primitives; the vectorized fold must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,16 +16,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ramk.codebook import partition
+from ramk.codebook import Codebook, partition
 from ramk.errors import ConfigError
 from ramk.features_io import RegionBox
-from ramk.kernels import aggregate, kernel_similarity, unpack_signs
+from ramk.kernels import (
+    ALL_MODES,
+    DEFAULT_SELECTIVITY,
+    PLAIN_COUNTERPART,
+    aggregate,
+    gamma_from_entries,
+    is_regional_mode,
+    kernel_similarity,
+    normalize_residual,
+    pack_signs,
+    unpack_signs,
+    vlad_residual,
+)
 from ramk.regional import (
     RegionSet,
     RegionStrategy,
     aggregate_regional,
     as_regional_query,
     assign_to_region,
+    region_aggregates,
     region_descriptor_indices,
     regional_similarity,
     rmac_grid,
@@ -41,6 +57,53 @@ def avg_pooled_similarity(query_repr, features, regions, codebook, mode) -> floa
         region_repr = aggregate(part.subset(idx), codebook, mode)
         total += kernel_similarity(query_repr, region_repr)
     return total / regions.count
+
+
+def store_oracle(mode: str, v: np.ndarray) -> np.ndarray | None:
+    """Stored entry of one word's float64 residual, or None if dropped."""
+    if mode in ("vlad", "r-vlad", "naive-r-asmk"):
+        stored = v.astype(np.float32)
+        return stored if stored.any() else None
+    unit = normalize_residual(v)
+    if unit is None:
+        return None
+    return pack_signs(unit) if mode in ("asmk-star", "r-asmk-star") else unit.astype(np.float32)
+
+
+def oracle_entries(features, regions, codebook, mode) -> list[dict[int, np.ndarray]]:
+    """Per-word entries of every region (plain mode) or of the regional
+    fold (regional mode), one word at a time."""
+    labels = partition(codebook, features).labels
+    cents = codebook.centroids.astype(np.float64)
+    base = "asmk" if mode == "r-asmk-star" else PLAIN_COUNTERPART.get(mode, mode)
+    per_region = []
+    for r in range(regions.count):
+        idx = region_descriptor_indices(features, regions, r)
+        entries = {}
+        for w in sorted(set(labels[idx].tolist())):
+            members = idx[labels[idx] == w]
+            stored = store_oracle(base, vlad_residual(features.vectors[members], cents[w]))
+            if stored is not None:
+                entries[w] = stored
+        per_region.append(entries)
+    if not is_regional_mode(mode):
+        return per_region
+    acc: dict[int, np.ndarray] = {}
+    for entries in per_region:
+        gamma = gamma_from_entries(base, entries, codebook.dim, DEFAULT_SELECTIVITY)
+        if gamma == 0.0:
+            continue
+        for w, vec in entries.items():
+            contrib = gamma * vec.astype(np.float64)
+            acc[w] = acc[w] + contrib if w in acc else contrib
+    folded = {w: store_oracle(mode, acc[w] / regions.count) for w in sorted(acc)}
+    return [{w: v for w, v in folded.items() if v is not None}]
+
+
+def assert_entries_bitwise(got: dict[int, np.ndarray], expected: dict[int, np.ndarray]) -> None:
+    assert list(got) == list(expected)
+    for w, v in expected.items():
+        assert got[w].dtype == v.dtype and got[w].tobytes() == v.tobytes(), w
 
 
 def random_regions(rng, features, n_extra: int) -> RegionSet:
@@ -207,6 +270,43 @@ class TestAggregateRegional:
                 n_dil = np.linalg.norm(r_vlad_dil.entries[word].astype(np.float64))
                 assert n_dil * (1 + k) == pytest.approx(n_base, rel=1e-6)
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_fold_bitwise_equals_per_word_oracle(self, mode):
+        # Plain modes are checked per region (regional search), regional
+        # modes on the fold; the regions overlap and one is empty.
+        rng = np.random.default_rng(36)
+        d = 6
+        cents = np.vstack([make_codebook(rng, 12, d).centroids, np.full((1, d), 100.0, np.float32)])
+        cb = Codebook(centroids=cents)
+        f = make_features(rng, 60, d)
+        offset = np.zeros(d, np.float32)
+        offset[0] = 0.125
+        f.vectors[0] = cents[12] + offset
+        f.vectors[1] = cents[12] - offset  # word 12's residual cancels exactly
+        assert (partition(cb, f).labels == 12).sum() == 2
+        regions = random_regions(rng, f, 3)
+        empty_box = RegionBox(62.9, 46.9, 63.9, 47.9, 1.0)
+        assert assign_to_region(f, empty_box).size == 0
+        regions.boxes += [regions.boxes[1], empty_box]
+        expected = oracle_entries(f, regions, cb, mode)
+        if is_regional_mode(mode):
+            got = [aggregate_regional(f, regions, cb, mode)]
+            assert got[0].region_count == regions.count
+        else:
+            got = region_aggregates(f, regions, cb, mode)
+            assert 12 not in got[0].entries and got[-1].entries == {}
+        assert len(got) == len(expected)
+        for rep, entries in zip(got, expected):
+            assert_entries_bitwise(rep.entries, entries)
+            assert rep.gamma == gamma_from_entries(mode, entries, d, DEFAULT_SELECTIVITY)
+        if is_regional_mode(mode):
+            plain = aggregate(partition(cb, f), cb, PLAIN_COUNTERPART[mode])
+            oracle = dict(plain.entries)
+            if mode == "r-vlad":
+                scaled = {w: store_oracle(mode, plain.gamma * v.astype(np.float64)) for w, v in oracle.items()}
+                oracle = {w: v for w, v in scaled.items() if v is not None}
+            assert_entries_bitwise(as_regional_query(plain, mode).entries, oracle)
+
     def test_empty_region_counts_toward_averaging(self):
         rng = np.random.default_rng(15)
         cb = make_codebook(rng, 8, 4)
@@ -240,10 +340,10 @@ class TestRegionalSimilarity:
     def test_disjoint_supports_zero(self):
         rng = np.random.default_rng(30)
         cb = make_codebook(rng, 4, 3)
-        from ramk.regional import RegionalAggregatedRepresentation
+        from ramk.kernels import AggregatedRepresentation
 
-        x = RegionalAggregatedRepresentation("r-asmk", 3, {0: np.array([1, 0, 0], np.float32)}, 1.0, 1)
-        y = RegionalAggregatedRepresentation("r-asmk", 3, {1: np.array([1, 0, 0], np.float32)}, 1.0, 2)
+        x = AggregatedRepresentation("r-asmk", 3, {0: np.array([1, 0, 0], np.float32)}, 1.0, 1)
+        y = AggregatedRepresentation("r-asmk", 3, {1: np.array([1, 0, 0], np.float32)}, 1.0, 2)
         assert regional_similarity(x, y) == 0.0
 
     def test_symmetric_self_similarity_normalized(self):
