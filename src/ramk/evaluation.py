@@ -209,28 +209,34 @@ def analyze_relevance(
     outside_rel = np.zeros(n_bins, dtype=np.int64)
     outside_tot = np.zeros(n_bins, dtype=np.int64)
 
+    edge_array = np.asarray(edges)
     for pair_index, (first, second) in enumerate(pairs):
         matches = match_features(first, second, max_distance)
         model, inliers = ransac_affine(
             matches, iterations=iterations, inlier_tol=inlier_tol, seed=seed + pair_index
         )
-        relevant: set[int] = set()
+        relevant = np.zeros(first.count, dtype=bool)
         if model is not None:
-            relevant = {matches[i].query_index for i in inliers}
-        for fi in range(first.count):
-            att = float(first.attentions[fi])
-            if att < edges[0] or att > edges[-1]:
-                continue
-            b = int(np.searchsorted(edges, att, side="right")) - 1
-            b = min(b, n_bins - 1)  # top edge closes the last bin
-            x, y = float(first.positions[fi, 0]), float(first.positions[fi, 1])
-            inside = any(box.contains(x, y) for box in first.boxes)
-            if inside:
-                inside_tot[b] += 1
-                inside_rel[b] += fi in relevant
-            else:
-                outside_tot[b] += 1
-                outside_rel[b] += fi in relevant
+            relevant[[matches[i].query_index for i in inliers]] = True
+        att = first.attentions.astype(np.float64)
+        keep = ~((att < edges[0]) | (att > edges[-1]))
+        # The top edge closes the last bin.
+        b = np.minimum(np.searchsorted(edge_array, att, side="right") - 1, n_bins - 1)
+        x = first.positions[:, 0, None].astype(np.float64)
+        y = first.positions[:, 1, None].astype(np.float64)
+        box = np.array(
+            [(r.xmin, r.ymin, r.xmax, r.ymax) for r in first.boxes], dtype=np.float64
+        ).reshape(-1, 4)
+        # Closed on the min edges, open on the max edges, as RegionBox.contains.
+        inside = (
+            (box[:, 0] <= x) & (x < box[:, 2]) & (box[:, 1] <= y) & (y < box[:, 3])
+        ).any(axis=1)
+        for tot, rel, where in (
+            (inside_tot, inside_rel, keep & inside),
+            (outside_tot, outside_rel, keep & ~inside),
+        ):
+            tot += np.bincount(b[where], minlength=n_bins)
+            rel += np.bincount(b[where & relevant], minlength=n_bins)
 
     return [
         RelevanceBin(

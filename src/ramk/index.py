@@ -336,6 +336,16 @@ _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
 _ENTRY_TAIL = struct.Struct("<Hd")
 _WORD_HEAD = struct.Struct("<II")
+_U16_MAX = 0xFFFF
+
+
+def _u16_field(value: int, what: str) -> int:
+    """``value`` when it fits the index's u16 field, else a DataError."""
+    if not 0 <= value <= _U16_MAX:
+        raise DataError(
+            f"cannot serialize index: {what} {value} does not fit in u16 (0..{_U16_MAX})"
+        )
+    return value
 
 
 def serialize_index(index: RetrievalIndex) -> bytes:
@@ -346,18 +356,18 @@ def serialize_index(index: RetrievalIndex) -> bytes:
         _F64.pack(index.params.tau),
         index.codebook_hash,
         _U32.pack(index.codebook.size),
-        _U16.pack(index.codebook.dim),
+        _U16.pack(_u16_field(index.codebook.dim, "codebook dim")),
         index.codebook.centroids.astype("<f4").tobytes(),
     ]
     strat = index.strategy.encode()
-    parts.append(_U16.pack(len(strat)))
+    parts.append(_U16.pack(_u16_field(len(strat), "strategy byte length")))
     parts.append(strat)
     parts.append(_U32.pack(index.entry_count))
     for entry, gamma in zip(index.entries, index.gammas):
         ident = entry.image_id.encode()
-        parts.append(_U16.pack(len(ident)))
+        parts.append(_U16.pack(_u16_field(len(ident), "image id byte length")))
         parts.append(ident)
-        parts.append(_ENTRY_TAIL.pack(entry.region_index, float(gamma)))
+        parts.append(_ENTRY_TAIL.pack(_u16_field(entry.region_index, "region index"), float(gamma)))
     parts.append(_U32.pack(len(index.postings)))
     for word in sorted(index.postings):
         ids, payload = index.postings[word]

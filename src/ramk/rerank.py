@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 # Triangle area below this fraction of the point-spread area counts as collinear.
 _COLLINEAR_FRAC = 1e-6
 _MIN_DET = 1e-9
+# Hypotheses are scored in blocks of at most this many (hypothesis,
+# correspondence) errors, which bounds the error matrix for large match sets.
+_SCORE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,36 @@ def _solve_affine(src: np.ndarray, dst: np.ndarray) -> AffineModel | None:
     return model
 
 
-def _triangle_area(p: np.ndarray) -> float:
-    return 0.5 * abs(
-        (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
-    )
+def _sample_models(
+    src: np.ndarray, dst: np.ndarray, picks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact affine maps through the 3-point samples ``picks`` (k, 3).
+
+    Samples whose query triangle is collinear, and maps that are not
+    finite or whose linear part has ``|det| <= _MIN_DET``, are dropped.
+    Returns the kept samples, their transposed linear parts (k', 2, 2),
+    so that ``src @ At + t`` applies them, and their translations (k', 2).
+    """
+    s = src[picks]
+    u1, u2 = s[:, 1] - s[:, 0], s[:, 2] - s[:, 0]
+    # Twice the signed triangle area: the collinearity test and the
+    # solve's determinant, never zero for a kept sample.
+    det = u1[:, 0] * u2[:, 1] - u2[:, 0] * u1[:, 1]
+    spread = np.ptp(src[:, 0]) * np.ptp(src[:, 1])
+    keep = 0.5 * np.abs(det) > _COLLINEAR_FRAC * spread
+    picks, s, u1, u2, det = picks[keep], s[keep], u1[keep], u2[keep], det[keep, None]
+    d = dst[picks]
+    v1, v2 = d[:, 1] - d[:, 0], d[:, 2] - d[:, 0]
+    at = np.empty((det.shape[0], 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A = [v1 v2] [u1 u2]^-1, stored as A^T: at[:, j] is column j of A.
+        at[:, 0] = (v1 * u2[:, 1:] - v2 * u1[:, 1:]) / det
+        at[:, 1] = (v2 * u1[:, :1] - v1 * u2[:, :1]) / det
+        t = d[:, 0] - np.matmul(s[:, 0, None], at)[:, 0]
+        det_a = at[:, 0, 0] * at[:, 1, 1] - at[:, 0, 1] * at[:, 1, 0]
+    valid = np.isfinite(at).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
+    valid &= np.abs(det_a) > _MIN_DET
+    return picks[valid], at[valid], t[valid]
 
 
 def ransac_affine(
@@ -119,11 +148,13 @@ def ransac_affine(
 ) -> tuple[AffineModel | None, np.ndarray]:
     """Estimate an affine map from noisy correspondences.
 
-    Per iteration, 3 correspondences with non-collinear query points are
-    sampled and solved exactly; the model with the most reprojection
-    inliers wins and is refit by least squares on its inliers.  Returns
-    (None, empty) when fewer than 3 correspondences exist or no model
-    reaches 3 inliers.  Deterministic for a fixed seed.
+    All ``iterations`` samples of 3 correspondences are drawn first, one
+    ``choice`` call each in iteration order; samples with collinear query
+    points are dropped and the rest are solved exactly and scored against
+    every correspondence in batch.  The first sample with the most
+    reprojection inliers wins and its model is refit by least squares on
+    its inliers.  Returns (None, empty) when fewer than 3 correspondences
+    exist or no model reaches 3 inliers.  Deterministic for a fixed seed.
     """
     n = len(correspondences)
     empty = np.empty(0, dtype=np.int64)
@@ -131,36 +162,37 @@ def ransac_affine(
         return None, empty
     src = np.array([c.query_xy for c in correspondences], dtype=np.float64)
     dst = np.array([c.candidate_xy for c in correspondences], dtype=np.float64)
-    spread = (src[:, 0].max() - src[:, 0].min()) * (src[:, 1].max() - src[:, 1].min())
-    area_min = _COLLINEAR_FRAC * spread
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    picks = np.array(
+        [rng.choice(n, size=3, replace=False) for _ in range(iterations)], dtype=np.int64
+    ).reshape(-1, 3)
+    picks, at, t = _sample_models(src, dst, picks)
+
     best_count = 0
+    best = -1
     best_mask: np.ndarray | None = None
-    for _ in range(iterations):
-        pick = rng.choice(n, size=3, replace=False)
-        tri = src[pick]
-        if _triangle_area(tri) <= area_min:
-            continue
-        model = _solve_affine(tri, dst[pick])
-        if model is None:
-            continue
-        err = np.linalg.norm(model.apply(src) - dst, axis=1)
-        mask = err <= inlier_tol
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
+    block = max(1, _SCORE_CELLS // n)
+    for lo in range(0, picks.shape[0], block):
+        diff = np.matmul(src, at[lo : lo + block]) + t[lo : lo + block, None] - dst
+        err = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+        masks = err <= inlier_tol
+        counts = np.count_nonzero(masks, axis=1)
+        j = int(np.argmax(counts))
+        if counts[j] > best_count:
+            best_count = int(counts[j])
+            best = lo + j
+            best_mask = masks[j]
     if best_mask is None or best_count < 3:
         return None, empty
 
     refit = _solve_affine(src[best_mask], dst[best_mask])
     if refit is None:
-        # Degenerate refit: fall back to an exact solve on the sample that
-        # produced the best mask is unavailable here, so re-derive from the
-        # inlier triangle with the largest area.
-        idx = np.flatnonzero(best_mask)
-        refit = _solve_affine(src[idx[:3]], dst[idx[:3]])
+        # Degenerate refit: fall back to the exact solve on the winning
+        # sample, whose query points passed the collinearity test and whose
+        # exact model is the winning hypothesis.
+        sample = picks[best]
+        refit = _solve_affine(src[sample], dst[sample])
         if refit is None:
             return None, empty
     err = np.linalg.norm(refit.apply(src) - dst, axis=1)
@@ -168,22 +200,6 @@ def ransac_affine(
     if inliers.size < 3:
         return None, empty
     return refit, inliers
-
-
-def verification_inliers(
-    query: ImageFeatures,
-    candidate: ImageFeatures,
-    *,
-    iterations: int = 1000,
-    inlier_tol: float | None = None,
-    seed: int = 0,
-    max_distance: float = math.inf,
-) -> int:
-    """Inlier count of the best affine model between two images."""
-    matches = match_features(query, candidate, max_distance)
-    tol = inlier_tol if inlier_tol is not None else default_inlier_tol(query)
-    _, inliers = ransac_affine(matches, iterations=iterations, inlier_tol=tol, seed=seed)
-    return int(inliers.size)
 
 
 def default_inlier_tol(features: ImageFeatures) -> float:

@@ -24,6 +24,7 @@ from ramk.evaluation import (
 )
 from ramk.features_io import GroundTruth, ImageFeatures, QueryGroundTruth, RegionBox
 from ramk.index import RankedResult
+from ramk.rerank import match_features, ransac_affine
 
 from conftest import make_features
 
@@ -199,7 +200,53 @@ def _paired_features(rng, n_planted=12, n_clutter=20):
     return a, b
 
 
+def oracle_relevance_counts(pairs, edges, inlier_tol, seed):
+    """Per-feature loop: (inside_rel, inside_tot, outside_rel, outside_tot) per bin."""
+    n_bins = len(edges) - 1
+    counts = np.zeros((4, n_bins), dtype=np.int64)
+    for pair_index, (first, second) in enumerate(pairs):
+        matches = match_features(first, second)
+        model, inliers = ransac_affine(matches, inlier_tol=inlier_tol, seed=seed + pair_index)
+        relevant = {matches[i].query_index for i in inliers} if model is not None else set()
+        for fi in range(first.count):
+            att = float(first.attentions[fi])
+            if att < edges[0] or att > edges[-1]:
+                continue
+            b = min(int(np.searchsorted(edges, att, side="right")) - 1, n_bins - 1)
+            x, y = float(first.positions[fi, 0]), float(first.positions[fi, 1])
+            row = 0 if any(box.contains(x, y) for box in first.boxes) else 2
+            counts[row, b] += fi in relevant
+            counts[row + 1, b] += 1
+    return counts
+
+
 class TestAnalyzeRelevance:
+    def test_matches_per_feature_loop_on_edges(self):
+        rng = np.random.default_rng(4)
+        a, b = _paired_features(rng)
+        a.boxes.append(RegionBox(250.0, 200.0, 400.0, 330.0, 0.5))
+        # Clutter features on the corners and edges of both boxes (min
+        # edges closed, max edges open), some in the overlap.
+        edge_points = [
+            (50, 60), (300, 60), (50, 260), (300, 260), (175, 260), (300, 150),
+            (250, 200), (400, 330), (250, 330), (400, 200), (275, 260), (300, 250),
+        ]
+        a.positions[12 : 12 + len(edge_points)] = edge_points
+        # Attentions on every bin edge (the top edge closes the last bin),
+        # just outside the range, and on edges among the planted features.
+        edges = [0.0, 50.0, 100.0, 200.0, 300.0]
+        a.attentions[12:24] = [0, 50, 100, 200, 300, 300, -1, 300.5, 0, 50, 100, 200]
+        a.attentions[:4] = [100, 200, 300, 0]
+        pairs = [(a, b), (b, a), (a, a)]
+        table = analyze_relevance(pairs, edges, inlier_tol=10.0, seed=3)
+        got = np.array(
+            [[t.inside_relevant, t.inside_count, t.outside_relevant, t.outside_count] for t in table]
+        ).T
+        want = oracle_relevance_counts(pairs, edges, 10.0, 3)
+        np.testing.assert_array_equal(got, want)
+        assert want[0].sum() > 0 and want[2].sum() > 0  # relevant features on both sides
+
+
     def test_synthetic_pair_inside_dominates(self):
         rng = np.random.default_rng(0)
         pairs = [_paired_features(rng)]

@@ -8,11 +8,13 @@ inverted-file traversal must reproduce it for every mode.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ramk.codebook import partition, train_codebook
-from ramk.errors import ConfigError, DimensionError, FormatError
+from ramk.codebook import Codebook, partition, train_codebook
+from ramk.errors import ConfigError, DataError, DimensionError, FormatError
 from ramk.features_io import load_manifest
 from ramk.index import (
     POOL_AVG,
@@ -243,6 +245,36 @@ class TestPersistence:
         (tmp_path / "pad.dtri").write_bytes(serialize_index(index) + b"\x00\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_index(tmp_path / "pad.dtri")
+
+    @pytest.mark.parametrize(
+        "field", ["image id byte length", "region index", "strategy byte length", "codebook dim"]
+    )
+    def test_u16_field_overflow_is_data_error(self, corpus, tmp_path, field):
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"))
+        first = index.entries[0]
+        if field == "image id byte length":
+            entries = [dataclasses.replace(first, image_id="x" * 65536)] + index.entries[1:]
+            index = dataclasses.replace(index, entries=entries)
+        elif field == "region index":
+            entries = [dataclasses.replace(first, region_index=65536)] + index.entries[1:]
+            index = dataclasses.replace(index, entries=entries)
+        elif field == "strategy byte length":
+            index = dataclasses.replace(index, strategy="d" * 65536)
+        else:
+            wide = Codebook(centroids=np.zeros((1, 65536), dtype=np.float32))
+            index = dataclasses.replace(index, codebook=wide)
+        with pytest.raises(DataError, match=field) as err:
+            save_index(index, tmp_path / "over.dtri")
+        assert err.value.exit_code == 3
+        assert not (tmp_path / "over.dtri").exists()
+
+    def test_u16_fields_at_their_maximum_serialize(self, corpus):
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("whole"))
+        first = dataclasses.replace(index.entries[0], image_id="x" * 65535, region_index=65535)
+        index = dataclasses.replace(index, entries=[first] + index.entries[1:])
+        assert len(serialize_index(index)) > 65535
 
     def test_empty_index_round_trips(self, tmp_path, corpus):
         manifest, queries, codebook = corpus

@@ -1,4 +1,11 @@
-"""Feature matching, affine RANSAC and spatial re-ranking."""
+"""Feature matching, affine RANSAC and spatial re-ranking.
+
+``oracle_ransac`` is the per-iteration RANSAC loop that ``ransac_affine``
+replaces with a batched pass: one ``choice`` call, a collinearity test, a
+least-squares solve and a reprojection score per iteration, the first
+strictly better count winning.  The batched pass must return the same
+inliers and byte-equal models.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +14,13 @@ import math
 import numpy as np
 import pytest
 
+from ramk import rerank
 from ramk.features_io import ImageFeatures
 from ramk.index import RankedResult
 from ramk.rerank import (
+    _COLLINEAR_FRAC,
+    _MIN_DET,
+    _SCORE_CELLS,
     AffineModel,
     Correspondence,
     default_inlier_tol,
@@ -51,6 +62,98 @@ def planted_correspondences(
         for i in range(src.shape[0])
     ]
     return corr, model, n_inliers
+
+
+def oracle_solve(src: np.ndarray, dst: np.ndarray) -> AffineModel | None:
+    design = np.hstack([src, np.ones((src.shape[0], 1))])
+    coef, *_ = np.linalg.lstsq(design, dst, rcond=None)
+    model = AffineModel(matrix=coef[:2].T, translation=coef[2])
+    if not np.isfinite(coef).all() or abs(model.determinant) <= _MIN_DET:
+        return None
+    return model
+
+
+def oracle_ransac(corr, iterations, inlier_tol, seed):
+    """Per-iteration RANSAC; returns (model, inliers, winning sample or None)."""
+    empty = np.empty(0, dtype=np.int64)
+    n = len(corr)
+    if n < 3:
+        return None, empty, None
+    src = np.array([c.query_xy for c in corr], dtype=np.float64)
+    dst = np.array([c.candidate_xy for c in corr], dtype=np.float64)
+    spread = (src[:, 0].max() - src[:, 0].min()) * (src[:, 1].max() - src[:, 1].min())
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    best_count, best_mask, best_pick = 0, None, None
+    for _ in range(iterations):
+        pick = rng.choice(n, size=3, replace=False)
+        p = src[pick]
+        area = 0.5 * abs(
+            (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
+        )
+        if area <= _COLLINEAR_FRAC * spread:
+            continue
+        model = oracle_solve(p, dst[pick])
+        if model is None:
+            continue
+        mask = np.linalg.norm(model.apply(src) - dst, axis=1) <= inlier_tol
+        if int(mask.sum()) > best_count:
+            best_count, best_mask, best_pick = int(mask.sum()), mask, pick
+    if best_mask is None or best_count < 3:
+        return None, empty, None
+    refit = oracle_solve(src[best_mask], dst[best_mask])
+    if refit is None:
+        return None, empty, best_pick
+    inliers = np.flatnonzero(np.linalg.norm(refit.apply(src) - dst, axis=1) <= inlier_tol)
+    if inliers.size < 3:
+        return None, empty, best_pick
+    return refit, inliers, best_pick
+
+
+def correspondences_from(src: np.ndarray, dst: np.ndarray) -> list[Correspondence]:
+    return [
+        Correspondence(i, i, 0.0, (float(s[0]), float(s[1])), (float(d[0]), float(d[1])))
+        for i, (s, d) in enumerate(zip(src, dst))
+    ]
+
+
+def assert_same_result(got, want) -> None:
+    (model, inliers), (want_model, want_inliers) = got, want[:2]
+    np.testing.assert_array_equal(inliers, want_inliers)
+    assert (model is None) == (want_model is None)
+    if model is not None:
+        assert model.matrix.tobytes() == want_model.matrix.tobytes()
+        assert model.translation.tobytes() == want_model.translation.tobytes()
+
+
+def _oracle_case(name: str, n: int, seed: int):
+    """Seeded correspondences for the bitwise oracle comparison."""
+    rng = np.random.default_rng(seed)
+    if name == "outliers":  # at least half outliers
+        corr, _, _ = planted_correspondences(rng, n // 2, n - n // 2, noise=1.0)
+        return corr
+    src = rng.uniform(0, 500, size=(n, 2)).astype(np.float32).astype(np.float64)
+    if name == "collinear":
+        src[:, 1] = 0.5 * src[:, 0] + 7.0
+        return correspondences_from(src, src * 1.5 + 3.0)
+    if name == "collapsed":  # most points map to one spot: singular models
+        dst = src @ np.array([[0.9, 0.2], [-0.1, 1.1]]).T + 5.0
+        dst[: (3 * n) // 5] = [250.0, 250.0]
+        return correspondences_from(src, dst)
+    # duplicated: every point appears twice, half of them as outliers
+    dst = src @ np.array([[0.9, 0.2], [-0.1, 1.1]]).T + 5.0
+    dst[n // 4 :] = rng.uniform(0, 600, size=(n - n // 4, 2))
+    return correspondences_from(np.concatenate([src, src]), np.concatenate([dst, dst]))
+
+
+ORACLE_CASES = (
+    [("outliers", n, 100, 1000 + n) for n in range(3, 61)]
+    + [("outliers", n, it, 7) for n in (5, 24, 60) for it in (1, 7, 1000)]
+    + [("collinear", n, it, 8) for n in (3, 12) for it in (7, 1000)]
+    + [("duplicated", n, it, 9) for n in (4, 20) for it in (1, 7, 1000)]
+    + [("collapsed", n, 1000, 11) for n in (5, 30)]
+    # enough correspondences that 1000 hypotheses span several score blocks
+    + [("outliers", _SCORE_CELLS // 250, 1000, 10)]
+)
 
 
 class TestMatchFeatures:
@@ -127,6 +230,40 @@ class TestRansacAffine:
         dst = np.array([c.candidate_xy for c in corr])
         err = np.linalg.norm(model.apply(src) - dst, axis=1)
         assert (err[inliers] <= 3.0).all()
+
+    @pytest.mark.parametrize("name,n,iterations,seed", ORACLE_CASES)
+    def test_bitwise_equals_per_iteration_oracle(self, name, n, iterations, seed):
+        corr = _oracle_case(name, n, seed)
+        tol = 3.0 if name != "collinear" else 1.0
+        for ransac_seed in (seed, seed + 1):
+            got = ransac_affine(corr, iterations=iterations, inlier_tol=tol, seed=ransac_seed)
+            assert_same_result(got, oracle_ransac(corr, iterations, tol, ransac_seed))
+
+    def test_degenerate_refit_falls_back_to_winning_sample(self, monkeypatch):
+        # Noise-free inliers: every all-inlier sample reaches the top count,
+        # so the winner is the first of many ties, spread over five score
+        # blocks of 200 hypotheses.  The first three points are collinear
+        # inliers.
+        rng = np.random.default_rng(15)
+        n = _SCORE_CELLS // 200
+        src = rng.uniform(0, 500, size=(n, 2))
+        src[:3] = [[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]]
+        dst = src @ np.array([[1.2, 0.3], [-0.2, 0.9]]).T + [40.0, -25.0]
+        dst[n // 2 :] = rng.uniform(0, 600, size=(n - n // 2, 2))
+        corr = correspondences_from(src, dst)
+        want_model, _, pick = oracle_ransac(corr, 1000, 2.0, 3)
+        assert want_model is not None and pick is not None
+
+        solve = rerank._solve_affine
+        monkeypatch.setattr(
+            rerank, "_solve_affine", lambda s, d: None if s.shape[0] > 3 else solve(s, d)
+        )
+        model, inliers = ransac_affine(corr, iterations=1000, inlier_tol=2.0, seed=3)
+        exact = oracle_solve(src[pick], dst[pick])
+        assert model.matrix.tobytes() == exact.matrix.tobytes()
+        assert model.translation.tobytes() == exact.translation.tobytes()
+        err = np.linalg.norm(exact.apply(src) - dst, axis=1)
+        np.testing.assert_array_equal(inliers, np.flatnonzero(err <= 2.0))
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(6)
