@@ -311,6 +311,9 @@ class DatasetManifest:
     groundtruth_path: str | None = None
     queries_path: str | None = None
     root: Path = Path(".")
+    _by_id: tuple[list[ManifestImage], dict[str, ManifestImage]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def validate(self, check_files: bool = True) -> None:
         if self.dim < 1:
@@ -327,10 +330,15 @@ class DatasetManifest:
         return [img.image_id for img in self.images]
 
     def entry(self, image_id: str) -> ManifestImage:
-        for img in self.images:
-            if img.image_id == image_id:
-                return img
-        raise DataError(f"image id {image_id!r} not in manifest")
+        """The image with ``image_id``; the lookup table is built once per
+        ``images`` list (assigning a new list rebuilds it)."""
+        if self._by_id is None or self._by_id[0] is not self.images:
+            # Reversed, so a duplicated id maps to its first image.
+            self._by_id = (self.images, {img.image_id: img for img in reversed(self.images)})
+        try:
+            return self._by_id[1][image_id]
+        except KeyError:
+            raise DataError(f"image id {image_id!r} not in manifest") from None
 
     def load_features(self, image: ManifestImage | str) -> ImageFeatures:
         if isinstance(image, str):

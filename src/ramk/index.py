@@ -19,7 +19,9 @@ Index files ("DTRI", little-endian, version 1)::
 
 The codebook is embedded so a saved index is self-contained; the hash
 identifies which codebook file it came from.  Loading is strict: any
-truncation or trailing bytes is a format error and nothing is returned.
+truncation or trailing bytes, a region strategy that does not parse, a
+negative or non-finite gamma or a non-finite float payload is a format
+error and nothing is returned.
 """
 
 from __future__ import annotations
@@ -413,7 +415,11 @@ def load_index(path: str | Path) -> RetrievalIndex:
     cents = np.frombuffer(cur.take(c * d * 4), dtype="<f4").reshape(c, d)
     codebook = Codebook(centroids=np.ascontiguousarray(cents, dtype=np.float32))
     (strat_len,) = cur.unpack(_U16)
-    strategy = cur.take(strat_len).decode()
+    try:
+        strategy = cur.take(strat_len).decode()
+        RegionStrategy.parse(strategy)
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise FormatError(f"{path}: bad region strategy: {exc}") from exc
     (n_entries,) = cur.unpack(_U32)
     entries: list[IndexEntry] = []
     gammas = np.empty(n_entries, dtype=np.float64)
@@ -423,6 +429,8 @@ def load_index(path: str | Path) -> RetrievalIndex:
         region_index, gamma = cur.unpack(_ENTRY_TAIL)
         entries.append(IndexEntry(i, ident, region_index))
         gammas[i] = gamma
+    if not ((gammas >= 0.0) & np.isfinite(gammas)).all():
+        raise FormatError(f"{path}: entry gammas must be finite and non-negative")
     (n_words,) = cur.unpack(_U32)
     binary = is_binary_mode(mode)
     width = (d + 7) // 8 if binary else d * 4
@@ -445,6 +453,9 @@ def load_index(path: str | Path) -> RetrievalIndex:
             payload = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
         else:
             payload = np.frombuffer(raw, dtype="<f4").reshape(count, d)
+            # Checked per posting list: joining them first copies every payload.
+            if not np.isfinite(payload).all():
+                raise FormatError(f"{path}: posting payloads must be finite (word {word})")
         postings[word] = (np.ascontiguousarray(ids), np.ascontiguousarray(payload))
     cur.done()
     return RetrievalIndex(

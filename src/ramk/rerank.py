@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from .codebook import _nearest
 from .errors import DimensionError
 from .features_io import ImageFeatures
 from .index import RankedResult
@@ -68,13 +68,10 @@ def match_features(
         return []
     if query.dim != candidate.dim:
         raise DimensionError(f"descriptor dimensions differ: {query.dim} vs {candidate.dim}")
-    d2 = cdist(
-        query.vectors.astype(np.float64),
-        candidate.vectors.astype(np.float64),
-        metric="sqeuclidean",
+    nearest, d2 = _nearest(
+        query.vectors.astype(np.float64), candidate.vectors.astype(np.float64)
     )
-    nearest = np.argmin(d2, axis=1)
-    dists = np.sqrt(d2[np.arange(query.count), nearest])
+    dists = np.sqrt(d2)
     out = []
     for qi in range(query.count):
         if dists[qi] <= max_distance:

@@ -5,6 +5,7 @@ import pytest
 
 from ramk.codebook import Codebook
 from ramk.features_io import ImageFeatures, RegionBox
+from ramk.kernels import SelectivityParams, is_binary_mode, is_vlad_family, selectivity
 
 
 def make_features(
@@ -37,6 +38,24 @@ def make_features(
 
 def make_codebook(rng: np.random.Generator, c: int, d: int) -> Codebook:
     return Codebook(centroids=rng.normal(0, 1, size=(c, d)).astype(np.float32))
+
+
+def oracle_gamma(mode: str, entries: dict[int, np.ndarray], params: SelectivityParams) -> float:
+    """Normalization factor one word at a time: a self-match of 1 per word
+    for the star modes, a float64 ``np.dot`` self-product otherwise, the
+    scalar ``selectivity`` (identity for the vlad family) and a running
+    Python sum in ascending word order."""
+    total = 0.0
+    for word in sorted(entries):
+        if is_binary_mode(mode):
+            u = 1.0
+        else:
+            v = entries[word].astype(np.float64)
+            u = float(np.dot(v, v))
+        total += u if is_vlad_family(mode) else selectivity(u, params)
+    if total <= 0.0:
+        return 0.0
+    return total ** -0.5
 
 
 def random_boxes(rng: np.random.Generator, n: int, width: int, height: int) -> list[RegionBox]:

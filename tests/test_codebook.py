@@ -1,11 +1,23 @@
-"""Codebook training, quantization, partitioning and the DTRC format."""
+"""Codebook training, quantization, partitioning and the DTRC format.
+
+``cdist_nearest`` is the ``cdist`` + ``argmin`` assignment that the
+matrix-product nearest-neighbour core replaces; the core must return the
+same labels and byte-equal squared distances.
+"""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from ramk import codebook as codebook_module
 from ramk.codebook import (
+    _nearest,
     Codebook,
     codebook_digest,
     load_codebook,
@@ -19,6 +31,13 @@ from ramk.codebook import (
 from ramk.errors import DimensionError, FormatError, TrainingError
 
 from conftest import make_codebook, make_features
+
+
+def cdist_nearest(points: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest reference per row by a full float64 ``cdist`` matrix."""
+    d2 = cdist(points, refs, metric="sqeuclidean")
+    labels = np.argmin(d2, axis=1)
+    return labels.astype(np.int64), d2[np.arange(points.shape[0]), labels]
 
 
 def brute_force_word(centroids: np.ndarray, vector: np.ndarray) -> int:
@@ -111,6 +130,114 @@ class TestQuantize:
         cb = make_codebook(np.random.default_rng(8), 4, 8)
         with pytest.raises(DimensionError):
             quantize(cb, np.zeros(4))
+
+
+class TestNearest:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([1, 8, 64, 65, 128]),
+        c=st.integers(1, 12),
+        m=st.integers(0, 40),
+        grid=st.booleans(),
+        offset=st.sampled_from([0.0, 1e6]),
+        cells=st.sampled_from([1, 7, 64, codebook_module._CHUNK_CELLS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_cdist_oracle(self, d, c, m, grid, offset, cells, seed):
+        rng = np.random.default_rng(seed)
+        if grid:
+            # Small integers: every distance is exact, so equal ones are exact ties.
+            refs = rng.integers(-2, 3, size=(c, d)).astype(np.float64)
+            points = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+        else:
+            refs = rng.normal(0, 1, size=(c, d))
+            points = rng.normal(0, 1, size=(m, d))
+        refs[-1] = refs[0]  # a duplicated reference (a tie for every row)
+        points[::3] = refs[rng.integers(0, c, size=points[::3].shape[0])]
+        if m > 1:
+            points[-1] = points[0]
+        # The common offset stresses the cancellation in |r|^2 - 2 x.r.
+        refs += offset
+        points += offset
+        with mock.patch.multiple(codebook_module, _CHUNK_CELLS=cells, _MIN_ROWS=1):
+            labels, d2 = _nearest(points, refs)
+        want_labels, want_d2 = cdist_nearest(points, refs)
+        assert labels.dtype == np.int64 and labels.shape == (m,)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert d2.dtype == np.float64 and d2.tobytes() == want_d2.tobytes()
+
+    def test_rows_cross_a_chunk_boundary(self):
+        rng = np.random.default_rng(15)
+        refs = rng.normal(0, 1, size=(1024, 8))
+        points = rng.normal(0, 1, size=(300, 8))  # 64 rows per chunk
+        points[63:66] = refs[[5, 6, 5]]
+        labels, d2 = _nearest(points, refs)
+        want_labels, want_d2 = cdist_nearest(points, refs)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert d2.tobytes() == want_d2.tobytes()
+
+    def test_only_uncertified_rows_fall_back_to_cdist(self):
+        refs = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 5.0]])
+        points = np.array(
+            [
+                [1.0, 0.0],  # an exact tie between words 0 and 1
+                [0.1, 4.0],  # clearly word 2
+                [1.0 - 1e-15, 0.0],  # word 0 by a gap inside the rounding bound
+            ]
+        )
+        seen = []
+
+        def spy(x, r, metric):
+            seen.append(x.copy())
+            return cdist(x, r, metric=metric)
+
+        with mock.patch.object(codebook_module, "cdist", spy):
+            labels, d2 = _nearest(points, refs)
+        assert labels.tolist() == [0, 2, 0]
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], points[[0, 2]])
+        assert d2.tobytes() == cdist_nearest(points, refs)[1].tobytes()
+
+
+class TestTrainingOracle:
+    @pytest.mark.parametrize("m,c,d,seed", [(400, 8, 6, 42), (3000, 64, 16, 1), (500, 32, 65, 3)])
+    def test_equals_cdist_training(self, m, c, d, seed):
+        points = np.random.default_rng(seed).normal(0, 1, size=(m, d))
+        got = train_codebook(points, c, max_iters=20, seed=seed)
+        with mock.patch.object(codebook_module, "_nearest", cdist_nearest):
+            want = train_codebook(points, c, max_iters=20, seed=seed)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.history == want.history
+        assert got.iterations == want.iterations
+
+    @pytest.mark.parametrize("init", ["duplicated", "far"])
+    def test_empty_clusters_equal_cdist_training(self, init):
+        points = np.random.default_rng(16).normal(0, 1, size=(300, 4))
+        empties = []
+
+        def seeded_init(pts, c, rng):
+            # A start that leaves words empty, so the reseed reads the distances.
+            cents = pts[:c].copy()
+            if init == "duplicated":
+                cents[3] = cents[1]
+                cents[7] = cents[1]
+            else:
+                cents[2] = 1e3
+            return cents
+
+        def counting_oracle(pts, cents):
+            labels, d2 = cdist_nearest(pts, cents)
+            empties.append(int((np.bincount(labels, minlength=cents.shape[0]) == 0).sum()))
+            return labels, d2
+
+        with mock.patch.object(codebook_module, "_kmeanspp_init", seeded_init):
+            got = train_codebook(points, 12, max_iters=15, seed=0)
+            with mock.patch.object(codebook_module, "_nearest", counting_oracle):
+                want = train_codebook(points, 12, max_iters=15, seed=0)
+        assert empties[0] > 0
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.history == want.history
+        assert got.iterations == want.iterations
 
 
 class TestPartition:

@@ -127,6 +127,20 @@ class TestManifest:
         with pytest.raises(DataError, match="missing"):
             load_manifest(tmp_path / "manifest.txt")
 
+    def test_entry_lookup(self, tmp_path):
+        cfg = SyntheticConfig(landmarks=2, images_per_landmark=2, planted_descriptors=4, clutter_descriptors=4, dim=4)
+        manifest = generate_synthetic_dataset(cfg, 5, tmp_path)
+        for img in manifest.images:
+            assert manifest.entry(img.image_id) is img
+        with pytest.raises(DataError, match="not in manifest") as err:
+            manifest.entry("no-such-image")
+        assert err.value.exit_code == 3
+        first, *rest = manifest.images
+        manifest.images = rest  # a new list: the lookup follows it
+        with pytest.raises(DataError, match="not in manifest"):
+            manifest.entry(first.image_id)
+        assert manifest.entry(rest[0].image_id) is rest[0]
+
     def test_unknown_record_kind_rejected(self, tmp_path):
         (tmp_path / "m.txt").write_text("dataset:x\ndim:4\nbogus:1\n")
         with pytest.raises(FormatError, match="unknown record"):

@@ -276,6 +276,46 @@ class TestPersistence:
         index = dataclasses.replace(index, entries=[first] + index.entries[1:])
         assert len(serialize_index(index)) > 65535
 
+    @pytest.mark.parametrize("strategy", ["detector:7", "rmac:4", "banana", "\udcff"])
+    def test_unparsable_strategy_is_format_error(self, corpus, tmp_path, strategy):
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("whole"))
+        payload = serialize_index(index)
+        # "\udcff" stands for bytes that are not UTF-8.
+        raw = strategy.encode(errors="surrogateescape")
+        head = len(b"whole").to_bytes(2, "little") + b"whole"
+        payload = payload.replace(head, len(raw).to_bytes(2, "little") + raw, 1)
+        (tmp_path / "strategy.dtri").write_bytes(payload)
+        with pytest.raises(FormatError, match="region strategy") as err:
+            load_index(tmp_path / "strategy.dtri")
+        assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize("gamma", [-0.5, float("nan"), float("inf")])
+    def test_bad_gamma_is_format_error(self, corpus, tmp_path, gamma):
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk-star", RegionStrategy.parse("whole"))
+        gammas = index.gammas.copy()
+        gammas[3] = gamma
+        save_index(dataclasses.replace(index, gammas=gammas), tmp_path / "gamma.dtri")
+        with pytest.raises(FormatError, match="gammas") as err:
+            load_index(tmp_path / "gamma.dtri")
+        assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_payload_is_format_error(self, corpus, tmp_path, value):
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "r-vlad", RegionStrategy.parse("detector:0.3"))
+        word = sorted(index.postings)[-1]
+        ids, payload = index.postings[word]
+        payload = payload.copy()
+        payload[-1, -1] = value
+        postings = dict(index.postings)
+        postings[word] = (ids, payload)
+        save_index(dataclasses.replace(index, postings=postings), tmp_path / "payload.dtri")
+        with pytest.raises(FormatError, match="payloads") as err:
+            load_index(tmp_path / "payload.dtri")
+        assert err.value.exit_code == 3
+
     def test_empty_index_round_trips(self, tmp_path, corpus):
         manifest, queries, codebook = corpus
         import copy

@@ -17,8 +17,11 @@ import pytest
 from ramk.codebook import Codebook, partition
 from ramk.errors import ConfigError
 from ramk.kernels import (
+    ALL_MODES,
+    PLAIN_COUNTERPART,
     AggregatedRepresentation,
     SelectivityParams,
+    _selectivity_rows,
     aggregate,
     binarize,
     gamma_from_entries,
@@ -28,10 +31,12 @@ from ramk.kernels import (
     packed_inner_scaled,
     selectivity,
     unpack_signs,
+    is_regional_mode,
     vlad_residual,
 )
+from ramk.regional import RegionStrategy, aggregate_regional, as_regional_query, select_regions
 
-from conftest import make_codebook, make_features
+from conftest import make_codebook, make_features, oracle_gamma, random_boxes
 
 
 def naive_residuals(vectors: np.ndarray, centroids: np.ndarray) -> dict[int, np.ndarray]:
@@ -141,6 +146,14 @@ class TestSelectivity:
         us = np.linspace(0.11, 1.0, 50)
         vals = [selectivity(float(u), p) for u in us]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("alpha,tau", [(3.0, 0.0), (2.0, -0.5), (2.5, 0.25), (1.7, -1.0)])
+    def test_rows_bitwise_equal_scalar(self, alpha, tau):
+        p = SelectivityParams(alpha=alpha, tau=tau)
+        u = np.random.default_rng(12).uniform(-1.5, 1.5, size=5000)
+        u[:4] = [tau, 0.0, -0.0, 1.0]
+        want = np.array([selectivity(float(x), p) for x in u])
+        assert _selectivity_rows(u, p).tobytes() == want.tobytes()
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -291,3 +304,48 @@ class TestKernelSimilarity:
     def test_gamma_from_entries_binary_counts_words(self):
         entries = {1: pack_signs(np.array([1.0, -1.0, 1.0, 1.0])), 7: pack_signs(np.ones(4))}
         assert gamma_from_entries("asmk-star", entries, 4, SelectivityParams()) == pytest.approx(2 ** -0.5)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SelectivityParams(),
+            SelectivityParams(alpha=2.0, tau=0.0),
+            SelectivityParams(alpha=2.5, tau=-0.3),
+            SelectivityParams(alpha=1.7, tau=0.35),
+            SelectivityParams(alpha=3.0, tau=1.0),
+        ],
+        ids=["default", "square", "negative-tau", "fractional-alpha", "unit-tau"],
+    )
+    def test_gamma_bitwise_equals_per_word_loop(self, mode, params):
+        rng = np.random.default_rng(11)
+        cb = make_codebook(rng, 24, 8)
+        strategy = RegionStrategy.parse("detector:0.1")
+        reps = []
+        for m in (0, 1, 60, 200):
+            f = make_features(rng, m, 8, boxes=random_boxes(rng, 4, 64, 48))
+            if is_regional_mode(mode):
+                reps.append(aggregate_regional(f, select_regions(f, strategy), cb, mode, params))
+                plain = aggregate(partition(cb, f), cb, PLAIN_COUNTERPART[mode], params)
+                reps.append(as_regional_query(plain, mode, params))
+            else:
+                reps.append(aggregate(partition(cb, f), cb, mode, params))
+        assert reps[0].entries == {} and reps[0].gamma == 0.0
+        for rep in reps:
+            want = oracle_gamma(mode, rep.entries, params)
+            assert np.float64(rep.gamma).tobytes() == np.float64(want).tobytes()
+        # Rows of any norm, so the self-matches spread over the selectivity's
+        # range, in dicts whose keys are not in ascending order.
+        entry_maps = [dict(sorted(rep.entries.items(), reverse=True)) for rep in reps]
+        for k in (1, 1, 2, 3, 5, 8, 24) * 4:
+            words = rng.choice(cb.size, size=k, replace=False).tolist()
+            rows = rng.normal(0, 1, size=(k, 8)) * rng.uniform(0.05, 1.5, size=(k, 1))
+            if mode in ("asmk-star", "r-asmk-star"):
+                stored = np.packbits(rows > 0, axis=1, bitorder="little")
+            else:
+                stored = rows.astype(np.float32)
+            entry_maps.append(dict(zip(words, stored)))
+        for entries in entry_maps:
+            got = gamma_from_entries(mode, entries, 8, params)
+            want = oracle_gamma(mode, entries, params)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()

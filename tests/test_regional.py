@@ -24,7 +24,6 @@ from ramk.kernels import (
     DEFAULT_SELECTIVITY,
     PLAIN_COUNTERPART,
     aggregate,
-    gamma_from_entries,
     is_regional_mode,
     kernel_similarity,
     normalize_residual,
@@ -45,7 +44,7 @@ from ramk.regional import (
     select_regions,
 )
 
-from conftest import make_codebook, make_features, random_boxes
+from conftest import make_codebook, make_features, oracle_gamma, random_boxes
 
 
 def avg_pooled_similarity(query_repr, features, regions, codebook, mode) -> float:
@@ -90,7 +89,7 @@ def oracle_entries(features, regions, codebook, mode) -> list[dict[int, np.ndarr
         return per_region
     acc: dict[int, np.ndarray] = {}
     for entries in per_region:
-        gamma = gamma_from_entries(base, entries, codebook.dim, DEFAULT_SELECTIVITY)
+        gamma = oracle_gamma(base, entries, DEFAULT_SELECTIVITY)
         if gamma == 0.0:
             continue
         for w, vec in entries.items():
@@ -298,7 +297,7 @@ class TestAggregateRegional:
         assert len(got) == len(expected)
         for rep, entries in zip(got, expected):
             assert_entries_bitwise(rep.entries, entries)
-            assert rep.gamma == gamma_from_entries(mode, entries, d, DEFAULT_SELECTIVITY)
+            assert rep.gamma == oracle_gamma(mode, entries, DEFAULT_SELECTIVITY)
         if is_regional_mode(mode):
             plain = aggregate(partition(cb, f), cb, PLAIN_COUNTERPART[mode])
             oracle = dict(plain.entries)

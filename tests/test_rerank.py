@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ramk import rerank
 from ramk.features_io import ImageFeatures
@@ -179,6 +180,30 @@ class TestMatchFeatures:
                 for ci in range(c.count)
             ]
             assert got[qi] == int(np.argmin(dists))
+
+    @pytest.mark.parametrize("max_distance", [math.inf, 3.0])
+    def test_duplicated_candidates_match_cdist_oracle(self, max_distance):
+        rng = np.random.default_rng(4)
+        q = make_features(rng, 60, 8)
+        c = make_features(rng, 40, 8)
+        c.vectors[20:30] = c.vectors[:10]  # each of the first ten twice
+        c.vectors[35] = c.vectors[0]  # and the first one three times
+        q.vectors[:10] = c.vectors[:10]  # exact hits on duplicated rows
+        q.vectors[10:20] = (c.vectors[:10] + c.vectors[30:40]) / 2  # near-ties
+        d2 = cdist(q.vectors.astype(np.float64), c.vectors.astype(np.float64), metric="sqeuclidean")
+        nearest = np.argmin(d2, axis=1)
+        dists = np.sqrt(d2[np.arange(q.count), nearest])
+        want = [
+            (qi, int(nearest[qi]), float(dists[qi]))
+            for qi in range(q.count)
+            if dists[qi] <= max_distance
+        ]
+        got = [
+            (m.query_index, m.candidate_index, m.distance)
+            for m in match_features(q, c, max_distance=max_distance)
+        ]
+        assert got == want
+        assert [ci for _, ci, _ in got[:10]] == list(range(10))  # ties to the lowest index
 
     def test_empty_inputs(self):
         rng = np.random.default_rng(2)
