@@ -15,6 +15,7 @@ Each subcommand accepts ``--config FILE`` with ``key:value`` lines
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -24,10 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codebook import load_codebook, save_codebook, train_codebook
+from .codebook import codebook_digest, load_codebook, save_codebook, train_codebook
 from .errors import ConfigError, DataError, RamkError
 from .evaluation import PROTOCOLS, analyze_relevance, evaluate, relevance_csv
-from .features_io import filter_by_attention, load_ground_truth, load_manifest
+from .features_io import (
+    filter_by_attention,
+    load_ground_truth,
+    load_manifest,
+    read_file,
+    write_atomic,
+)
 from .index import (
     POOL_AVG,
     POOL_MAX,
@@ -39,7 +46,7 @@ from .index import (
 )
 from .kernels import ALL_MODES, SelectivityParams
 from .regional import RegionStrategy
-from .rerank import spatial_rerank
+from .rerank import default_inlier_tol, spatial_rerank
 from .synthetic import SyntheticConfig, generate_synthetic_dataset
 
 logger = logging.getLogger("ramk")
@@ -183,10 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
+    text = read_file(path, "config file").decode()
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -241,10 +245,7 @@ def _provenance(command: str, cfg: dict) -> list[str]:
 
 
 def _write_text(path: str | Path, header: list[str], body: str) -> None:
-    try:
-        Path(path).write_text("\n".join(header) + "\n" + body)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, "\n".join(header) + "\n" + body, "output")
 
 
 def _write_sidecar(binary_path: str, header: list[str]) -> None:
@@ -260,32 +261,23 @@ def _threads(value: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# gen-synthetic flags named otherwise than their SyntheticConfig field;
+# every other field's flag is its name with dashes.
+_SYNTHETIC_FLAGS = {
+    "planted_descriptors": "planted",
+    "clutter_descriptors": "clutter",
+    "image_width": "width",
+    "image_height": "height",
+}
+
+
+def _synthetic_flag(field_name: str) -> str:
+    return _SYNTHETIC_FLAGS.get(field_name, field_name.replace("_", "-"))
+
+
 def _cmd_gen_synthetic(cfg: dict) -> None:
     config = SyntheticConfig(
-        landmarks=cfg["landmarks"],
-        images_per_landmark=cfg["images-per-landmark"],
-        planted_descriptors=cfg["planted"],
-        clutter_descriptors=cfg["clutter"],
-        dim=cfg["dim"],
-        image_width=cfg["width"],
-        image_height=cfg["height"],
-        landmark_anchors=cfg["landmark-anchors"],
-        background_anchors=cfg["background-anchors"],
-        anchor_scale=cfg["anchor-scale"],
-        instance_noise=cfg["instance-noise"],
-        pattern_pool=cfg["pattern-pool"],
-        offset_pool=cfg["offset-pool"],
-        landmark_offset_scale=cfg["landmark-offset-scale"],
-        min_box_frac=cfg["min-box-frac"],
-        max_box_frac=cfg["max-box-frac"],
-        box_noise=cfg["box-noise"],
-        box_coverage=cfg["box-coverage"],
-        box_miss_prob=cfg["box-miss-prob"],
-        echo_boxes=cfg["echo-boxes"],
-        echo_box_noise=cfg["echo-box-noise"],
-        background_boxes=cfg["background-boxes"],
-        background_box_min_frac=cfg["background-box-min-frac"],
-        background_box_max_frac=cfg["background-box-max-frac"],
+        **{f.name: cfg[_synthetic_flag(f.name)] for f in dataclasses.fields(SyntheticConfig)}
     )
     manifest = generate_synthetic_dataset(config, cfg["seed"], cfg["out"])
     _write_text(Path(cfg["out"]) / "provenance.txt", _provenance("gen-synthetic", cfg), "")
@@ -366,10 +358,7 @@ def format_results(results: list[RankedResult]) -> str:
 
 
 def load_results(path: str | Path) -> list[RankedResult]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read results file {path}: {exc}") from exc
+    text = read_file(path, "results file").decode()
     out: list[RankedResult] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -401,8 +390,6 @@ def load_results(path: str | Path) -> list[RankedResult]:
 def _cmd_search(cfg: dict) -> None:
     index = load_index(cfg["index"])
     if cfg["codebook"]:
-        from .codebook import codebook_digest
-
         external = load_codebook(cfg["codebook"])
         if codebook_digest(external) != index.codebook_hash:
             raise ConfigError(
@@ -488,10 +475,7 @@ def _cmd_evaluate(cfg: dict) -> None:
 
 def _cmd_analyze_relevance(cfg: dict) -> None:
     manifest = load_manifest(cfg["manifest"])
-    try:
-        pair_text = Path(cfg["pairs"]).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read pairs file {cfg['pairs']}: {exc}") from exc
+    pair_text = read_file(cfg["pairs"], "pairs file").decode()
     pair_ids: list[tuple[str, str]] = []
     for lineno, raw in enumerate(pair_text.splitlines(), start=1):
         line = raw.strip()
@@ -517,8 +501,6 @@ def _cmd_analyze_relevance(cfg: dict) -> None:
     first = manifest.load_features(pair_ids[0][0])
     tol = cfg["sp-tol"]
     if tol is None:
-        from .rerank import default_inlier_tol
-
         tol = default_inlier_tol(first)
     table = analyze_relevance(
         pairs(),

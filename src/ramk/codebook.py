@@ -42,7 +42,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, DimensionError, FormatError, TrainingError
-from .features_io import ImageFeatures
+from .features_io import ImageFeatures, read_file, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -280,19 +280,12 @@ def codebook_digest(codebook: Codebook) -> bytes:
 
 
 def save_codebook(codebook: Codebook, path: str | Path) -> None:
-    payload = serialize_codebook(codebook)
-    try:
-        Path(path).write_bytes(payload)
-    except OSError as exc:
-        raise DataError(f"cannot write codebook {path}: {exc}") from exc
+    write_atomic(path, serialize_codebook(codebook), "codebook")
 
 
 def load_codebook(path: str | Path) -> Codebook:
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read codebook {path}: {exc}") from exc
+    data = read_file(path, "codebook")
     if len(data) < _CB_HEADER.size:
         raise FormatError(f"{path}: file shorter than the codebook header")
     magic, version, c, d = _CB_HEADER.unpack_from(data, 0)

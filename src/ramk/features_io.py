@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import re
+import secrets
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -210,13 +212,38 @@ def serialize_image_features(features: ImageFeatures) -> bytes:
     return header + rec.tobytes() + box_bytes
 
 
-def save_image_features(features: ImageFeatures, path: str | Path) -> None:
-    payload = serialize_image_features(features)
-    path = Path(path)
+def read_file(path: str | Path, what: str) -> bytes:
+    """The bytes of ``path``, or a DataError naming ``what``."""
     try:
-        path.write_bytes(payload)
+        return Path(path).read_bytes()
     except OSError as exc:
-        raise DataError(f"cannot write feature file {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_atomic(path: str | Path, data: bytes | str, what: str) -> None:
+    """Write ``data`` (text as UTF-8) to ``path`` all at once or not at all.
+
+    The bytes go to a temporary file in the target's directory, which
+    then replaces the target; on failure the temporary file is removed,
+    the target keeps its old content and a DataError names ``what``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data.encode() if isinstance(data, str) else data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def save_image_features(features: ImageFeatures, path: str | Path) -> None:
+    write_atomic(path, serialize_image_features(features), "feature file")
 
 
 def parse_image_features(
@@ -276,10 +303,7 @@ def load_image_features(
     height: int | None = None,
 ) -> ImageFeatures:
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read feature file {path}: {exc}") from exc
+    data = read_file(path, "feature file")
     return parse_image_features(
         data,
         image_id=image_id if image_id is not None else path.stem,
@@ -361,10 +385,7 @@ def _parse_kv(token: str, lineno: int, source: str) -> tuple[str, str]:
 
 def load_manifest(path: str | Path, *, check_files: bool = True) -> DatasetManifest:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    text = read_file(path, "manifest").decode()
     name: str | None = None
     dim: int | None = None
     gt: str | None = None
@@ -422,7 +443,6 @@ def load_manifest(path: str | Path, *, check_files: bool = True) -> DatasetManif
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    path = Path(path)
     lines = [f"dataset:{manifest.name}", f"dim:{manifest.dim}"]
     if manifest.groundtruth_path:
         lines.append(f"groundtruth:{manifest.groundtruth_path}")
@@ -433,10 +453,7 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         if img.width is not None and img.height is not None:
             line += f" width:{img.width} height:{img.height}"
         lines.append(line)
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write manifest {path}: {exc}") from exc
+    write_atomic(path, "\n".join(lines) + "\n", "manifest")
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +489,7 @@ def _parse_id_set(value: str, what: str) -> frozenset[str]:
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read ground truth {path}: {exc}") from exc
+    text = read_file(path, "ground truth").decode()
     queries: dict[str, QueryGroundTruth] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -499,7 +513,6 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
 
 def save_ground_truth(gt: GroundTruth, path: str | Path) -> None:
     gt.validate()
-    path = Path(path)
     lines = []
     for qid, rec in gt.queries.items():
         lines.append(
@@ -508,7 +521,4 @@ def save_ground_truth(gt: GroundTruth, path: str | Path) -> None:
             f" hard:{','.join(sorted(rec.hard))}"
             f" junk:{','.join(sorted(rec.junk))}"
         )
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write ground truth {path}: {exc}") from exc
+    write_atomic(path, "\n".join(lines) + "\n", "ground truth")

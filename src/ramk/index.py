@@ -4,9 +4,11 @@ Database entries are either whole images, one entry per selected region
 (regional search, scored by max- or average-pooling the per-entry
 kernel against the query), or a single regionally aggregated entry per
 image.  Postings map each visual word to the entries populating it,
-with the per-entry residual payload stored inline; scanning only the
-query's words reproduces the exhaustive kernel exactly because every
-other word contributes zero.
+with the per-entry residual payload stored inline.  Scanning only the
+query's words reproduces the exhaustive kernel exactly, because every
+other word contributes zero and the scan applies the kernel's own rule:
+``word_match`` per hit, the scalar selectivity's C-library ``pow`` and
+a running sum in ascending word order.
 
 Index files ("DTRI", little-endian, version 1)::
 
@@ -19,9 +21,11 @@ Index files ("DTRI", little-endian, version 1)::
 
 The codebook is embedded so a saved index is self-contained; the hash
 identifies which codebook file it came from.  Loading is strict: any
-truncation or trailing bytes, a region strategy that does not parse, a
-negative or non-finite gamma or a non-finite float payload is a format
-error and nothing is returned.
+truncation or trailing bytes, invalid selectivity parameters, an image
+id or region strategy that does not parse, a repeated (image id, region
+index) entry or an image whose entries are not contiguous, a negative or
+non-finite gamma or a non-finite float payload is a format error and
+nothing is returned.
 """
 
 from __future__ import annotations
@@ -29,26 +33,32 @@ from __future__ import annotations
 import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .codebook import Codebook, codebook_digest, partition
 from .errors import ConfigError, DataError, DimensionError, FormatError
-from .features_io import DatasetManifest, ImageFeatures, filter_by_attention
+from .features_io import (
+    DatasetManifest,
+    ImageFeatures,
+    filter_by_attention,
+    read_file,
+    write_atomic,
+)
 from .kernels import (
     AggregatedRepresentation,
     DEFAULT_SELECTIVITY,
     PLAIN_COUNTERPART,
     SelectivityParams,
+    _selectivity_rows,
     aggregate,
     check_mode,
     is_binary_mode,
     is_regional_mode,
     is_vlad_family,
-    packed_inner_scaled_rows,
-    selectivity_array,
+    word_match_rows,
 )
 from .regional import (
     RegionStrategy,
@@ -83,7 +93,8 @@ POOL_AVG = "avg"
 
 @dataclass(frozen=True)
 class IndexEntry:
-    entry_id: int
+    """One scored unit of the index; its entry id is its position."""
+
     image_id: str
     region_index: int  # 0 = whole image
 
@@ -108,6 +119,29 @@ class RetrievalIndex:
     entries: list[IndexEntry]
     gammas: np.ndarray  # (n_entries,) float64
     postings: dict[int, tuple[np.ndarray, np.ndarray]]  # word -> (entry ids u32, payload rows)
+    # Derived from ``entries``: image ids in first-seen order, the image of
+    # each entry, the first entry of each image, and images by id.
+    _image_ids: list[str] = field(init=False, repr=False)
+    _entry_image: np.ndarray = field(init=False, repr=False)
+    _image_starts: np.ndarray = field(init=False, repr=False)
+    _images_by_id: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        """Derive the entry -> image map; pooling needs each image's
+        entries contiguous and its (image id, region index) pairs unique."""
+        ids = [e.image_id for e in self.entries]
+        starts = [i for i, ident in enumerate(ids) if i == 0 or ident != ids[i - 1]]
+        self._image_ids = [ids[i] for i in starts]
+        if len(set(self._image_ids)) < len(starts):
+            raise DataError("the entries of an image are not contiguous")
+        if len({(e.image_id, e.region_index) for e in self.entries}) < len(ids):
+            raise DataError("an (image id, region index) entry repeats")
+        bounds = np.array(starts + [len(ids)], dtype=np.intp)
+        self._image_starts = bounds[:-1]
+        self._entry_image = np.repeat(np.arange(len(starts)), np.diff(bounds))
+        self._images_by_id = np.asarray(
+            sorted(range(len(starts)), key=self._image_ids.__getitem__), dtype=np.intp
+        )
 
     @property
     def dim(self) -> int:
@@ -118,24 +152,7 @@ class RetrievalIndex:
         return len(self.entries)
 
     def image_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.entries:
-            seen.setdefault(e.image_id, None)
-        return list(seen)
-
-
-def _image_representation(
-    features: ImageFeatures,
-    codebook: Codebook,
-    mode: str,
-    strategy: RegionStrategy,
-    params: SelectivityParams,
-) -> list[AggregatedRepresentation]:
-    """Representations contributed by one image, indexed by region."""
-    regions = select_regions(features, strategy)
-    if is_regional_mode(mode):
-        return [aggregate_regional(features, regions, codebook, mode, params)]
-    return region_aggregates(features, regions, codebook, mode, params)
+        return list(self._image_ids)
 
 
 def build_index(
@@ -160,11 +177,25 @@ def build_index(
         )
     manifest.validate(check_files=True)
 
-    def work(img) -> list[AggregatedRepresentation]:
+    def work(img) -> list[tuple[float, np.ndarray, np.ndarray | None]]:
+        """(gamma, words, stacked rows) of the image's entries, in region
+        order; the per-word dicts are freed here, one image at a time."""
         features = manifest.load_features(img)
         if attention_min is not None:
             features = filter_by_attention(features, attention_min)
-        return _image_representation(features, codebook, mode, strategy, params)
+        regions = select_regions(features, strategy)
+        if is_regional_mode(mode):
+            reps = [aggregate_regional(features, regions, codebook, mode, params)]
+        else:
+            reps = region_aggregates(features, regions, codebook, mode, params)
+        return [
+            (
+                rep.gamma,
+                np.fromiter(rep.entries, dtype=np.int64, count=rep.word_count),
+                np.stack(list(rep.entries.values())) if rep.word_count else None,
+            )
+            for rep in reps
+        ]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -172,24 +203,25 @@ def build_index(
     else:
         per_image = [work(img) for img in manifest.images]
 
-    entries: list[IndexEntry] = []
-    gammas: list[float] = []
-    post_ids: dict[int, list[int]] = {}
-    post_vecs: dict[int, list[np.ndarray]] = {}
-    for img, reprs in zip(manifest.images, per_image):
-        for region_index, repr_ in enumerate(reprs):
-            entry_id = len(entries)
-            entries.append(IndexEntry(entry_id, img.image_id, region_index))
-            gammas.append(repr_.gamma)
-            for word, vec in repr_.entries.items():
-                post_ids.setdefault(word, []).append(entry_id)
-                post_vecs.setdefault(word, []).append(vec)
+    entries = [
+        IndexEntry(img.image_id, region_index)
+        for img, reps in zip(manifest.images, per_image)
+        for region_index in range(len(reps))
+    ]
+    flat = [entry for reps in per_image for entry in reps]
+    words = [entry_words for _, entry_words, _ in flat]
+    blocks = [entry_rows for _, _, entry_rows in flat if entry_rows is not None]
 
-    postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for word in sorted(post_ids):
-        ids = np.asarray(post_ids[word], dtype=np.uint32)
-        payload = np.stack(post_vecs[word])
-        postings[word] = (ids, payload)
+    # Owners ascend, so a stable sort by word orders postings by (word, entry).
+    all_words = np.concatenate([np.empty(0, dtype=np.int64), *words])
+    order = np.argsort(all_words, kind="stable")
+    owner_ids = np.repeat(np.arange(len(entries), dtype=np.uint32), [len(w) for w in words])[order]
+    sorted_words = all_words[order]
+    rows = np.concatenate(blocks)[order] if blocks else None
+    bounds = np.append(np.flatnonzero(np.diff(sorted_words, prepend=-1)), len(order))
+    postings = {
+        int(sorted_words[a]): (owner_ids[a:b], rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+    }
 
     index = RetrievalIndex(
         mode=mode,
@@ -199,7 +231,7 @@ def build_index(
         codebook_hash=codebook_digest(codebook),
         strategy=str(strategy),
         entries=entries,
-        gammas=np.asarray(gammas, dtype=np.float64),
+        gammas=np.array([gamma for gamma, _, _ in flat], dtype=np.float64),
         postings=postings,
     )
     logger.info(
@@ -222,6 +254,33 @@ def query_representation(
     mode = PLAIN_COUNTERPART.get(index.mode, index.mode)
     part = partition(index.codebook, features)
     return aggregate(part, index.codebook, mode, params)
+
+
+def entry_scores(index: RetrievalIndex, plain: AggregatedRepresentation) -> np.ndarray:
+    """Float64 kernel score of every index entry against a query's plain
+    aggregate, bit for bit what ``kernel_similarity`` (or, for a regional
+    mode, ``regional_similarity``) returns for that pair.
+
+    Only the posting lists of the query's words are read.  Their rows are
+    matched word by word in ascending order (one list at a time keeps the
+    float64 copies small), the matches pass through the selectivity once,
+    and ``np.bincount`` sums them per entry, adding each entry's terms in
+    that same word order.
+    """
+    regional = is_regional_mode(index.mode)
+    q = as_regional_query(plain, index.mode, index.params) if regional else plain
+    hits = [(index.postings[w], q.entries[w]) for w in sorted(q.entries) if w in index.postings]
+    ids = np.concatenate([np.empty(0, dtype=np.uint32)] + [ids for (ids, _), _ in hits])
+    u = np.concatenate(
+        [np.empty(0)]
+        + [word_match_rows(index.mode, rows, vec, index.dim) for (_, rows), vec in hits]
+    )
+    if not is_vlad_family(index.mode):
+        u = _selectivity_rows(u, index.params)
+    sums = np.bincount(ids, weights=u, minlength=index.entry_count)
+    if regional and not index.normalize_regional:
+        return sums
+    return q.gamma * index.gammas * sums
 
 
 def query(
@@ -248,62 +307,17 @@ def query(
         logger.warning("query %s has no descriptors; returning empty result", qid)
         return RankedResult(query_id=qid, ranking=[])
 
-    plain = query_representation(index, query_features)
-    regional = is_regional_mode(index.mode)
-    if regional:
-        lifted = as_regional_query(plain, index.mode, index.params)
-        q_entries = lifted.entries
-        q_factor = lifted.gamma if index.normalize_regional else 1.0
+    scores = entry_scores(index, query_representation(index, query_features))
+    if pooling == POOL_MAX:
+        pooled = np.maximum.reduceat(scores, index._image_starts)
     else:
-        q_entries = plain.entries
-        q_factor = plain.gamma
-
-    scores = np.zeros(index.entry_count, dtype=np.float64)
-    binary = is_binary_mode(index.mode)
-    identity = is_vlad_family(index.mode)
-    for word in sorted(q_entries):
-        hit = index.postings.get(word)
-        if hit is None:
-            continue
-        ids, payload = hit
-        qvec = q_entries[word]
-        if binary:
-            u = packed_inner_scaled_rows(payload, qvec, index.dim)
-        else:
-            u = payload.astype(np.float64) @ qvec.astype(np.float64)
-        contrib = u if identity else selectivity_array(u, index.params)
-        scores[ids.astype(np.int64)] += contrib  # entry ids unique within a posting list
-
-    if regional and not index.normalize_regional:
-        entry_factors = np.ones_like(index.gammas)
-    else:
-        entry_factors = index.gammas
-    scores = q_factor * entry_factors * scores
-
-    # Pool entries per image in first-seen (manifest) order.
-    image_order: dict[str, int] = {}
-    pooled: list[float] = []
-    counts: list[int] = []
-    for entry, s in zip(index.entries, scores):
-        pos = image_order.get(entry.image_id)
-        if pos is None:
-            image_order[entry.image_id] = len(pooled)
-            pooled.append(s)
-            counts.append(1)
-        elif pooling == POOL_MAX:
-            pooled[pos] = max(pooled[pos], s)
-            counts[pos] += 1
-        else:
-            pooled[pos] += s
-            counts[pos] += 1
-    image_ids = list(image_order)
-    final = np.asarray(pooled, dtype=np.float64)
-    if pooling == POOL_AVG:
-        final = final / np.asarray(counts, dtype=np.float64)
-
-    final32 = final.astype(np.float32)
-    order = sorted(range(len(image_ids)), key=lambda i: (-final32[i], image_ids[i]))
-    ranking = [(image_ids[i], float(final32[i])) for i in order[: max(0, top_n)]]
+        # bincount adds in entry order, as a running sum per image would.
+        sizes = np.diff(index._image_starts, append=index.entry_count)
+        pooled = np.bincount(index._entry_image, weights=scores, minlength=len(sizes)) / sizes
+    final32 = pooled.astype(np.float32)
+    by_id = index._images_by_id
+    order = by_id[np.argsort(-final32[by_id], kind="stable")][: max(0, top_n)]
+    ranking = list(zip([index._image_ids[i] for i in order], final32[order].tolist()))
     return RankedResult(query_id=qid, ranking=ranking)
 
 
@@ -383,19 +397,12 @@ def serialize_index(index: RetrievalIndex) -> bytes:
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
-    payload = serialize_index(index)
-    try:
-        Path(path).write_bytes(payload)
-    except OSError as exc:
-        raise DataError(f"cannot write index {path}: {exc}") from exc
+    write_atomic(path, serialize_index(index), "index")
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read index {path}: {exc}") from exc
+    data = read_file(path, "index")
     cur = _Cursor(data, str(path))
     magic, version, mode_code, flags = cur.unpack(_IDX_HEADER)
     if magic != INDEX_MAGIC:
@@ -423,12 +430,15 @@ def load_index(path: str | Path) -> RetrievalIndex:
     (n_entries,) = cur.unpack(_U32)
     entries: list[IndexEntry] = []
     gammas = np.empty(n_entries, dtype=np.float64)
-    for i in range(n_entries):
-        (id_len,) = cur.unpack(_U16)
-        ident = cur.take(id_len).decode()
-        region_index, gamma = cur.unpack(_ENTRY_TAIL)
-        entries.append(IndexEntry(i, ident, region_index))
-        gammas[i] = gamma
+    try:
+        for i in range(n_entries):
+            (id_len,) = cur.unpack(_U16)
+            ident = cur.take(id_len).decode()
+            region_index, gamma = cur.unpack(_ENTRY_TAIL)
+            entries.append(IndexEntry(ident, region_index))
+            gammas[i] = gamma
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: image id is not UTF-8: {exc}") from exc
     if not ((gammas >= 0.0) & np.isfinite(gammas)).all():
         raise FormatError(f"{path}: entry gammas must be finite and non-negative")
     (n_words,) = cur.unpack(_U32)
@@ -458,14 +468,17 @@ def load_index(path: str | Path) -> RetrievalIndex:
                 raise FormatError(f"{path}: posting payloads must be finite (word {word})")
         postings[word] = (np.ascontiguousarray(ids), np.ascontiguousarray(payload))
     cur.done()
-    return RetrievalIndex(
-        mode=mode,
-        params=SelectivityParams(alpha=alpha, tau=tau),
-        normalize_regional=bool(flags & FLAG_NORMALIZE_REGIONAL),
-        codebook=codebook,
-        codebook_hash=cb_hash,
-        strategy=strategy,
-        entries=entries,
-        gammas=gammas,
-        postings=postings,
-    )
+    try:
+        return RetrievalIndex(
+            mode=mode,
+            params=SelectivityParams(alpha=alpha, tau=tau),
+            normalize_regional=bool(flags & FLAG_NORMALIZE_REGIONAL),
+            codebook=codebook,
+            codebook_hash=cb_hash,
+            strategy=strategy,
+            entries=entries,
+            gammas=gammas,
+            postings=postings,
+        )
+    except (ConfigError, DataError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -89,8 +89,8 @@ class SelectivityParams:
     tau: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 1.0:
-            raise ConfigError(f"selectivity alpha must be >= 1, got {self.alpha}")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ConfigError(f"selectivity alpha must be finite and >= 1, got {self.alpha}")
         if not math.isfinite(self.tau):
             raise ConfigError("selectivity tau must be finite")
 
@@ -103,11 +103,6 @@ def selectivity(u: float, params: SelectivityParams = DEFAULT_SELECTIVITY) -> fl
     if u <= params.tau:
         return 0.0
     return math.copysign(abs(u) ** params.alpha, u)
-
-
-def selectivity_array(u: np.ndarray, params: SelectivityParams = DEFAULT_SELECTIVITY) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    return np.where(u > params.tau, np.sign(u) * np.abs(u) ** params.alpha, 0.0)
 
 
 def vlad_residual(vectors: np.ndarray, centroid: np.ndarray) -> np.ndarray:
@@ -189,12 +184,6 @@ class AggregatedRepresentation:
     @property
     def word_count(self) -> int:
         return len(self.entries)
-
-
-def _apply_sigma(mode: str, u: float, params: SelectivityParams) -> float:
-    if is_vlad_family(mode):
-        return u
-    return selectivity(u, params)
 
 
 def _selectivity_rows(u: np.ndarray, params: SelectivityParams) -> np.ndarray:
@@ -310,6 +299,15 @@ def word_match(
     return float(np.dot(x_vec.astype(np.float64), y_vec.astype(np.float64)))
 
 
+def word_match_rows(mode: str, rows: np.ndarray, y_vec: np.ndarray, dim: int) -> np.ndarray:
+    """``word_match`` of each stored row against ``y_vec``, bit for bit."""
+    if is_binary_mode(mode):
+        return packed_inner_scaled_rows(rows, y_vec, dim)
+    # matmul reduces each row against y in the order of np.dot.
+    y = y_vec.astype(np.float64)
+    return np.matmul(rows.astype(np.float64)[:, None, :], y[:, None])[:, 0, 0]
+
+
 def match_sum(
     mode: str,
     x_entries: dict[int, np.ndarray],
@@ -321,7 +319,7 @@ def match_sum(
     total = 0.0
     for word in sorted(x_entries.keys() & y_entries.keys()):
         u = word_match(mode, x_entries[word], y_entries[word], dim)
-        total += _apply_sigma(mode, u, params)
+        total += u if is_vlad_family(mode) else selectivity(u, params)
     return total
 
 

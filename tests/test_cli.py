@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import struct
+
 import numpy as np
 import pytest
 
-from ramk.cli import load_results, main
+from ramk.cli import _OPTIONS, _synthetic_flag, load_results, main
 from ramk.features_io import load_manifest
 from ramk.index import load_index
+from ramk.synthetic import SyntheticConfig
 
 
 def run(*argv: str) -> int:
@@ -63,6 +68,55 @@ class TestExitCodes:
         results.write_text("query:q0 ranked:a=high\n")
         assert run("evaluate", "--results", str(results), "--manifest", str(data / "manifest.txt"),
                    "--out", str(tmp_path / "metrics.txt")) == 3
+
+    @pytest.fixture(scope="class")
+    def index_bytes(self, pipeline):
+        root, data, cb = pipeline
+        path = root / "exit-codes.dtri"
+        assert run("build-index", "--manifest", str(data / "manifest.txt"), "--codebook", str(cb),
+                   "--mode", "asmk", "--out", str(path)) == 0
+        return path.read_bytes(), load_index(path).entries[0].image_id
+
+    def search(self, pipeline, tmp_path, payload: bytes) -> int:
+        root, data, cb = pipeline
+        (tmp_path / "bad.dtri").write_bytes(payload)
+        return run("search", "--index", str(tmp_path / "bad.dtri"),
+                   "--queries", str(data / "queries.txt"), "--out", str(tmp_path / "r.txt"))
+
+    def test_non_utf8_image_id_is_data_error(self, pipeline, tmp_path, index_bytes):
+        payload, image_id = index_bytes
+        ident = image_id.encode()
+        assert payload.count(ident) == 1
+        assert self.search(pipeline, tmp_path, payload.replace(ident, b"\xff" * len(ident))) == 3
+
+    @pytest.mark.parametrize(
+        "offset,value", [(8, 0.5), (8, float("nan")), (16, float("nan")), (16, float("inf"))]
+    )
+    def test_bad_selectivity_header_is_data_error(self, pipeline, tmp_path, index_bytes, offset, value):
+        # alpha is the f64 at byte 8 of the header, tau the one at byte 16.
+        payload = bytearray(index_bytes[0])
+        payload[offset : offset + 8] = struct.pack("<d", value)
+        assert self.search(pipeline, tmp_path, bytes(payload)) == 3
+
+    def test_failed_output_replace_keeps_old_file(self, pipeline, tmp_path, monkeypatch):
+        root, data, cb = pipeline
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("# no pairs: the command writes an empty table\n")
+        out = tmp_path / "rel.csv"
+        out.write_text("old table\n")
+        argv = ("analyze-relevance", "--manifest", str(data / "manifest.txt"),
+                "--pairs", str(pairs), "--out", str(out))
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert run(*argv) == 3
+        assert out.read_text() == "old table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.txt", "rel.csv"]
+        monkeypatch.undo()
+        assert run(*argv) == 0
+        assert out.read_text() != "old table\n"
 
     def test_unknown_config_key_rejected(self, pipeline, tmp_path):
         root, data, cb = pipeline
@@ -230,6 +284,12 @@ class TestAnalyzeRelevanceCli:
 
 
 class TestGenSyntheticCli:
+    def test_options_are_the_config_fields(self):
+        options = {o.name for o in _OPTIONS["gen-synthetic"]} - {"config", "out", "seed"}
+        flags = [_synthetic_flag(f.name) for f in dataclasses.fields(SyntheticConfig)]
+        assert len(set(flags)) == len(flags)
+        assert set(flags) == options
+
     def test_same_seed_byte_identical_trees(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramk.codebook import codebook_digest, save_codebook
 from ramk.errors import ConfigError, DataError, DimensionError, FormatError
 from ramk.features_io import (
+    DatasetManifest,
     GroundTruth,
+    ManifestImage,
     QueryGroundTruth,
     RegionBox,
     load_ground_truth,
@@ -20,13 +24,16 @@ from ramk.features_io import (
     parse_image_features,
     save_ground_truth,
     save_image_features,
+    save_manifest,
     serialize_image_features,
     whole_image_box,
     filter_by_attention,
 )
+from ramk.index import RetrievalIndex, save_index
+from ramk.kernels import DEFAULT_SELECTIVITY
 from ramk.synthetic import SyntheticConfig, generate_synthetic_dataset
 
-from conftest import make_features, random_boxes
+from conftest import make_codebook, make_features, random_boxes
 
 
 class TestDtrfFormat:
@@ -174,6 +181,56 @@ class TestGroundTruthFormat:
         )
         with pytest.raises(DataError, match="disjoint"):
             save_ground_truth(gt, tmp_path / "gt.txt")
+
+
+def _writers():
+    rng = np.random.default_rng(4)
+    codebook = make_codebook(rng, 4, 3)
+    index = RetrievalIndex(
+        mode="asmk", params=DEFAULT_SELECTIVITY, normalize_regional=True, codebook=codebook,
+        codebook_hash=codebook_digest(codebook), strategy="whole", entries=[],
+        gammas=np.zeros(0), postings={},
+    )
+    gt = GroundTruth(queries={"q": QueryGroundTruth(frozenset({"a"}), frozenset(), frozenset())})
+    manifest = DatasetManifest(name="d", dim=3, images=[ManifestImage("a", "a.dtrf")])
+    return {
+        "feature file": lambda path: save_image_features(make_features(rng, 5, 3), path),
+        "manifest": lambda path: save_manifest(manifest, path),
+        "ground truth": lambda path: save_ground_truth(gt, path),
+        "codebook": lambda path: save_codebook(codebook, path),
+        "index": lambda path: save_index(index, path),
+    }
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("what", list(_writers()))
+    def test_writes_then_replaces(self, tmp_path, what):
+        write = _writers()[what]
+        target = tmp_path / "out"
+        target.write_bytes(b"old")
+        write(target)
+        assert target.read_bytes() != b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("what", list(_writers()))
+    def test_failed_replace_keeps_old_output(self, tmp_path, monkeypatch, what):
+        write = _writers()[what]
+        target = tmp_path / "out"
+        target.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(DataError, match=f"cannot write {what}") as err:
+            write(target)
+        assert err.value.exit_code == 3
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_missing_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot write manifest"):
+            _writers()["manifest"](tmp_path / "absent" / "manifest.txt")
 
 
 class TestSyntheticGenerator:

@@ -15,27 +15,42 @@ import pytest
 
 from ramk.codebook import Codebook, partition, train_codebook
 from ramk.errors import ConfigError, DataError, DimensionError, FormatError
-from ramk.features_io import load_manifest
+from ramk.features_io import (
+    DatasetManifest,
+    ManifestImage,
+    RegionBox,
+    load_manifest,
+    save_image_features,
+)
 from ramk.index import (
     POOL_AVG,
     POOL_MAX,
     build_index,
+    entry_scores,
     load_index,
     query,
+    query_representation,
     save_index,
     serialize_index,
 )
-from ramk.kernels import PLAIN_COUNTERPART, aggregate, is_regional_mode, kernel_similarity
+from ramk.kernels import (
+    ALL_MODES,
+    PLAIN_COUNTERPART,
+    aggregate,
+    is_regional_mode,
+    kernel_similarity,
+)
 from ramk.regional import (
     RegionStrategy,
     aggregate_regional,
+    region_aggregates,
     region_descriptor_indices,
     regional_similarity,
     select_regions,
 )
 from ramk.synthetic import SyntheticConfig, generate_synthetic_dataset
 
-from conftest import make_features
+from conftest import make_codebook, make_features
 
 ALL_CASES = [
     ("vlad", "whole", POOL_MAX),
@@ -145,9 +160,7 @@ class TestQuery:
             qf = queries.load_features(entry)
             got = query(index, qf, pooling=pooling, top_n=len(manifest.images)).ranking
             expected = exhaustive_ranking(manifest, codebook, mode, strategy, qf, pooling)
-            assert [i for i, _ in got] == [i for i, _ in expected]
-            for (gi, gs), (ei, es) in zip(got, expected):
-                assert gs == pytest.approx(es, abs=1e-6), (mode, gi)
+            assert got == expected
 
     def test_raw_regional_flag_matches_oracle(self, corpus):
         manifest, queries, codebook = corpus
@@ -158,9 +171,29 @@ class TestQuery:
         expected = exhaustive_ranking(
             manifest, codebook, "r-asmk", strategy, qf, POOL_MAX, normalize=False
         )
-        assert [i for i, _ in got] == [i for i, _ in expected]
-        for (gi, gs), (ei, es) in zip(got, expected):
-            assert gs == pytest.approx(es, abs=1e-6)
+        assert got == expected
+
+    @pytest.mark.parametrize("strategy_text", ["whole", "detector:0.4", "rmac:2"])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_entry_scores_bitwise_equal_kernel(self, corpus, mode, strategy_text):
+        # The float64 score of every entry is exactly the exhaustive kernel's:
+        # the same per-word match, selectivity and word-order sum.
+        manifest, queries, codebook = corpus
+        strategy = RegionStrategy.parse(strategy_text)
+        index = build_index(manifest, codebook, mode, strategy)
+        reps = []
+        for img in manifest.images:
+            features = manifest.load_features(img)
+            regions = select_regions(features, strategy)
+            if is_regional_mode(mode):
+                reps.append(aggregate_regional(features, regions, codebook, mode))
+            else:
+                reps += region_aggregates(features, regions, codebook, mode)
+        similarity = regional_similarity if is_regional_mode(mode) else kernel_similarity
+        for entry in queries.images:
+            plain = query_representation(index, queries.load_features(entry))
+            expected = np.array([similarity(plain, rep) for rep in reps])
+            assert entry_scores(index, plain).tobytes() == expected.tobytes(), entry.image_id
 
     def test_identical_image_scores_one_asmk(self, corpus):
         manifest, _, codebook = corpus
@@ -170,11 +203,44 @@ class TestQuery:
         assert result.ranking[0][0] == manifest.images[0].image_id
         assert result.ranking[0][1] == pytest.approx(1.0, abs=1e-6)
 
-    def test_pooling_arithmetic(self):
-        # One image with entry scores {0.2, 0.7, 0.5}: max 0.7, avg 0.4667.
-        scores = np.array([0.2, 0.7, 0.5])
-        assert scores.max() == pytest.approx(0.7)
-        assert scores.mean() == pytest.approx(0.466666, abs=1e-4)
+    def test_pooling_arithmetic(self, tmp_path):
+        rng = np.random.default_rng(11)
+        dim = 8
+        codebook = make_codebook(rng, 12, dim)
+        # Descriptors stay left of x=52, so image "a"'s box at x>=56 is an
+        # empty region: its entry scores 0 and still counts in the average.
+        boxes = {
+            "a": [RegionBox(0, 0, 30, 24, 0.9), RegionBox(56, 0, 64, 48, 0.8)],
+            "b": [RegionBox(10, 10, 50, 40, 0.7), RegionBox(0, 20, 40, 48, 0.6)],
+            "c": [],
+        }
+        images, features = [], {}
+        for name, image_boxes in boxes.items():
+            f = make_features(rng, 30, dim, boxes=image_boxes, image_id=name)
+            f.positions[:, 0] *= 0.8
+            save_image_features(f, tmp_path / f"{name}.dtrf")
+            images.append(ManifestImage(name, f"{name}.dtrf", 64, 48))
+            features[name] = f
+        manifest = DatasetManifest(name="pool", dim=dim, images=images, root=tmp_path)
+        strategy = RegionStrategy.parse("detector:0.5")
+        index = build_index(manifest, codebook, "asmk", strategy)
+        qf = make_features(rng, 12, dim, image_id="q")
+        qf.vectors[:] = features["a"].vectors[:12]
+        q_repr = aggregate(partition(codebook, qf), codebook, "asmk")
+        per_entry = {}
+        for name, f in features.items():
+            regions = select_regions(f, strategy)
+            reps = region_aggregates(f, regions, codebook, "asmk")
+            per_entry[name] = [kernel_similarity(q_repr, rep) for rep in reps]
+        assert len(per_entry["a"]) == 3 and per_entry["a"][2] == 0.0
+        for pooling in (POOL_MAX, POOL_AVG):
+            got = dict(query(index, qf, pooling=pooling).ranking)
+            for name, scores in per_entry.items():
+                total = 0.0
+                for s in scores:
+                    total += s
+                want = max(scores) if pooling == POOL_MAX else total / len(scores)
+                assert got[name] == float(np.float32(want)), (pooling, name)
 
     def test_max_at_least_avg_for_nonnegative_scores(self, corpus):
         manifest, queries, codebook = corpus
@@ -314,6 +380,30 @@ class TestPersistence:
         save_index(dataclasses.replace(index, postings=postings), tmp_path / "payload.dtri")
         with pytest.raises(FormatError, match="payloads") as err:
             load_index(tmp_path / "payload.dtri")
+        assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "defect,entry,region,message",
+        [("repeated", 1, 0, "repeats"), ("split", 2, 1, "not contiguous")],
+    )
+    def test_bad_entry_layout_is_format_error(self, corpus, tmp_path, defect, entry, region, message):
+        # Entry ``entry`` is rewritten to (first image, ``region``): a repeat of
+        # entry 0 right after it, or a second region of the first image after
+        # another image's entry.
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("whole"))
+
+        def record(image_id: str, region_index: int) -> bytes:
+            ident = image_id.encode()
+            return len(ident).to_bytes(2, "little") + ident + region_index.to_bytes(2, "little")
+
+        payload = serialize_index(index)
+        target = record(index.entries[entry].image_id, 0)
+        assert payload.count(target) == 1
+        payload = payload.replace(target, record(index.entries[0].image_id, region))
+        (tmp_path / f"{defect}.dtri").write_bytes(payload)
+        with pytest.raises(FormatError, match=message) as err:
+            load_index(tmp_path / f"{defect}.dtri")
         assert err.value.exit_code == 3
 
     def test_empty_index_round_trips(self, tmp_path, corpus):
