@@ -42,11 +42,8 @@ from .kernels import (
     AggregatedRepresentation,
     SelectivityParams,
     aggregate,
-    binarize,
     kernel_similarity,
-    normalize_residual,
     selectivity,
-    vlad_residual,
 )
 from .regional import (
     RegionSet,

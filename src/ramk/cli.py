@@ -32,7 +32,7 @@ from .features_io import (
     filter_by_attention,
     load_ground_truth,
     load_manifest,
-    read_file,
+    read_lines,
     write_atomic,
 )
 from .index import (
@@ -190,12 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    text = read_file(path, "config file").decode()
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path, "config file"):
         key, sep, value = line.partition(":")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key:value")
@@ -358,12 +354,8 @@ def format_results(results: list[RankedResult]) -> str:
 
 
 def load_results(path: str | Path) -> list[RankedResult]:
-    text = read_file(path, "results file").decode()
     out: list[RankedResult] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path, "results file"):
         fields: dict[str, str] = {}
         for token in line.split():
             key, sep, value = token.partition(":")
@@ -475,12 +467,8 @@ def _cmd_evaluate(cfg: dict) -> None:
 
 def _cmd_analyze_relevance(cfg: dict) -> None:
     manifest = load_manifest(cfg["manifest"])
-    pair_text = read_file(cfg["pairs"], "pairs file").decode()
     pair_ids: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(pair_text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(cfg["pairs"], "pairs file"):
         tokens = line.split()
         if len(tokens) != 2:
             raise DataError(f"{cfg['pairs']}:{lineno}: expected two image ids per line")

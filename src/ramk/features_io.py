@@ -220,6 +220,19 @@ def read_file(path: str | Path, what: str) -> bytes:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def read_lines(path: str | Path, what: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line of the UTF-8 text file
+    ``path`` that is neither blank nor a ``#`` comment.  A file that
+    cannot be read is a DataError, one that is not UTF-8 a FormatError."""
+    data = read_file(path, what)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} {path} is not UTF-8: {exc}") from exc
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+
+
 def write_atomic(path: str | Path, data: bytes | str, what: str) -> None:
     """Write ``data`` (text as UTF-8) to ``path`` all at once or not at all.
 
@@ -385,16 +398,12 @@ def _parse_kv(token: str, lineno: int, source: str) -> tuple[str, str]:
 
 def load_manifest(path: str | Path, *, check_files: bool = True) -> DatasetManifest:
     path = Path(path)
-    text = read_file(path, "manifest").decode()
     name: str | None = None
     dim: int | None = None
     gt: str | None = None
     queries: str | None = None
     images: list[ManifestImage] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path, "manifest"):
         tokens = line.split()
         if tokens[0] == "image":
             fields = dict(_parse_kv(tok, lineno, str(path)) for tok in tokens[1:])
@@ -489,12 +498,8 @@ def _parse_id_set(value: str, what: str) -> frozenset[str]:
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
     path = Path(path)
-    text = read_file(path, "ground truth").decode()
     queries: dict[str, QueryGroundTruth] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path, "ground truth"):
         fields = dict(_parse_kv(tok, lineno, str(path)) for tok in line.split())
         if "query" not in fields:
             raise FormatError(f"{path}:{lineno}: ground-truth line needs query:")

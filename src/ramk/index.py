@@ -7,8 +7,9 @@ image.  Postings map each visual word to the entries populating it,
 with the per-entry residual payload stored inline.  Scanning only the
 query's words reproduces the exhaustive kernel exactly, because every
 other word contributes zero and the scan applies the kernel's own rule:
-``word_match`` per hit, the scalar selectivity's C-library ``pow`` and
-a running sum in ascending word order.
+``kernels.word_match_rows`` of each posting list against the query's
+row for that word, the selectivity's C-library ``pow`` and a per-entry
+sum in ascending word order.
 
 Index files ("DTRI", little-endian, version 1)::
 
@@ -177,25 +178,15 @@ def build_index(
         )
     manifest.validate(check_files=True)
 
-    def work(img) -> list[tuple[float, np.ndarray, np.ndarray | None]]:
-        """(gamma, words, stacked rows) of the image's entries, in region
-        order; the per-word dicts are freed here, one image at a time."""
+    def work(img) -> list[AggregatedRepresentation]:
+        """The image's entries, in region order."""
         features = manifest.load_features(img)
         if attention_min is not None:
             features = filter_by_attention(features, attention_min)
         regions = select_regions(features, strategy)
         if is_regional_mode(mode):
-            reps = [aggregate_regional(features, regions, codebook, mode, params)]
-        else:
-            reps = region_aggregates(features, regions, codebook, mode, params)
-        return [
-            (
-                rep.gamma,
-                np.fromiter(rep.entries, dtype=np.int64, count=rep.word_count),
-                np.stack(list(rep.entries.values())) if rep.word_count else None,
-            )
-            for rep in reps
-        ]
+            return [aggregate_regional(features, regions, codebook, mode, params)]
+        return region_aggregates(features, regions, codebook, mode, params)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -208,16 +199,15 @@ def build_index(
         for img, reps in zip(manifest.images, per_image)
         for region_index in range(len(reps))
     ]
-    flat = [entry for reps in per_image for entry in reps]
-    words = [entry_words for _, entry_words, _ in flat]
-    blocks = [entry_rows for _, _, entry_rows in flat if entry_rows is not None]
+    flat = [rep for reps in per_image for rep in reps]
 
     # Owners ascend, so a stable sort by word orders postings by (word, entry).
-    all_words = np.concatenate([np.empty(0, dtype=np.int64), *words])
+    all_words = np.concatenate([np.empty(0, dtype=np.int64), *(rep.words for rep in flat)])
     order = np.argsort(all_words, kind="stable")
-    owner_ids = np.repeat(np.arange(len(entries), dtype=np.uint32), [len(w) for w in words])[order]
+    counts = [rep.word_count for rep in flat]
+    owner_ids = np.repeat(np.arange(len(entries), dtype=np.uint32), counts)[order]
     sorted_words = all_words[order]
-    rows = np.concatenate(blocks)[order] if blocks else None
+    rows = np.concatenate([rep.rows for rep in flat])[order] if flat else None
     bounds = np.append(np.flatnonzero(np.diff(sorted_words, prepend=-1)), len(order))
     postings = {
         int(sorted_words[a]): (owner_ids[a:b], rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
@@ -231,7 +221,7 @@ def build_index(
         codebook_hash=codebook_digest(codebook),
         strategy=str(strategy),
         entries=entries,
-        gammas=np.array([gamma for gamma, _, _ in flat], dtype=np.float64),
+        gammas=np.array([rep.gamma for rep in flat], dtype=np.float64),
         postings=postings,
     )
     logger.info(
@@ -269,7 +259,9 @@ def entry_scores(index: RetrievalIndex, plain: AggregatedRepresentation) -> np.n
     """
     regional = is_regional_mode(index.mode)
     q = as_regional_query(plain, index.mode, index.params) if regional else plain
-    hits = [(index.postings[w], q.entries[w]) for w in sorted(q.entries) if w in index.postings]
+    hits = [
+        (index.postings[w], row) for w, row in zip(q.words.tolist(), q.rows) if w in index.postings
+    ]
     ids = np.concatenate([np.empty(0, dtype=np.uint32)] + [ids for (ids, _), _ in hits])
     u = np.concatenate(
         [np.empty(0)]

@@ -17,16 +17,25 @@ self-similarity exactly 1 for the dense modes.  Three plain modes:
                  bit-packed; the per-word match is the +/-1 inner
                  product scaled by 1/D so its range stays [-1, 1].
 
-Residual accumulation runs in float64 and entries are stored float32
-(or packed sign bits), so tolerances around 1e-6 are reproducible.
-Words whose aggregated residual is exactly zero are dropped: they can
-never contribute to any match and per-word normalization would be
-undefined for them.
+An aggregate stores its populated words as one strictly ascending
+``words`` array and their entries as the matching ``rows`` of one
+array.  Residual accumulation runs in float64 and rows are stored
+float32 (or packed sign bits), so tolerances around 1e-6 are
+reproducible.  Words whose aggregated residual is exactly zero are
+dropped: they can never contribute to any match and per-word
+normalization would be undefined for them.
 
 ``_fold_residuals`` is the one place that knows this storage rule, for
 the plain and the regional modes alike: ``aggregate`` feeds it the
 per-word residual sums of one descriptor set, and ``ramk.regional``
 feeds it the gamma-weighted sums of per-region aggregates.
+
+``_match_total`` is the one match rule: ``word_match_rows`` pairs rows
+up, the selectivity applies to each match, and the matches add up in
+ascending word order.  The self-match gives gamma, the words two
+aggregates share (``np.intersect1d``) give their kernel, and the
+inverted file in ``ramk.index`` applies the same row match and
+selectivity to its posting lists.
 """
 
 from __future__ import annotations
@@ -105,85 +114,39 @@ def selectivity(u: float, params: SelectivityParams = DEFAULT_SELECTIVITY) -> fl
     return math.copysign(abs(u) ** params.alpha, u)
 
 
-def vlad_residual(vectors: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    """Sum of (descriptor - centroid) over descriptors assigned to one word.
-
-    Empty input yields the zero vector.  Computed and returned in float64.
-    """
-    centroid = np.asarray(centroid, dtype=np.float64)
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.size == 0:
-        return np.zeros_like(centroid)
-    if vectors.ndim == 1:
-        vectors = vectors[None, :]
-    if vectors.shape[1] != centroid.shape[0]:
-        raise DimensionError(
-            f"descriptor dimension {vectors.shape[1]} != centroid dimension {centroid.shape[0]}"
-        )
-    return np.sum(vectors - centroid[None, :], axis=0)
-
-
-def normalize_residual(v: np.ndarray) -> np.ndarray | None:
-    """Unit-norm copy of v, or None for the zero vector (word is dropped)."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return None
-    return v / norm
-
-
-def binarize(v: np.ndarray) -> np.ndarray:
-    """Elementwise +1 for positive components, -1 otherwise (zero maps to -1)."""
-    v = np.asarray(v)
-    return np.where(v > 0, 1.0, -1.0).astype(np.float32)
-
-
-def pack_signs(v: np.ndarray) -> np.ndarray:
-    """Bit-pack the sign pattern of v (+1 bits for positive components)."""
-    bits = (np.asarray(v) > 0).astype(np.uint8)
-    return np.packbits(bits, bitorder="little")
-
-
-def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
-    bits = np.unpackbits(np.asarray(packed, dtype=np.uint8), count=dim, bitorder="little")
-    return (bits.astype(np.float32) * 2.0 - 1.0)
-
-
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
-
-def packed_inner_scaled(a: np.ndarray, b: np.ndarray, dim: int) -> float:
-    """Inner product of two packed +/-1 vectors, scaled by 1/dim (exact)."""
-    hamming = int(_POPCOUNT[np.bitwise_xor(a, b)].sum())
-    return float(dim - 2 * hamming) / float(dim)
-
-
-def packed_inner_scaled_rows(rows: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """Scaled +/-1 inner products of each packed row against packed b."""
-    hamming = _POPCOUNT[np.bitwise_xor(rows, b[None, :])].sum(axis=1).astype(np.float64)
-    return (float(dim) - 2.0 * hamming) / float(dim)
 
 
 @dataclass
 class AggregatedRepresentation:
     """Sparse per-word aggregate of one image (or one image region).
 
-    ``entries`` maps visual word to a float32 residual vector for the
-    dense modes or a bit-packed sign pattern for the star modes.
-    ``gamma`` is the self-similarity normalization factor; it is 0 for
-    an image with no usable words.  ``region_count`` is the number of
-    regions a regional-mode aggregate averages over (1 otherwise).
+    ``words`` holds the populated visual words, strictly ascending
+    (int64), and ``rows`` their stored entries, one row per word: a
+    float32 residual vector for the dense modes or a bit-packed sign
+    pattern (uint8) for the star modes.  ``gamma`` is the
+    self-similarity normalization factor; it is 0 for an image with no
+    usable words.  ``region_count`` is the number of regions a
+    regional-mode aggregate averages over (1 otherwise).
     """
 
     mode: str
     dim: int
-    entries: dict[int, np.ndarray]
+    words: np.ndarray
+    rows: np.ndarray
     gamma: float
     region_count: int = 1
 
     @property
     def word_count(self) -> int:
-        return len(self.entries)
+        return len(self.words)
+
+    @property
+    def entries(self) -> dict[int, np.ndarray]:
+        """Read-only word -> row view.  It exists for ``perfbench/spans.py``,
+        which counts and lists the populated words through it; nothing in
+        ``ramk`` reads it."""
+        return dict(zip(self.words.tolist(), self.rows))
 
 
 def _selectivity_rows(u: np.ndarray, params: SelectivityParams) -> np.ndarray:
@@ -199,31 +162,50 @@ def _selectivity_rows(u: np.ndarray, params: SelectivityParams) -> np.ndarray:
     return out
 
 
-def _gamma_from_rows(mode: str, rows: np.ndarray, params: SelectivityParams) -> float:
-    """Normalization factor of a representation whose stored entries are
-    ``rows``, in ascending word order: the inverse square root of the
-    self-match sum.  The sum is sequential in word order."""
-    if len(rows) == 0:
-        return 0.0
+def word_match_rows(mode: str, a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Raw per-word match, before selectivity, of each stored row of ``a``
+    against ``b``: one row matched against every row of ``a``, or as many
+    rows as ``a`` matched row for row.
+
+    Dense rows match by their float64 inner product, reduced in the order
+    of ``np.dot``; packed sign rows by their +/-1 inner product scaled by
+    1/dim, which is exact.
+    """
     if is_binary_mode(mode):
-        u = np.ones(len(rows))
-    else:
-        v = np.asarray(rows, dtype=np.float64)
-        # matmul reduces a row against itself in the order of np.dot.
-        u = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+        hamming = _POPCOUNT[np.bitwise_xor(a, b)].sum(axis=1).astype(np.float64)
+        return (float(dim) - 2.0 * hamming) / float(dim)
+    b64 = b.astype(np.float64)
+    return np.matmul(a.astype(np.float64)[:, None, :], b64[..., None])[:, 0, 0]
+
+
+def _match_total(
+    mode: str, a: np.ndarray, b: np.ndarray, dim: int, params: SelectivityParams
+) -> float:
+    """Sum of the selective matches of rows ``a`` against ``b``
+    (``word_match_rows``), added one after another in row order."""
+    if len(a) == 0:
+        return 0.0
+    u = word_match_rows(mode, a, b, dim)
     if not is_vlad_family(mode):
         u = _selectivity_rows(u, params)
-    total = float(np.cumsum(u)[-1])
+    return float(np.cumsum(u)[-1])
+
+
+def _gamma_from_rows(mode: str, rows: np.ndarray, dim: int, params: SelectivityParams) -> float:
+    """Normalization factor of the stored ``rows`` of a representation:
+    the inverse square root of their self-match total."""
+    total = _match_total(mode, rows, rows, dim, params)
     if total <= 0.0:
         return 0.0
     return total ** -0.5
 
 
-def gamma_from_entries(
-    mode: str, entries: dict[int, np.ndarray], dim: int, params: SelectivityParams
+def _shared_match_total(
+    x_repr: AggregatedRepresentation, y_repr: AggregatedRepresentation, params: SelectivityParams
 ) -> float:
-    """Normalization factor of a word -> entry map (``_gamma_from_rows``)."""
-    return _gamma_from_rows(mode, [entries[word] for word in sorted(entries)], params)
+    """``_match_total`` over the words both representations populate."""
+    _, xi, yi = np.intersect1d(x_repr.words, y_repr.words, assume_unique=True, return_indices=True)
+    return _match_total(y_repr.mode, x_repr.rows[xi], y_repr.rows[yi], y_repr.dim, params)
 
 
 def _fold_residuals(
@@ -253,8 +235,8 @@ def _fold_residuals(
         keep = stored.any(axis=1)
     else:
         # matmul reduces a row against itself in the order of np.dot, so
-        # the norms equal normalize_residual's bit for bit (einsum and
-        # np.linalg.norm(axis=1) sum in other orders).
+        # each norm equals np.linalg.norm of that one row bit for bit
+        # (einsum and np.linalg.norm(axis=1) sum in other orders).
         norms = np.sqrt(np.matmul(sums[:, None, :], sums[:, :, None])[:, 0, 0])
         keep = norms != 0.0
         unit = sums / np.where(keep, norms, 1.0)[:, None]
@@ -263,10 +245,13 @@ def _fold_residuals(
         else:
             stored = unit.astype(np.float32)
     stored = stored[keep]
-    entries = dict(zip(words[keep].tolist(), stored))
-    gamma = _gamma_from_rows(mode, stored, params)
     return AggregatedRepresentation(
-        mode=mode, dim=dim, entries=entries, gamma=gamma, region_count=region_count
+        mode=mode,
+        dim=dim,
+        words=words[keep].astype(np.int64),
+        rows=stored,
+        gamma=_gamma_from_rows(mode, stored, dim, params),
+        region_count=region_count,
     )
 
 
@@ -290,39 +275,6 @@ def aggregate(
     return _fold_residuals(mode, dim, part.labels, residuals, params)
 
 
-def word_match(
-    mode: str, x_vec: np.ndarray, y_vec: np.ndarray, dim: int
-) -> float:
-    """Raw per-word match value before selectivity."""
-    if is_binary_mode(mode):
-        return packed_inner_scaled(x_vec, y_vec, dim)
-    return float(np.dot(x_vec.astype(np.float64), y_vec.astype(np.float64)))
-
-
-def word_match_rows(mode: str, rows: np.ndarray, y_vec: np.ndarray, dim: int) -> np.ndarray:
-    """``word_match`` of each stored row against ``y_vec``, bit for bit."""
-    if is_binary_mode(mode):
-        return packed_inner_scaled_rows(rows, y_vec, dim)
-    # matmul reduces each row against y in the order of np.dot.
-    y = y_vec.astype(np.float64)
-    return np.matmul(rows.astype(np.float64)[:, None, :], y[:, None])[:, 0, 0]
-
-
-def match_sum(
-    mode: str,
-    x_entries: dict[int, np.ndarray],
-    y_entries: dict[int, np.ndarray],
-    dim: int,
-    params: SelectivityParams,
-) -> float:
-    """Sum of selective per-word matches over the shared words."""
-    total = 0.0
-    for word in sorted(x_entries.keys() & y_entries.keys()):
-        u = word_match(mode, x_entries[word], y_entries[word], dim)
-        total += u if is_vlad_family(mode) else selectivity(u, params)
-    return total
-
-
 def kernel_similarity(
     x_repr: AggregatedRepresentation,
     y_repr: AggregatedRepresentation,
@@ -333,5 +285,4 @@ def kernel_similarity(
         raise ConfigError(f"mode mismatch: {x_repr.mode!r} vs {y_repr.mode!r}")
     if x_repr.dim != y_repr.dim:
         raise DimensionError(f"dimension mismatch: {x_repr.dim} vs {y_repr.dim}")
-    total = match_sum(x_repr.mode, x_repr.entries, y_repr.entries, x_repr.dim, params)
-    return float(x_repr.gamma * y_repr.gamma * total)
+    return float(x_repr.gamma * y_repr.gamma * _shared_match_total(x_repr, y_repr, params))

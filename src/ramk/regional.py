@@ -50,11 +50,11 @@ from .kernels import (
     DEFAULT_SELECTIVITY,
     SelectivityParams,
     _fold_residuals,
+    _gamma_from_rows,
+    _shared_match_total,
     aggregate,
     check_mode,
-    gamma_from_entries,
     is_regional_mode,
-    match_sum,
 )
 
 RMAC_MIN_OVERLAP = 0.4
@@ -214,13 +214,6 @@ def region_aggregates(
     ]
 
 
-def _entry_rows(rep: AggregatedRepresentation) -> tuple[np.ndarray, np.ndarray]:
-    """Words and float64 rows of a dense representation's entries."""
-    words = np.fromiter(rep.entries, dtype=np.int64, count=rep.word_count)
-    rows = np.array(list(rep.entries.values()), dtype=np.float64).reshape(-1, rep.dim)
-    return words, rows
-
-
 def aggregate_regional(
     features: ImageFeatures,
     regions: RegionSet,
@@ -245,9 +238,8 @@ def aggregate_regional(
     rows = [np.empty((0, codebook.dim))]
     for rep in region_aggregates(features, regions, codebook, base_mode, params, part):
         if rep.gamma != 0.0:
-            w, v = _entry_rows(rep)
-            words.append(w)
-            rows.append(rep.gamma * v)
+            words.append(rep.words)
+            rows.append(rep.gamma * rep.rows.astype(np.float64))
     return _fold_residuals(
         mode, codebook.dim, np.concatenate(words), np.concatenate(rows), params, regions.count
     )
@@ -276,11 +268,12 @@ def as_regional_query(
             f"got {plain.mode!r}"
         )
     if mode == MODE_R_VLAD:
-        words, rows = _entry_rows(plain)
-        return _fold_residuals(mode, plain.dim, words, plain.gamma * rows, params)
-    entries = dict(plain.entries)
-    gamma = gamma_from_entries(mode, entries, plain.dim, params)
-    return AggregatedRepresentation(mode=mode, dim=plain.dim, entries=entries, gamma=gamma)
+        rows = plain.gamma * plain.rows.astype(np.float64)
+        return _fold_residuals(mode, plain.dim, plain.words, rows, params)
+    gamma = _gamma_from_rows(mode, plain.rows, plain.dim, params)
+    return AggregatedRepresentation(
+        mode=mode, dim=plain.dim, words=plain.words, rows=plain.rows, gamma=gamma
+    )
 
 
 def regional_similarity(
@@ -301,7 +294,7 @@ def regional_similarity(
         raise ConfigError(f"mode mismatch: {x_repr.mode!r} vs {y_repr.mode!r}")
     if x_repr.dim != y_repr.dim:
         raise DataError(f"dimension mismatch: {x_repr.dim} vs {y_repr.dim}")
-    total = match_sum(y_repr.mode, x_repr.entries, y_repr.entries, y_repr.dim, params)
+    total = _shared_match_total(x_repr, y_repr, params)
     if normalize:
         return float(x_repr.gamma * y_repr.gamma * total)
     return float(total)

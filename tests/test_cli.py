@@ -9,7 +9,9 @@ import struct
 import numpy as np
 import pytest
 
+from ramk import cli
 from ramk.cli import _OPTIONS, _synthetic_flag, load_results, main
+from ramk.errors import ConfigError, DataError, DimensionError, FormatError, TrainingError
 from ramk.features_io import load_manifest
 from ramk.index import load_index
 from ramk.synthetic import SyntheticConfig
@@ -97,6 +99,50 @@ class TestExitCodes:
         payload = bytearray(index_bytes[0])
         payload[offset : offset + 8] = struct.pack("<d", value)
         assert self.search(pipeline, tmp_path, bytes(payload)) == 3
+
+    @pytest.mark.parametrize("what", ["manifest", "ground truth", "results", "config", "pairs"])
+    def test_non_utf8_text_input_is_format_error(self, pipeline, tmp_path, caplog, what):
+        root, data, cb = pipeline
+        bad = tmp_path / "bad.txt"
+        results = tmp_path / "results.txt"
+        results.write_text("query:q0 ranked:a=1.0\n")
+        out = str(tmp_path / "out.txt")
+        argv = {
+            "manifest": ("train-codebook", "--manifest", str(bad), "--out", out),
+            "ground truth": ("evaluate", "--results", str(results), "--gt", str(bad), "--out", out),
+            "results": ("evaluate", "--results", str(bad), "--gt", str(bad), "--out", out),
+            "config": ("train-codebook", "--config", str(bad), "--out", out),
+            "pairs": ("analyze-relevance", "--manifest", str(data / "manifest.txt"),
+                      "--pairs", str(bad), "--out", out),
+        }[what]
+        content = {
+            "manifest": b"dataset:d\ndim:8\nimage id:a\xff path:a.dtrf\n",
+            "ground truth": b"query:q0 easy:a\xff\n",
+            "results": b"query:q0 ranked:a\xff=1.0\n",
+            "config": b"c:16\nseed:\xff\n",
+            "pairs": b"a b\xff\n",
+        }[what]
+        bad.write_bytes(content)
+        assert run(*argv) == 3
+        assert f"{bad} is not UTF-8" in caplog.text
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (ConfigError, 2),
+            (DataError, 3),
+            (FormatError, 3),
+            (DimensionError, 3),
+            (TrainingError, 3),
+            (Exception, 4),
+        ],
+    )
+    def test_error_to_exit_code(self, tmp_path, monkeypatch, error, code):
+        def fail(cfg):
+            raise error("injected")
+
+        monkeypatch.setitem(cli._COMMANDS, "gen-synthetic", fail)
+        assert run("gen-synthetic", "--out", str(tmp_path / "out")) == code
 
     def test_failed_output_replace_keeps_old_file(self, pipeline, tmp_path, monkeypatch):
         root, data, cb = pipeline

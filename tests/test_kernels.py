@@ -23,20 +23,41 @@ from ramk.kernels import (
     SelectivityParams,
     _selectivity_rows,
     aggregate,
+    kernel_similarity,
+    selectivity,
+    is_regional_mode,
+)
+from ramk.regional import (
+    RegionStrategy,
+    aggregate_regional,
+    as_regional_query,
+    regional_similarity,
+    select_regions,
+)
+
+from conftest import (
     binarize,
     gamma_from_entries,
-    kernel_similarity,
+    make_codebook,
+    make_features,
+    match_sum,
     normalize_residual,
+    oracle_gamma,
     pack_signs,
     packed_inner_scaled,
-    selectivity,
+    random_boxes,
     unpack_signs,
-    is_regional_mode,
     vlad_residual,
 )
-from ramk.regional import RegionStrategy, aggregate_regional, as_regional_query, select_regions
 
-from conftest import make_codebook, make_features, oracle_gamma, random_boxes
+
+def rep_of(
+    mode: str, dim: int, entries: dict[int, np.ndarray], gamma: float
+) -> AggregatedRepresentation:
+    """Representation holding ``entries`` as ascending words and rows."""
+    words = sorted(entries)
+    rows = np.array([entries[w] for w in words]) if words else np.empty((0, dim), np.float32)
+    return AggregatedRepresentation(mode, dim, np.array(words, dtype=np.int64), rows, gamma)
 
 
 def naive_residuals(vectors: np.ndarray, centroids: np.ndarray) -> dict[int, np.ndarray]:
@@ -234,13 +255,13 @@ class TestAggregate:
 class TestKernelSimilarity:
     def test_disjoint_word_sets_zero(self):
         rng = np.random.default_rng(8)
-        a = AggregatedRepresentation("asmk", 4, {0: np.array([1, 0, 0, 0], np.float32)}, 1.0)
-        b = AggregatedRepresentation("asmk", 4, {1: np.array([1, 0, 0, 0], np.float32)}, 1.0)
+        a = rep_of("asmk", 4, {0: np.array([1, 0, 0, 0], np.float32)}, 1.0)
+        b = rep_of("asmk", 4, {1: np.array([1, 0, 0, 0], np.float32)}, 1.0)
         assert kernel_similarity(a, b) == 0.0
 
     def test_mode_mismatch_rejected(self):
-        a = AggregatedRepresentation("asmk", 4, {}, 0.0)
-        b = AggregatedRepresentation("vlad", 4, {}, 0.0)
+        a = rep_of("asmk", 4, {}, 0.0)
+        b = rep_of("vlad", 4, {}, 0.0)
         with pytest.raises(ConfigError):
             kernel_similarity(a, b)
 
@@ -290,13 +311,10 @@ class TestKernelSimilarity:
 
     def test_dropping_zero_rows_never_changes_similarity(self):
         # A sparse map with an extra explicitly-zero word must score the same.
-        base = AggregatedRepresentation(
-            "vlad", 2, {0: np.array([1.0, 2.0], np.float32)}, 1.0
-        )
-        padded_entries = dict(base.entries)
-        padded_entries[5] = np.zeros(2, np.float32)
-        padded = AggregatedRepresentation("vlad", 2, padded_entries, 1.0)
-        other = AggregatedRepresentation(
+        row = np.array([1.0, 2.0], np.float32)
+        base = rep_of("vlad", 2, {0: row}, 1.0)
+        padded = rep_of("vlad", 2, {0: row, 5: np.zeros(2, np.float32)}, 1.0)
+        other = rep_of(
             "vlad", 2, {0: np.array([2.0, 1.0], np.float32), 5: np.array([3.0, 3.0], np.float32)}, 1.0
         )
         assert kernel_similarity(base, other) == kernel_similarity(padded, other)
@@ -349,3 +367,20 @@ class TestKernelSimilarity:
             got = gamma_from_entries(mode, entries, 8, params)
             want = oracle_gamma(mode, entries, params)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # Every kernel of every pair equals the per-word running sum, over
+        # the aggregates and one round of the random maps.
+        pool = reps + [
+            rep_of(mode, 8, entries, oracle_gamma(mode, entries, params))
+            for entries in entry_maps[len(reps) : len(reps) + 7]
+        ]
+        gammas = [oracle_gamma(mode, rep.entries, params) for rep in pool]
+        for x, gx in zip(pool, gammas):
+            for y, gy in zip(pool, gammas):
+                total = match_sum(mode, x.entries, y.entries, 8, params)
+                want = np.float64(gx * gy * total).tobytes()
+                assert np.float64(kernel_similarity(x, y, params)).tobytes() == want
+                if is_regional_mode(mode):
+                    got = regional_similarity(x, y, params)
+                    raw = regional_similarity(x, y, params, normalize=False)
+                    assert np.float64(got).tobytes() == want
+                    assert np.float64(raw).tobytes() == np.float64(total).tobytes()

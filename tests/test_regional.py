@@ -26,10 +26,6 @@ from ramk.kernels import (
     aggregate,
     is_regional_mode,
     kernel_similarity,
-    normalize_residual,
-    pack_signs,
-    unpack_signs,
-    vlad_residual,
 )
 from ramk.regional import (
     RegionSet,
@@ -44,7 +40,16 @@ from ramk.regional import (
     select_regions,
 )
 
-from conftest import make_codebook, make_features, oracle_gamma, random_boxes
+from conftest import (
+    make_codebook,
+    make_features,
+    normalize_residual,
+    oracle_gamma,
+    pack_signs,
+    random_boxes,
+    unpack_signs,
+    vlad_residual,
+)
 
 
 def avg_pooled_similarity(query_repr, features, regions, codebook, mode) -> float:
@@ -341,8 +346,9 @@ class TestRegionalSimilarity:
         cb = make_codebook(rng, 4, 3)
         from ramk.kernels import AggregatedRepresentation
 
-        x = AggregatedRepresentation("r-asmk", 3, {0: np.array([1, 0, 0], np.float32)}, 1.0, 1)
-        y = AggregatedRepresentation("r-asmk", 3, {1: np.array([1, 0, 0], np.float32)}, 1.0, 2)
+        row = np.array([[1, 0, 0]], np.float32)
+        x = AggregatedRepresentation("r-asmk", 3, np.array([0]), row, 1.0, 1)
+        y = AggregatedRepresentation("r-asmk", 3, np.array([1]), row, 1.0, 2)
         assert regional_similarity(x, y) == 0.0
 
     def test_symmetric_self_similarity_normalized(self):
