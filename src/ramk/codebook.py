@@ -193,12 +193,9 @@ def train_codebook(
         starts = np.zeros(c, dtype=np.int64)
         starts[1:] = np.cumsum(counts)[:-1]
         nonempty = counts > 0
-        sums = np.zeros((c, points.shape[1]), dtype=np.float64)
-        if points.shape[0]:
-            seg = np.add.reduceat(points[order], starts[nonempty], axis=0)
-            sums[nonempty] = seg
+        sums = np.add.reduceat(points[order], starts[nonempty], axis=0)
         new_centroids = centroids.copy()
-        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        new_centroids[nonempty] = sums / counts[nonempty, None]
 
         if not nonempty.all():
             # Reseed each empty centroid at the point farthest from its

@@ -97,13 +97,10 @@ def evaluate(results: Iterable[RankedResult], gt: GroundTruth, protocol: str) ->
     p10: list[float] = []
     excluded: list[str] = []
     seen = 0
-    corpus_hint: int | None = None
     for result in results:
         seen += 1
         positives, junk = protocol_sets(gt, result.query_id, protocol)
         ranked = [image_id for image_id, _ in result.ranking]
-        if corpus_hint is None:
-            corpus_hint = len(ranked)
         ap = average_precision(ranked, positives, junk)
         if ap is None:
             excluded.append(result.query_id)

@@ -196,20 +196,12 @@ def serialize_image_features(features: ImageFeatures) -> bytes:
         raise DataError(f"dimensionality {d} exceeds format limit")
     header = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, d, m, len(features.boxes))
     rec = np.empty((m, 4 + d), dtype="<f4")
-    rec[:, 0] = features.positions[:, 0]
-    rec[:, 1] = features.positions[:, 1]
+    rec[:, 0:2] = features.positions
     rec[:, 2] = features.scales
     rec[:, 3] = features.attentions
     rec[:, 4:] = features.vectors
-    if features.boxes:
-        brec = np.array(
-            [[b.xmin, b.ymin, b.xmax, b.ymax, b.score] for b in features.boxes],
-            dtype="<f4",
-        )
-        box_bytes = brec.tobytes()
-    else:
-        box_bytes = b""
-    return header + rec.tobytes() + box_bytes
+    boxes = [[b.xmin, b.ymin, b.xmax, b.ymax, b.score] for b in features.boxes]
+    return header + rec.tobytes() + np.array(boxes, dtype="<f4").tobytes()
 
 
 def read_file(path: str | Path, what: str) -> bytes:
@@ -229,7 +221,8 @@ def read_lines(path: str | Path, what: str) -> list[tuple[int, str]]:
         text = data.decode()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{what} {path} is not UTF-8: {exc}") from exc
-    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    # Lines end at "\n" only, not at str.splitlines' \x1c-\x1e, \x85, U+2028/9.
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.split("\n"), start=1))
     return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 

@@ -1,15 +1,14 @@
 """Inverted-file retrieval index over aggregated representations.
 
 Database entries are either whole images, one entry per selected region
-(regional search, scored by max- or average-pooling the per-entry
-kernel against the query), or a single regionally aggregated entry per
-image.  Postings map each visual word to the entries populating it,
-with the per-entry residual payload stored inline.  Scanning only the
-query's words reproduces the exhaustive kernel exactly, because every
-other word contributes zero and the scan applies the kernel's own rule:
-``kernels.word_match_rows`` of each posting list against the query's
-row for that word, the selectivity's C-library ``pow`` and a per-entry
-sum in ascending word order.
+(regional search, scored by max- or average-pooling the per-entry kernel
+against the query), or a single regionally aggregated entry per image.
+The inverted file is one CSR posting table: word ``w``'s postings are
+rows ``word_ptr[w]:word_ptr[w+1]`` of ``entry_ids`` and ``payload``.
+Scanning only the query's words reproduces the exhaustive kernel
+exactly: every other word contributes zero, and the scan applies the
+kernel's own rule (``kernels.word_match_rows``, the selectivity's
+C-library ``pow``, a per-entry sum in ascending word order).
 
 Index files ("DTRI", little-endian, version 1)::
 
@@ -17,16 +16,17 @@ Index files ("DTRI", little-endian, version 1)::
     normalization) | alpha f64 | tau f64 | codebook sha256 (32 bytes) |
     C u32 | D u16 | centroids C*D f32 | strategy string (u16 length +
     utf-8) | n_entries u32 | entries (u16 id length, id utf-8,
-    region_index u16, gamma f64) | n_words u32 | per word: word u32,
-    count u32, count * entry_id u32, count * payload
+    region_index u16, gamma f64) | n_words u32 | per populated word:
+    word u32, count u32, count * entry_id u32, count * payload
 
 The codebook is embedded so a saved index is self-contained; the hash
-identifies which codebook file it came from.  Loading is strict: any
-truncation or trailing bytes, invalid selectivity parameters, an image
-id or region strategy that does not parse, a repeated (image id, region
-index) entry or an image whose entries are not contiguous, a negative or
-non-finite gamma or a non-finite float payload is a format error and
-nothing is returned.
+identifies which codebook file it came from.  Loading is strict:
+truncation, trailing bytes, a count the rest of the file cannot hold,
+invalid selectivity parameters, an image id or region strategy that does
+not parse, a repeated (image id, region index) entry, an image whose
+entries are not contiguous, a negative or non-finite gamma, posting
+words or entry ids out of order or range, and non-finite float payloads
+are format errors.  Posting checks run once over the whole table.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,6 @@ logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"DTRI"
 INDEX_VERSION = 1
-_IDX_HEADER = struct.Struct("<4sHBB")
 
 MODE_CODES = {
     "vlad": 1,
@@ -119,7 +119,10 @@ class RetrievalIndex:
     strategy: str
     entries: list[IndexEntry]
     gammas: np.ndarray  # (n_entries,) float64
-    postings: dict[int, tuple[np.ndarray, np.ndarray]]  # word -> (entry ids u32, payload rows)
+    # Posting table: word w's postings are rows word_ptr[w]:word_ptr[w+1].
+    word_ptr: np.ndarray  # (C+1,) int64, non-decreasing from 0
+    entry_ids: np.ndarray  # (N,) uint32, ascending within a word
+    payload: np.ndarray  # (N, D) float32 rows or (N, ceil(D/8)) packed uint8 signs
     # Derived from ``entries``: image ids in first-seen order, the image of
     # each entry, the first entry of each image, and images by id.
     _image_ids: list[str] = field(init=False, repr=False)
@@ -154,6 +157,19 @@ class RetrievalIndex:
 
     def image_ids(self) -> list[str]:
         return list(self._image_ids)
+
+    @cached_property
+    def postings(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Read-only word -> (entry ids, payload rows) view of the populated
+        words, built once for ``perfbench/spans.py``; ``ramk`` never reads it."""
+        ptr = self.word_ptr.tolist()
+        spans = enumerate(zip(ptr, ptr[1:]))
+        return {w: (self.entry_ids[a:b], self.payload[a:b]) for w, (a, b) in spans if a < b}
+
+
+def _payload_layout(mode: str, dim: int) -> tuple[np.dtype, int]:
+    """Dtype and column count of the payload rows ``mode`` stores."""
+    return (np.dtype(np.uint8), (dim + 7) // 8) if is_binary_mode(mode) else (np.dtype("<f4"), dim)
 
 
 def build_index(
@@ -205,13 +221,8 @@ def build_index(
     all_words = np.concatenate([np.empty(0, dtype=np.int64), *(rep.words for rep in flat)])
     order = np.argsort(all_words, kind="stable")
     counts = [rep.word_count for rep in flat]
-    owner_ids = np.repeat(np.arange(len(entries), dtype=np.uint32), counts)[order]
-    sorted_words = all_words[order]
-    rows = np.concatenate([rep.rows for rep in flat])[order] if flat else None
-    bounds = np.append(np.flatnonzero(np.diff(sorted_words, prepend=-1)), len(order))
-    postings = {
-        int(sorted_words[a]): (owner_ids[a:b], rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-    }
+    dtype, columns = _payload_layout(mode, codebook.dim)
+    word_ptr = np.append(0, np.cumsum(np.bincount(all_words, minlength=codebook.size)))
 
     index = RetrievalIndex(
         mode=mode,
@@ -222,14 +233,16 @@ def build_index(
         strategy=str(strategy),
         entries=entries,
         gammas=np.array([rep.gamma for rep in flat], dtype=np.float64),
-        postings=postings,
+        word_ptr=word_ptr,
+        entry_ids=np.repeat(np.arange(len(entries), dtype=np.uint32), counts)[order],
+        payload=np.concatenate([np.empty((0, columns), dtype), *(rep.rows for rep in flat)])[order],
     )
     logger.info(
         "built %s index: %d images, %d entries, %d populated words",
         mode,
         len(manifest.images),
         index.entry_count,
-        len(postings),
+        np.count_nonzero(np.diff(word_ptr)),
     )
     return index
 
@@ -251,23 +264,22 @@ def entry_scores(index: RetrievalIndex, plain: AggregatedRepresentation) -> np.n
     aggregate, bit for bit what ``kernel_similarity`` (or, for a regional
     mode, ``regional_similarity``) returns for that pair.
 
-    Only the posting lists of the query's words are read.  Their rows are
-    matched word by word in ascending order (one list at a time keeps the
-    float64 copies small), the matches pass through the selectivity once,
-    and ``np.bincount`` sums them per entry, adding each entry's terms in
-    that same word order.
+    Only the postings of the query's words are read.  Their payload rows
+    are matched word by word in ascending order (one contiguous slice at a
+    time keeps the float64 copies small), the matches pass through the
+    selectivity once, and ``np.bincount`` sums them per entry, adding
+    each entry's terms in that same word order.
     """
     regional = is_regional_mode(index.mode)
     q = as_regional_query(plain, index.mode, index.params) if regional else plain
-    hits = [
-        (index.postings[w], row) for w, row in zip(q.words.tolist(), q.rows) if w in index.postings
-    ]
-    ids = np.concatenate([np.empty(0, dtype=np.uint32)] + [ids for (ids, _), _ in hits])
+    mode, dim, entry_ids, payload = index.mode, index.dim, index.entry_ids, index.payload
+    spans = zip(index.word_ptr[q.words].tolist(), index.word_ptr[q.words + 1].tolist(), q.rows)
+    hits = [(a, b, row) for a, b, row in spans if a < b]
+    ids = np.concatenate([np.empty(0, dtype=np.uint32)] + [entry_ids[a:b] for a, b, _ in hits])
     u = np.concatenate(
-        [np.empty(0)]
-        + [word_match_rows(index.mode, rows, vec, index.dim) for (_, rows), vec in hits]
+        [np.empty(0)] + [word_match_rows(mode, payload[a:b], row, dim) for a, b, row in hits]
     )
-    if not is_vlad_family(index.mode):
+    if not is_vlad_family(mode):
         u = _selectivity_rows(u, index.params)
     sums = np.bincount(ids, weights=u, minlength=index.entry_count)
     if regional and not index.normalize_regional:
@@ -320,28 +332,34 @@ def query(
 
 class _Cursor:
     def __init__(self, data: bytes, source: str):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.source = source
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise FormatError(f"{self.source}: truncated index file")
-        out = self.data[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return self.data[self.pos - n : self.pos]
 
     def unpack(self, fmt: struct.Struct) -> tuple:
         return fmt.unpack(self.take(fmt.size))
+
+    def count(self, record_size: int, what: str) -> int:
+        """A u32 count of records of at least ``record_size`` bytes each."""
+        (n,) = self.unpack(_U32)
+        if n * record_size > len(self.data) - self.pos:
+            raise FormatError(f"{self.source}: truncated index file ({n} {what} announced)")
+        return n
 
     def done(self) -> None:
         if self.pos != len(self.data):
             raise FormatError(f"{self.source}: {len(self.data) - self.pos} trailing bytes")
 
 
+_IDX_HEADER = struct.Struct("<4sHBBdd32sIH")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_F64 = struct.Struct("<d")
 _ENTRY_TAIL = struct.Struct("<Hd")
 _WORD_HEAD = struct.Struct("<II")
 _U16_MAX = 0xFFFF
@@ -358,33 +376,29 @@ def _u16_field(value: int, what: str) -> int:
 
 def serialize_index(index: RetrievalIndex) -> bytes:
     flags = FLAG_NORMALIZE_REGIONAL if index.normalize_regional else 0
-    parts = [
-        _IDX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, MODE_CODES[index.mode], flags),
-        _F64.pack(index.params.alpha),
-        _F64.pack(index.params.tau),
-        index.codebook_hash,
-        _U32.pack(index.codebook.size),
-        _U16.pack(_u16_field(index.codebook.dim, "codebook dim")),
-        index.codebook.centroids.astype("<f4").tobytes(),
-    ]
     strat = index.strategy.encode()
-    parts.append(_U16.pack(_u16_field(len(strat), "strategy byte length")))
-    parts.append(strat)
-    parts.append(_U32.pack(index.entry_count))
+    parts = [
+        _IDX_HEADER.pack(
+            INDEX_MAGIC, INDEX_VERSION, MODE_CODES[index.mode], flags, index.params.alpha,
+            index.params.tau, index.codebook_hash, index.codebook.size,
+            _u16_field(index.codebook.dim, "codebook dim"),
+        ),
+        index.codebook.centroids.astype("<f4").tobytes(),
+        _U16.pack(_u16_field(len(strat), "strategy byte length")),
+        strat,
+        _U32.pack(index.entry_count),
+    ]
     for entry, gamma in zip(index.entries, index.gammas):
         ident = entry.image_id.encode()
-        parts.append(_U16.pack(_u16_field(len(ident), "image id byte length")))
-        parts.append(ident)
+        parts += [_U16.pack(_u16_field(len(ident), "image id byte length")), ident]
         parts.append(_ENTRY_TAIL.pack(_u16_field(entry.region_index, "region index"), float(gamma)))
-    parts.append(_U32.pack(len(index.postings)))
-    for word in sorted(index.postings):
-        ids, payload = index.postings[word]
-        parts.append(_WORD_HEAD.pack(word, len(ids)))
-        parts.append(ids.astype("<u4").tobytes())
-        if is_binary_mode(index.mode):
-            parts.append(payload.astype(np.uint8).tobytes())
-        else:
-            parts.append(payload.astype("<f4").tobytes())
+    ids = index.entry_ids.astype("<u4", copy=False)
+    rows = index.payload.astype(_payload_layout(index.mode, index.dim)[0], copy=False)
+    ptr = index.word_ptr.tolist()
+    spans = [(w, a, b) for w, (a, b) in enumerate(zip(ptr, ptr[1:])) if a < b]
+    parts.append(_U32.pack(len(spans)))
+    for w, a, b in spans:
+        parts += [_WORD_HEAD.pack(w, b - a), ids[a:b].tobytes(), rows[a:b].tobytes()]
     return b"".join(parts)
 
 
@@ -394,83 +408,85 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> RetrievalIndex:
     path = Path(path)
-    data = read_file(path, "index")
-    cur = _Cursor(data, str(path))
-    magic, version, mode_code, flags = cur.unpack(_IDX_HEADER)
+    cur = _Cursor(read_file(path, "index"), str(path))
+    magic, version, mode_code, flags, alpha, tau, cb_hash, c, d = cur.unpack(_IDX_HEADER)
     if magic != INDEX_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {INDEX_MAGIC!r}")
     if version != INDEX_VERSION:
         raise FormatError(f"{path}: unsupported index version {version}")
     if mode_code not in CODE_MODES:
         raise FormatError(f"{path}: unknown mode code {mode_code}")
-    mode = CODE_MODES[mode_code]
-    (alpha,) = cur.unpack(_F64)
-    (tau,) = cur.unpack(_F64)
-    cb_hash = cur.take(32)
-    (c,) = cur.unpack(_U32)
-    (d,) = cur.unpack(_U16)
     if c < 1 or d < 1:
         raise FormatError(f"{path}: degenerate codebook dimensions C={c}, D={d}")
+    mode = CODE_MODES[mode_code]
     cents = np.frombuffer(cur.take(c * d * 4), dtype="<f4").reshape(c, d)
-    codebook = Codebook(centroids=np.ascontiguousarray(cents, dtype=np.float32))
-    (strat_len,) = cur.unpack(_U16)
     try:
-        strategy = cur.take(strat_len).decode()
+        strategy = str(cur.take(cur.unpack(_U16)[0]), "utf-8")
         RegionStrategy.parse(strategy)
     except (UnicodeDecodeError, ConfigError) as exc:
         raise FormatError(f"{path}: bad region strategy: {exc}") from exc
-    (n_entries,) = cur.unpack(_U32)
-    entries: list[IndexEntry] = []
+    n_entries = cur.count(_U16.size + _ENTRY_TAIL.size, "entries")
     gammas = np.empty(n_entries, dtype=np.float64)
+    buf, pos = cur.data, cur.pos
+    dtype, columns = _payload_layout(mode, d)
+    row_size = dtype.itemsize * columns
+    entries, heads = [], []
     try:
         for i in range(n_entries):
-            (id_len,) = cur.unpack(_U16)
-            ident = cur.take(id_len).decode()
-            region_index, gamma = cur.unpack(_ENTRY_TAIL)
-            entries.append(IndexEntry(ident, region_index))
-            gammas[i] = gamma
+            (id_len,) = _U16.unpack_from(buf, pos)
+            pos += _U16.size + id_len
+            region_index, gammas[i] = _ENTRY_TAIL.unpack_from(buf, pos)
+            entries.append(IndexEntry(str(buf[pos - id_len : pos], "utf-8"), region_index))
+            pos += _ENTRY_TAIL.size
+        cur.pos = pos  # the last entry's tail was in the file, so pos <= len(buf)
+        n_words, pos = cur.count(_WORD_HEAD.size, "words"), cur.pos
+        for _ in range(n_words):  # headers only; the ids and rows are copied below
+            heads.append((*_WORD_HEAD.unpack_from(buf, pos), pos + _WORD_HEAD.size))
+            pos += _WORD_HEAD.size + heads[-1][1] * (4 + row_size)
+    except struct.error as exc:
+        raise FormatError(f"{path}: truncated index file") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: image id is not UTF-8: {exc}") from exc
+    cur.take(pos - cur.pos)  # a truncation error if the last word's bytes ran short
+    cur.done()
     if not ((gammas >= 0.0) & np.isfinite(gammas)).all():
         raise FormatError(f"{path}: entry gammas must be finite and non-negative")
-    (n_words,) = cur.unpack(_U32)
-    binary = is_binary_mode(mode)
-    width = (d + 7) // 8 if binary else d * 4
-    postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    prev_word = -1
-    for _ in range(n_words):
-        word, count = cur.unpack(_WORD_HEAD)
-        if word <= prev_word:
-            raise FormatError(f"{path}: postings words not strictly ascending")
-        if word >= c:
-            raise FormatError(f"{path}: posting word {word} outside codebook size {c}")
-        prev_word = word
-        ids = np.frombuffer(cur.take(count * 4), dtype="<u4")
-        if count and (np.diff(ids.astype(np.int64)) <= 0).any():
-            raise FormatError(f"{path}: posting entry ids not ascending for word {word}")
-        if count and ids.max(initial=0) >= n_entries:
-            raise FormatError(f"{path}: posting references unknown entry id")
-        raw = cur.take(count * width)
-        if binary:
-            payload = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
-        else:
-            payload = np.frombuffer(raw, dtype="<f4").reshape(count, d)
-            # Checked per posting list: joining them first copies every payload.
-            if not np.isfinite(payload).all():
-                raise FormatError(f"{path}: posting payloads must be finite (word {word})")
-        postings[word] = (np.ascontiguousarray(ids), np.ascontiguousarray(payload))
-    cur.done()
+    words, counts, _ = np.array(heads, dtype=np.int64).reshape(-1, 3).T
+    entry_ids = np.frombuffer(b"".join(buf[at : at + 4 * k] for _, k, at in heads), dtype="<u4")
+    # The rows go straight into NumPy memory: joining them into one bytes
+    # object first made a 35 MB dense load a quarter slower (page faults).
+    payload = np.empty((len(entry_ids), columns), dtype=dtype)
+    rows_out, n = memoryview(payload.view(np.uint8).ravel()), 0
+    for _, count, at in heads:
+        rows_out[n : n + row_size * count] = buf[at + 4 * count : at + (4 + row_size) * count]
+        n += row_size * count
+    if (np.diff(words) <= 0).any():
+        raise FormatError(f"{path}: postings words not strictly ascending")
+    if words.size and words[-1] >= c:
+        raise FormatError(f"{path}: posting word {words[-1]} outside codebook size {c}")
+    posting_words = np.repeat(words, counts)
+    unordered = (np.diff(entry_ids.astype(np.int64)) <= 0) & (np.diff(posting_words) == 0)
+    if unordered.any():
+        word = posting_words[np.argmax(unordered)]
+        raise FormatError(f"{path}: posting entry ids not ascending for word {word}")
+    if (entry_ids >= n_entries).any():
+        raise FormatError(f"{path}: posting references unknown entry id")
+    if not is_binary_mode(mode) and not np.isfinite(payload).all():
+        raise FormatError(f"{path}: posting payloads must be finite")
     try:
         return RetrievalIndex(
             mode=mode,
             params=SelectivityParams(alpha=alpha, tau=tau),
             normalize_regional=bool(flags & FLAG_NORMALIZE_REGIONAL),
-            codebook=codebook,
+            # A copy, so the index keeps no reference to the file's bytes.
+            codebook=Codebook(centroids=cents.astype(np.float32)),
             codebook_hash=cb_hash,
             strategy=strategy,
             entries=entries,
             gammas=gammas,
-            postings=postings,
+            word_ptr=np.append(0, np.cumsum(np.bincount(posting_words, minlength=c))),
+            entry_ids=entry_ids,
+            payload=payload,
         )
     except (ConfigError, DataError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -76,7 +76,7 @@ class RegionStrategy:
     def parse(cls, text: str) -> "RegionStrategy":
         if text == "whole":
             return cls(kind="whole")
-        m = re.fullmatch(r"detector:([0-9.eE+-]+)", text)
+        m = re.fullmatch(r"detector:([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)", text)
         if m:
             t = float(m.group(1))
             if not 0.0 <= t <= 1.0:
@@ -90,10 +90,7 @@ class RegionStrategy:
             return cls(kind="rmac", levels=levels)
         m = re.fullmatch(r"topk:([0-9]+)", text)
         if m:
-            k = int(m.group(1))
-            if k < 0:
-                raise ConfigError("topk count must be >= 0")
-            return cls(kind="topk", k=k)
+            return cls(kind="topk", k=int(m.group(1)))
         raise ConfigError(
             f"cannot parse region strategy {text!r}; expected whole, "
             "detector:<threshold>, rmac:<levels> or topk:<k>"

@@ -149,9 +149,16 @@ class TestManifest:
         assert manifest.entry(rest[0].image_id) is rest[0]
 
     def test_unknown_record_kind_rejected(self, tmp_path):
-        (tmp_path / "m.txt").write_text("dataset:x\ndim:4\nbogus:1\n")
-        with pytest.raises(FormatError, match="unknown record"):
-            load_manifest(tmp_path / "m.txt")
+        # The error cites the line that grep -c counts: lines end at "\n"
+        # only, not at the \x1c or U+2028 that str.splitlines also breaks at.
+        for text, line in [
+            ("dataset:x\ndim:4\nbogus:1\n", 3),
+            ("dataset:d\x1cdim:8\nbogus:1\n", 2),
+            ("dataset:x\u2028\ndim:4\nbogus:1\n", 3),
+        ]:
+            (tmp_path / "m.txt").write_bytes(text.encode())
+            with pytest.raises(FormatError, match=f"m\\.txt:{line}: unknown record kind 'bogus'"):
+                load_manifest(tmp_path / "m.txt")
 
     def test_duplicate_image_id_rejected(self, tmp_path):
         f = make_features(np.random.default_rng(0), 1, 4)
@@ -189,7 +196,8 @@ def _writers():
     index = RetrievalIndex(
         mode="asmk", params=DEFAULT_SELECTIVITY, normalize_regional=True, codebook=codebook,
         codebook_hash=codebook_digest(codebook), strategy="whole", entries=[],
-        gammas=np.zeros(0), postings={},
+        gammas=np.zeros(0), word_ptr=np.zeros(5, dtype=np.int64),
+        entry_ids=np.zeros(0, dtype=np.uint32), payload=np.zeros((0, 3), dtype=np.float32),
     )
     gt = GroundTruth(queries={"q": QueryGroundTruth(frozenset({"a"}), frozenset(), frozenset())})
     manifest = DatasetManifest(name="d", dim=3, images=[ManifestImage("a", "a.dtrf")])

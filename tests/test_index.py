@@ -87,6 +87,19 @@ def corpus(tmp_path_factory):
     return manifest, queries, codebook
 
 
+def dtri_layout(index) -> tuple[int, int, list[tuple[int, int]]]:
+    """Byte offsets in ``serialize_index(index)`` of the n_entries and
+    n_words fields, and the (offset, count) of each word record.  The
+    fixed header before the centroids is 62 bytes."""
+    n_entries_at = 62 + index.codebook.centroids.nbytes + 2 + len(index.strategy.encode())
+    n_words_at = n_entries_at + 4 + sum(12 + len(e.image_id.encode()) for e in index.entries)
+    records, at = [], n_words_at + 4
+    for count in np.diff(index.word_ptr)[np.diff(index.word_ptr) > 0].tolist():
+        records.append((at, count))
+        at += 8 + count * (4 + index.payload[0].nbytes)
+    return n_entries_at, n_words_at, records
+
+
 def exhaustive_ranking(manifest, codebook, mode, strategy, query_features, pooling, normalize=True):
     """Brute force: aggregate every image from its file and score directly."""
     plain_mode = PLAIN_COUNTERPART.get(mode, mode)
@@ -342,7 +355,7 @@ class TestPersistence:
         index = dataclasses.replace(index, entries=[first] + index.entries[1:])
         assert len(serialize_index(index)) > 65535
 
-    @pytest.mark.parametrize("strategy", ["detector:7", "rmac:4", "banana", "\udcff"])
+    @pytest.mark.parametrize("strategy", ["detector:7", "detector:.", "rmac:4", "banana", "\udcff"])
     def test_unparsable_strategy_is_format_error(self, corpus, tmp_path, strategy):
         manifest, _, codebook = corpus
         index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("whole"))
@@ -371,15 +384,56 @@ class TestPersistence:
     def test_non_finite_payload_is_format_error(self, corpus, tmp_path, value):
         manifest, _, codebook = corpus
         index = build_index(manifest, codebook, "r-vlad", RegionStrategy.parse("detector:0.3"))
-        word = sorted(index.postings)[-1]
-        ids, payload = index.postings[word]
-        payload = payload.copy()
+        payload = index.payload.copy()
         payload[-1, -1] = value
-        postings = dict(index.postings)
-        postings[word] = (ids, payload)
-        save_index(dataclasses.replace(index, postings=postings), tmp_path / "payload.dtri")
+        save_index(dataclasses.replace(index, payload=payload), tmp_path / "payload.dtri")
         with pytest.raises(FormatError, match="payloads") as err:
             load_index(tmp_path / "payload.dtri")
+        assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["n_entries", "n_words"])
+    def test_count_beyond_the_file_is_truncated(self, corpus, tmp_path, field):
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"))
+        data = bytearray(serialize_index(index))
+        at = dtri_layout(index)[field]
+        data[at : at + 4] = b"\xff\xff\xff\xff"
+        (tmp_path / "count.dtri").write_bytes(data)
+        with pytest.raises(FormatError, match="truncated") as err:
+            load_index(tmp_path / "count.dtri")
+        assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("word repeats", "not strictly ascending"),
+            ("word outside codebook", "outside codebook size"),
+            ("entry ids descend", "not ascending for word"),
+            ("entry id unknown", "unknown entry id"),
+        ],
+    )
+    def test_bad_posting_is_format_error(self, corpus, tmp_path, defect, message):
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"))
+        data = bytearray(serialize_index(index))
+        records = dtri_layout(index)[2]
+
+        def put(at: int, value: int) -> None:
+            data[at : at + 4] = value.to_bytes(4, "little")
+
+        if defect == "word repeats":  # the first word takes the second word's number
+            put(records[0][0], int.from_bytes(data[records[1][0] : records[1][0] + 4], "little"))
+        elif defect == "word outside codebook":
+            put(records[-1][0], codebook.size)
+        elif defect == "entry ids descend":  # swap the first two ids of a word
+            at = next(at for at, count in records if count >= 2) + 8
+            data[at : at + 8] = data[at + 4 : at + 8] + data[at : at + 4]
+        else:
+            at, count = records[-1]
+            put(at + 8 + 4 * (count - 1), index.entry_count)
+        (tmp_path / "posting.dtri").write_bytes(data)
+        with pytest.raises(FormatError, match=message) as err:
+            load_index(tmp_path / "posting.dtri")
         assert err.value.exit_code == 3
 
     @pytest.mark.parametrize(

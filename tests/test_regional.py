@@ -122,7 +122,8 @@ class TestStrategyParsing:
             assert str(RegionStrategy.parse(text)) == text
 
     def test_bad_strings_rejected(self):
-        for text in ("detector:1.5", "rmac:0", "rmac:4", "grid:1", "topk:-1"):
+        for text in ("detector:1.5", "detector:.", "detector:1e", "rmac:0", "rmac:4", "grid:1",
+                     "topk:-1"):
             with pytest.raises(ConfigError):
                 RegionStrategy.parse(text)
 
