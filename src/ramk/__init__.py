@@ -53,5 +53,5 @@ from .regional import (
     regional_similarity,
     select_regions,
 )
-from .rerank import AffineModel, Correspondence, match_features, ransac_affine, spatial_rerank
+from .rerank import AffineModel, match_features, ransac_affine, spatial_rerank
 from .synthetic import SyntheticConfig, generate_synthetic_dataset

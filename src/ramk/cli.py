@@ -149,7 +149,7 @@ _OPTIONS: dict[str, list[_Opt]] = {
         _Opt("results", str, None, "ranking file from search", required=True),
         _Opt("gt", str, None, "ground-truth file (default: from --manifest)"),
         _Opt("manifest", str, None, "manifest whose groundtruth: entry locates the ground truth"),
-        _Opt("protocol", str, "both", "medium | hard | both"),
+        _Opt("protocol", str, "both", "medium | hard | both", choices=[*PROTOCOLS, "both"]),
         _Opt("out", str, None, "output metrics file", required=True),
     ],
     "analyze-relevance": _COMMON
@@ -439,12 +439,7 @@ def _cmd_evaluate(cfg: dict) -> None:
             raise DataError(f"manifest {cfg['manifest']} declares no ground truth")
         gt_path = str(manifest.root / manifest.groundtruth_path)
     gt = load_ground_truth(gt_path)
-    if cfg["protocol"] == "both":
-        protocols = list(PROTOCOLS)
-    elif cfg["protocol"] in PROTOCOLS:
-        protocols = [cfg["protocol"]]
-    else:
-        raise ConfigError(f"--protocol must be medium, hard or both, got {cfg['protocol']!r}")
+    protocols = list(PROTOCOLS) if cfg["protocol"] == "both" else [cfg["protocol"]]
     body_lines = []
     for protocol in protocols:
         metrics = evaluate(results, gt, protocol)

@@ -171,6 +171,8 @@ def train_codebook(
         raise TrainingError("training descriptors contain non-finite values")
     if c < 1:
         raise TrainingError("codebook size must be >= 1")
+    if max_iters < 1:
+        raise TrainingError("max_iters must be >= 1")
     distinct = np.unique(points, axis=0).shape[0]
     if distinct < c:
         raise TrainingError(f"need at least {c} distinct descriptors, found {distinct}")

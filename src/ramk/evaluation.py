@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .features_io import GroundTruth, ImageFeatures
 from .index import RankedResult
+from .regional import assign_to_region
 from .rerank import match_features, ransac_affine
 
 logger = logging.getLogger(__name__)
@@ -209,25 +210,22 @@ def analyze_relevance(
     edge_array = np.asarray(edges)
     for pair_index, (first, second) in enumerate(pairs):
         matches = match_features(first, second, max_distance)
-        model, inliers = ransac_affine(
-            matches, iterations=iterations, inlier_tol=inlier_tol, seed=seed + pair_index
+        _, inliers = ransac_affine(
+            first.positions[matches[:, 0]].astype(np.float64),
+            second.positions[matches[:, 1]].astype(np.float64),
+            iterations=iterations,
+            inlier_tol=inlier_tol,
+            seed=seed + pair_index,
         )
         relevant = np.zeros(first.count, dtype=bool)
-        if model is not None:
-            relevant[[matches[i].query_index for i in inliers]] = True
+        relevant[matches[inliers, 0]] = True
         att = first.attentions.astype(np.float64)
         keep = ~((att < edges[0]) | (att > edges[-1]))
         # The top edge closes the last bin.
         b = np.minimum(np.searchsorted(edge_array, att, side="right") - 1, n_bins - 1)
-        x = first.positions[:, 0, None].astype(np.float64)
-        y = first.positions[:, 1, None].astype(np.float64)
-        box = np.array(
-            [(r.xmin, r.ymin, r.xmax, r.ymax) for r in first.boxes], dtype=np.float64
-        ).reshape(-1, 4)
-        # Closed on the min edges, open on the max edges, as RegionBox.contains.
-        inside = (
-            (box[:, 0] <= x) & (x < box[:, 2]) & (box[:, 1] <= y) & (y < box[:, 3])
-        ).any(axis=1)
+        inside = np.zeros(first.count, dtype=bool)
+        for box in first.boxes:
+            inside[assign_to_region(first, box)] = True
         for tot, rel, where in (
             (inside_tot, inside_rel, keep & inside),
             (outside_tot, outside_rel, keep & ~inside),

@@ -473,6 +473,8 @@ def load_index(path: str | Path) -> RetrievalIndex:
         raise FormatError(f"{path}: posting references unknown entry id")
     if not is_binary_mode(mode) and not np.isfinite(payload).all():
         raise FormatError(f"{path}: posting payloads must be finite")
+    if is_binary_mode(mode) and d % 8 and (payload[:, -1] >> (d % 8)).any():
+        raise FormatError(f"{path}: packed posting rows set padding bits past D={d}")
     try:
         return RetrievalIndex(
             mode=mode,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, WordPartition, partition
+from .codebook import Codebook, partition
 from .errors import ConfigError, DataError
 from .features_io import ImageFeatures, RegionBox, whole_image_box
 from .kernels import (
@@ -170,12 +170,13 @@ def select_regions(features: ImageFeatures, strategy: RegionStrategy) -> RegionS
 def assign_to_region(features: ImageFeatures, box: RegionBox) -> np.ndarray:
     """Indices of descriptors whose center lies in the box.
 
-    Closed on the min edges, open on the max edges.
+    Closed on the min edges, open on the max edges, compared in float64
+    as ``RegionBox.contains`` does.
     """
     if features.count == 0:
         return np.empty(0, dtype=np.int64)
-    x = features.positions[:, 0]
-    y = features.positions[:, 1]
+    x = features.positions[:, 0].astype(np.float64)
+    y = features.positions[:, 1].astype(np.float64)
     mask = (x >= box.xmin) & (x < box.xmax) & (y >= box.ymin) & (y < box.ymax)
     return np.flatnonzero(mask)
 
@@ -196,15 +197,13 @@ def region_aggregates(
     codebook: Codebook,
     mode: str,
     params: SelectivityParams = DEFAULT_SELECTIVITY,
-    part: WordPartition | None = None,
 ) -> list[AggregatedRepresentation]:
     """Plain ``mode`` aggregate of every region, in region order.
 
     Descriptors are quantized once for the image and shared across
     regions.
     """
-    if part is None:
-        part = partition(codebook, features)
+    part = partition(codebook, features)
     return [
         aggregate(part.subset(region_descriptor_indices(features, regions, r)), codebook, mode, params)
         for r in range(regions.count)
@@ -217,7 +216,6 @@ def aggregate_regional(
     codebook: Codebook,
     mode: str,
     params: SelectivityParams = DEFAULT_SELECTIVITY,
-    part: WordPartition | None = None,
 ) -> AggregatedRepresentation:
     """Fold all regions of an image into one per-word representation.
 
@@ -233,7 +231,7 @@ def aggregate_regional(
     base_mode = MODE_ASMK if mode == MODE_R_ASMK_STAR else PLAIN_COUNTERPART[mode]
     words = [np.empty(0, dtype=np.int64)]
     rows = [np.empty((0, codebook.dim))]
-    for rep in region_aggregates(features, regions, codebook, base_mode, params, part):
+    for rep in region_aggregates(features, regions, codebook, base_mode, params):
         if rep.gamma != 0.0:
             words.append(rep.words)
             rows.append(rep.gamma * rep.rows.astype(np.float64))

@@ -3,8 +3,10 @@
 Candidates from the filtering stage are re-scored by the number of
 geometrically consistent feature correspondences.  Matching is
 threshold-filtered nearest neighbor in descriptor space (no ratio
-test); the geometric model is a full 2-D affine map estimated from
-3-point samples and refined by least squares on the best inlier set.
+test) and yields a ``(k, 2)`` array of (query, candidate) descriptor
+index pairs; the geometric model is a full 2-D affine map estimated
+from 3-point samples of the matched position arrays and refined by
+least squares on the best inlier set.
 """
 
 from __future__ import annotations
@@ -33,17 +35,6 @@ _SCORE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """One matched feature pair, carrying the matched pixel coordinates."""
-
-    query_index: int
-    candidate_index: int
-    distance: float
-    query_xy: tuple[float, float]
-    candidate_xy: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class AffineModel:
     """x' = A x + t with a non-degenerate 2x2 linear part."""
 
@@ -60,35 +51,23 @@ class AffineModel:
 
 def match_features(
     query: ImageFeatures, candidate: ImageFeatures, max_distance: float = math.inf
-) -> list[Correspondence]:
+) -> np.ndarray:
     """Nearest candidate descriptor for each query descriptor, kept when
-    the Euclidean distance is within ``max_distance``.  Several query
-    descriptors may map to the same candidate descriptor."""
+    the Euclidean distance is within ``max_distance``.
+
+    Returns a ``(k, 2)`` int64 array of (query index, candidate index)
+    rows in ascending query order; several query descriptors may map to
+    the same candidate descriptor.
+    """
     if query.count == 0 or candidate.count == 0:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     if query.dim != candidate.dim:
         raise DimensionError(f"descriptor dimensions differ: {query.dim} vs {candidate.dim}")
     nearest, d2 = _nearest(
         query.vectors.astype(np.float64), candidate.vectors.astype(np.float64)
     )
-    dists = np.sqrt(d2)
-    out = []
-    for qi in range(query.count):
-        if dists[qi] <= max_distance:
-            ci = int(nearest[qi])
-            out.append(
-                Correspondence(
-                    query_index=qi,
-                    candidate_index=ci,
-                    distance=float(dists[qi]),
-                    query_xy=(float(query.positions[qi, 0]), float(query.positions[qi, 1])),
-                    candidate_xy=(
-                        float(candidate.positions[ci, 0]),
-                        float(candidate.positions[ci, 1]),
-                    ),
-                )
-            )
-    return out
+    kept = np.flatnonzero(np.sqrt(d2) <= max_distance)
+    return np.stack([kept, nearest[kept]], axis=1)
 
 
 def _solve_affine(src: np.ndarray, dst: np.ndarray) -> AffineModel | None:
@@ -138,12 +117,15 @@ def _sample_models(
 
 
 def ransac_affine(
-    correspondences: list[Correspondence],
+    src: np.ndarray,
+    dst: np.ndarray,
     iterations: int = 1000,
     inlier_tol: float = 3.0,
     seed: int = 0,
 ) -> tuple[AffineModel | None, np.ndarray]:
-    """Estimate an affine map from noisy correspondences.
+    """Estimate an affine map ``dst ~ A src + t`` from noisy matched
+    points, given as two ``(k, 2)`` float64 arrays with row i of each
+    forming one correspondence.
 
     All ``iterations`` samples of 3 correspondences are drawn first, one
     ``choice`` call each in iteration order; samples with collinear query
@@ -153,12 +135,10 @@ def ransac_affine(
     its inliers.  Returns (None, empty) when fewer than 3 correspondences
     exist or no model reaches 3 inliers.  Deterministic for a fixed seed.
     """
-    n = len(correspondences)
+    n = src.shape[0]
     empty = np.empty(0, dtype=np.int64)
     if n < 3:
         return None, empty
-    src = np.array([c.query_xy for c in correspondences], dtype=np.float64)
-    dst = np.array([c.candidate_xy for c in correspondences], dtype=np.float64)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     picks = np.array(
@@ -252,9 +232,10 @@ def spatial_rerank(
         candidate = corpus(image_id)
         if candidate is None:
             return 0, True
-        matches = match_features(query_features, candidate, max_distance)
+        pairs = match_features(query_features, candidate, max_distance)
         _, inliers = ransac_affine(
-            matches,
+            query_features.positions[pairs[:, 0]].astype(np.float64),
+            candidate.positions[pairs[:, 1]].astype(np.float64),
             iterations=iterations,
             inlier_tol=tol,
             seed=int(seeds[pos].generate_state(1)[0]),

@@ -34,7 +34,7 @@ from ramk.regional import (
     regional_similarity,
     select_regions,
 )
-from ramk.rerank import Correspondence, ransac_affine
+from ramk.rerank import ransac_affine
 from ramk.synthetic import SyntheticConfig, generate_synthetic_dataset
 
 from conftest import make_codebook, make_features, random_boxes
@@ -329,15 +329,12 @@ def test_criterion_09_ransac_recovery():
         dst = src @ matrix.T + t
         dst[:n_in] += rng.normal(0, 0.5, size=(n_in, 2))
         dst[n_in:] = rng.uniform(-200, 900, size=(n_out, 2))
-        corr = [
-            Correspondence(i, i, 0.0, (float(src[i, 0]), float(src[i, 1])), (float(dst[i, 0]), float(dst[i, 1])))
-            for i in range(n_in + n_out)
-        ]
-        _, inliers = ransac_affine(corr, iterations=1000, inlier_tol=3.0, seed=seed)
+        _, inliers = ransac_affine(src, dst, iterations=1000, inlier_tol=3.0, seed=seed)
         if np.intersect1d(inliers, np.arange(n_in)).size >= math.ceil(0.95 * n_in):
             successes += 1
     model, inliers = ransac_affine(
-        [Correspondence(0, 0, 0.0, (0.0, 0.0), (1.0, 1.0)), Correspondence(1, 1, 0.0, (5.0, 0.0), (6.0, 1.0))],
+        np.array([[0.0, 0.0], [5.0, 0.0]]),
+        np.array([[1.0, 1.0], [6.0, 1.0]]),
         iterations=10,
         inlier_tol=1.0,
         seed=0,

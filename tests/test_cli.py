@@ -58,6 +58,24 @@ class TestExitCodes:
     def test_missing_required_flag_is_config_error(self):
         assert run("train-codebook", "--manifest", "x.txt") == 2
 
+    @pytest.mark.parametrize("flags", [("--c", "0"), ("--c", "8", "--max-iters", "0")])
+    def test_zero_training_size_is_data_error(self, pipeline, tmp_path, flags):
+        root, data, cb = pipeline
+        assert run("train-codebook", "--manifest", str(data / "manifest.txt"), *flags,
+                   "--out", str(tmp_path / "cb.dtrc")) == 3
+        assert not (tmp_path / "cb.dtrc").exists()
+
+    def test_unknown_protocol_flag_is_config_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            run("evaluate", "--results", "r.txt", "--protocol", "easy", "--out", str(tmp_path / "m"))
+        assert exit_.value.code == 2
+
+    def test_unknown_protocol_in_config_is_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("protocol:easy\n")
+        assert run("evaluate", "--config", str(cfg), "--results", str(tmp_path / "r.txt"),
+                   "--out", str(tmp_path / "m")) == 2
+
     def test_non_integer_manifest_width_is_data_error(self, tmp_path):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("dataset:d\ndim:8\nimage id:a path:a.dtrf width:wide height:480\n")

@@ -206,8 +206,13 @@ def oracle_relevance_counts(pairs, edges, inlier_tol, seed):
     counts = np.zeros((4, n_bins), dtype=np.int64)
     for pair_index, (first, second) in enumerate(pairs):
         matches = match_features(first, second)
-        model, inliers = ransac_affine(matches, inlier_tol=inlier_tol, seed=seed + pair_index)
-        relevant = {matches[i].query_index for i in inliers} if model is not None else set()
+        model, inliers = ransac_affine(
+            np.array([first.positions[qi] for qi, _ in matches], dtype=np.float64).reshape(-1, 2),
+            np.array([second.positions[ci] for _, ci in matches], dtype=np.float64).reshape(-1, 2),
+            inlier_tol=inlier_tol,
+            seed=seed + pair_index,
+        )
+        relevant = {int(matches[i, 0]) for i in inliers} if model is not None else set()
         for fi in range(first.count):
             att = float(first.attentions[fi])
             if att < edges[0] or att > edges[-1]:

@@ -410,6 +410,7 @@ class TestPersistence:
             ("word outside codebook", "outside codebook size"),
             ("entry ids descend", "not ascending for word"),
             ("entry id unknown", "unknown entry id"),
+            ("padding bits set", "padding bits"),
         ],
     )
     def test_bad_posting_is_format_error(self, corpus, tmp_path, defect, message):
@@ -428,9 +429,22 @@ class TestPersistence:
         elif defect == "entry ids descend":  # swap the first two ids of a word
             at = next(at for at, count in records if count >= 2) + 8
             data[at : at + 8] = data[at + 4 : at + 8] + data[at : at + 4]
-        else:
+        elif defect == "entry id unknown":
             at, count = records[-1]
             put(at + 8 + 4 * (count - 1), index.entry_count)
+        else:  # asmk-star at D=12: each packed row gains a byte for dims 8-11
+            star = build_index(manifest, codebook, "asmk-star", RegionStrategy.parse("detector:0.3"))
+            wide = dataclasses.replace(
+                star, codebook=Codebook(centroids=np.pad(codebook.centroids, ((0, 0), (0, 4))))
+            )
+
+            def with_last_byte(value: int) -> bytes:
+                rows = np.pad(star.payload, ((0, 0), (0, 1)), constant_values=value)
+                return serialize_index(dataclasses.replace(wide, payload=rows))
+
+            (tmp_path / "clean.dtri").write_bytes(with_last_byte(0x05))
+            assert load_index(tmp_path / "clean.dtri").payload.shape[1] == 2
+            data = with_last_byte(0xF5)  # the 4 bits past D set
         (tmp_path / "posting.dtri").write_bytes(data)
         with pytest.raises(FormatError, match=message) as err:
             load_index(tmp_path / "posting.dtri")

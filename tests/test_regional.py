@@ -198,6 +198,21 @@ class TestAssignToRegion:
         idx = assign_to_region(f, box)
         np.testing.assert_array_equal(idx, [0])  # corner in, max edge out
 
+    # Edges one float64 step above the float32 point 0.1: float32 cannot
+    # hold them, so comparing in float32 would round each onto the point.
+    @pytest.mark.parametrize("edge", ["xmin", "xmax", "ymin", "ymax"])
+    def test_edge_between_float32_values_agrees_with_contains(self, edge):
+        f = make_features(np.random.default_rng(7), 1, 4)
+        p = np.float32(0.1)
+        f.positions[0] = [p, p]
+        above = float(np.nextafter(np.float64(p), 1.0))
+        assert np.float32(above) == p
+        sides = {"xmin": 0.0, "ymin": 0.0, "xmax": 1.0, "ymax": 1.0, edge: above}
+        box = RegionBox(sides["xmin"], sides["ymin"], sides["xmax"], sides["ymax"], 1.0)
+        inside = box.contains(float(p), float(p))
+        assert inside == edge.endswith("max")
+        assert assign_to_region(f, box).tolist() == ([0] if inside else [])
+
     def test_whole_box_contains_interior_descriptors(self):
         f = make_features(np.random.default_rng(8), 50, 4)
         box = RegionBox(0.0, 0.0, 64.0, 48.0, 1.0)

@@ -23,7 +23,6 @@ from ramk.rerank import (
     _MIN_DET,
     _SCORE_CELLS,
     AffineModel,
-    Correspondence,
     default_inlier_tol,
     match_features,
     ransac_affine,
@@ -49,8 +48,9 @@ def features_from(vectors: np.ndarray, positions: np.ndarray, image_id: str = "i
 
 def planted_correspondences(
     rng: np.random.Generator, n_inliers: int, n_outliers: int, noise: float = 0.5
-) -> tuple[list[Correspondence], AffineModel, int]:
-    """Correspondences following a random affine map plus uniform outliers."""
+) -> tuple[tuple[np.ndarray, np.ndarray], AffineModel, int]:
+    """Matched (src, dst) points following a random affine map plus
+    uniform outliers."""
     matrix = np.array([[1.2, 0.3], [-0.2, 0.9]])
     t = np.array([40.0, -25.0])
     model = AffineModel(matrix=matrix, translation=t)
@@ -58,11 +58,7 @@ def planted_correspondences(
     dst = src @ matrix.T + t
     dst[:n_inliers] += rng.normal(0, noise, size=(n_inliers, 2))
     dst[n_inliers:] = rng.uniform(-200, 900, size=(n_outliers, 2))
-    corr = [
-        Correspondence(i, i, 0.0, (float(src[i, 0]), float(src[i, 1])), (float(dst[i, 0]), float(dst[i, 1])))
-        for i in range(src.shape[0])
-    ]
-    return corr, model, n_inliers
+    return (src, dst), model, n_inliers
 
 
 def oracle_solve(src: np.ndarray, dst: np.ndarray) -> AffineModel | None:
@@ -75,13 +71,13 @@ def oracle_solve(src: np.ndarray, dst: np.ndarray) -> AffineModel | None:
 
 
 def oracle_ransac(corr, iterations, inlier_tol, seed):
-    """Per-iteration RANSAC; returns (model, inliers, winning sample or None)."""
+    """Per-iteration RANSAC over matched ``corr = (src, dst)`` points;
+    returns (model, inliers, winning sample or None)."""
     empty = np.empty(0, dtype=np.int64)
-    n = len(corr)
+    src, dst = corr
+    n = src.shape[0]
     if n < 3:
         return None, empty, None
-    src = np.array([c.query_xy for c in corr], dtype=np.float64)
-    dst = np.array([c.candidate_xy for c in corr], dtype=np.float64)
     spread = (src[:, 0].max() - src[:, 0].min()) * (src[:, 1].max() - src[:, 1].min())
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     best_count, best_mask, best_pick = 0, None, None
@@ -110,13 +106,6 @@ def oracle_ransac(corr, iterations, inlier_tol, seed):
     return refit, inliers, best_pick
 
 
-def correspondences_from(src: np.ndarray, dst: np.ndarray) -> list[Correspondence]:
-    return [
-        Correspondence(i, i, 0.0, (float(s[0]), float(s[1])), (float(d[0]), float(d[1])))
-        for i, (s, d) in enumerate(zip(src, dst))
-    ]
-
-
 def assert_same_result(got, want) -> None:
     (model, inliers), (want_model, want_inliers) = got, want[:2]
     np.testing.assert_array_equal(inliers, want_inliers)
@@ -135,15 +124,15 @@ def _oracle_case(name: str, n: int, seed: int):
     src = rng.uniform(0, 500, size=(n, 2)).astype(np.float32).astype(np.float64)
     if name == "collinear":
         src[:, 1] = 0.5 * src[:, 0] + 7.0
-        return correspondences_from(src, src * 1.5 + 3.0)
+        return src, src * 1.5 + 3.0
     if name == "collapsed":  # most points map to one spot: singular models
         dst = src @ np.array([[0.9, 0.2], [-0.1, 1.1]]).T + 5.0
         dst[: (3 * n) // 5] = [250.0, 250.0]
-        return correspondences_from(src, dst)
+        return src, dst
     # duplicated: every point appears twice, half of them as outliers
     dst = src @ np.array([[0.9, 0.2], [-0.1, 1.1]]).T + 5.0
     dst[n // 4 :] = rng.uniform(0, 600, size=(n - n // 4, 2))
-    return correspondences_from(np.concatenate([src, src]), np.concatenate([dst, dst]))
+    return np.concatenate([src, src]), np.concatenate([dst, dst])
 
 
 ORACLE_CASES = (
@@ -161,19 +150,19 @@ class TestMatchFeatures:
     def test_identical_sets_all_zero_distance(self):
         f = make_features(np.random.default_rng(0), 15, 8)
         matches = match_features(f, f, max_distance=1.0)
-        assert len(matches) == 15
-        assert all(m.distance == 0.0 and m.query_index == m.candidate_index for m in matches)
+        assert matches.shape == (15, 2) and matches.dtype == np.int64
+        np.testing.assert_array_equal(matches, np.stack([np.arange(15)] * 2, axis=1))
 
     def test_beyond_threshold_empty(self):
         a = features_from(np.eye(4)[:2] * 10, np.zeros((2, 2)))
         b = features_from(np.eye(4)[2:] * 10, np.zeros((2, 2)))
-        assert match_features(a, b, max_distance=1.0) == []
+        assert match_features(a, b, max_distance=1.0).shape == (0, 2)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
         q = make_features(rng, 30, 6)
         c = make_features(rng, 40, 6)
-        got = {m.query_index: m.candidate_index for m in match_features(q, c)}
+        got = dict(match_features(q, c).tolist())
         for qi in range(q.count):
             dists = [
                 float(np.sum((q.vectors[qi].astype(np.float64) - c.vectors[ci].astype(np.float64)) ** 2))
@@ -193,31 +182,25 @@ class TestMatchFeatures:
         d2 = cdist(q.vectors.astype(np.float64), c.vectors.astype(np.float64), metric="sqeuclidean")
         nearest = np.argmin(d2, axis=1)
         dists = np.sqrt(d2[np.arange(q.count), nearest])
-        want = [
-            (qi, int(nearest[qi]), float(dists[qi]))
-            for qi in range(q.count)
-            if dists[qi] <= max_distance
-        ]
-        got = [
-            (m.query_index, m.candidate_index, m.distance)
-            for m in match_features(q, c, max_distance=max_distance)
-        ]
-        assert got == want
-        assert [ci for _, ci, _ in got[:10]] == list(range(10))  # ties to the lowest index
+        want = [[qi, int(nearest[qi])] for qi in range(q.count) if dists[qi] <= max_distance]
+        got = match_features(q, c, max_distance=max_distance)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert got[:10, 1].tolist() == list(range(10))  # ties to the lowest index
 
     def test_empty_inputs(self):
         rng = np.random.default_rng(2)
         full = make_features(rng, 5, 4)
         empty = make_features(rng, 0, 4)
-        assert match_features(empty, full) == []
-        assert match_features(full, empty) == []
+        for got in (match_features(empty, full), match_features(full, empty)):
+            assert got.shape == (0, 2) and got.dtype == np.int64
 
 
 class TestRansacAffine:
     def test_exact_affine_no_outliers(self):
         rng = np.random.default_rng(3)
         corr, model, n_in = planted_correspondences(rng, 40, 0, noise=0.0)
-        got, inliers = ransac_affine(corr, iterations=200, inlier_tol=1e-3, seed=0)
+        got, inliers = ransac_affine(*corr, iterations=200, inlier_tol=1e-3, seed=0)
         assert inliers.size == 40
         np.testing.assert_allclose(got.matrix, model.matrix, atol=1e-6)
         np.testing.assert_allclose(got.translation, model.translation, atol=1e-6)
@@ -225,16 +208,12 @@ class TestRansacAffine:
     def test_fewer_than_three_matches_none(self):
         rng = np.random.default_rng(4)
         corr, _, _ = planted_correspondences(rng, 2, 0)
-        model, inliers = ransac_affine(corr, iterations=100, inlier_tol=3.0, seed=0)
+        model, inliers = ransac_affine(*corr, iterations=100, inlier_tol=3.0, seed=0)
         assert model is None and inliers.size == 0
 
     def test_collinear_points_give_none(self):
         src = np.stack([np.linspace(0, 100, 10), np.linspace(0, 100, 10)], axis=1)
-        corr = [
-            Correspondence(i, i, 0.0, (float(x), float(y)), (float(x), float(y)))
-            for i, (x, y) in enumerate(src)
-        ]
-        model, inliers = ransac_affine(corr, iterations=200, inlier_tol=1.0, seed=1)
+        model, inliers = ransac_affine(src, src, iterations=200, inlier_tol=1.0, seed=1)
         assert model is None
 
     def test_planted_model_with_outliers_small(self):
@@ -242,7 +221,7 @@ class TestRansacAffine:
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             corr, _, n_in = planted_correspondences(rng, 70, 30)
-            _, inliers = ransac_affine(corr, iterations=1000, inlier_tol=3.0, seed=seed)
+            _, inliers = ransac_affine(*corr, iterations=1000, inlier_tol=3.0, seed=seed)
             true_found = np.intersect1d(inliers, np.arange(n_in)).size
             hits += true_found >= 0.95 * n_in
         assert hits >= 19
@@ -250,9 +229,8 @@ class TestRansacAffine:
     def test_returned_inliers_satisfy_tolerance(self):
         rng = np.random.default_rng(5)
         corr, _, _ = planted_correspondences(rng, 50, 20)
-        model, inliers = ransac_affine(corr, iterations=500, inlier_tol=3.0, seed=2)
-        src = np.array([c.query_xy for c in corr])
-        dst = np.array([c.candidate_xy for c in corr])
+        model, inliers = ransac_affine(*corr, iterations=500, inlier_tol=3.0, seed=2)
+        src, dst = corr
         err = np.linalg.norm(model.apply(src) - dst, axis=1)
         assert (err[inliers] <= 3.0).all()
 
@@ -261,7 +239,7 @@ class TestRansacAffine:
         corr = _oracle_case(name, n, seed)
         tol = 3.0 if name != "collinear" else 1.0
         for ransac_seed in (seed, seed + 1):
-            got = ransac_affine(corr, iterations=iterations, inlier_tol=tol, seed=ransac_seed)
+            got = ransac_affine(*corr, iterations=iterations, inlier_tol=tol, seed=ransac_seed)
             assert_same_result(got, oracle_ransac(corr, iterations, tol, ransac_seed))
 
     def test_degenerate_refit_falls_back_to_winning_sample(self, monkeypatch):
@@ -275,7 +253,7 @@ class TestRansacAffine:
         src[:3] = [[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]]
         dst = src @ np.array([[1.2, 0.3], [-0.2, 0.9]]).T + [40.0, -25.0]
         dst[n // 2 :] = rng.uniform(0, 600, size=(n - n // 2, 2))
-        corr = correspondences_from(src, dst)
+        corr = (src, dst)
         want_model, _, pick = oracle_ransac(corr, 1000, 2.0, 3)
         assert want_model is not None and pick is not None
 
@@ -283,7 +261,7 @@ class TestRansacAffine:
         monkeypatch.setattr(
             rerank, "_solve_affine", lambda s, d: None if s.shape[0] > 3 else solve(s, d)
         )
-        model, inliers = ransac_affine(corr, iterations=1000, inlier_tol=2.0, seed=3)
+        model, inliers = ransac_affine(*corr, iterations=1000, inlier_tol=2.0, seed=3)
         exact = oracle_solve(src[pick], dst[pick])
         assert model.matrix.tobytes() == exact.matrix.tobytes()
         assert model.translation.tobytes() == exact.translation.tobytes()
@@ -293,8 +271,8 @@ class TestRansacAffine:
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(6)
         corr, _, _ = planted_correspondences(rng, 50, 30)
-        a = ransac_affine(corr, iterations=300, inlier_tol=3.0, seed=9)
-        b = ransac_affine(corr, iterations=300, inlier_tol=3.0, seed=9)
+        a = ransac_affine(*corr, iterations=300, inlier_tol=3.0, seed=9)
+        b = ransac_affine(*corr, iterations=300, inlier_tol=3.0, seed=9)
         np.testing.assert_array_equal(a[1], b[1])
         np.testing.assert_array_equal(a[0].matrix, b[0].matrix)
 
