@@ -223,6 +223,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             value = opt.default
         if value is None and opt.required:
             raise ConfigError(f"missing required option --{opt.name}")
+        if value is not None and (opt.type is int and value < 0 or opt.type is float and math.isnan(value)):
+            raise ConfigError(f"--{opt.name} must be {'>= 0' if opt.type is int else 'a number'}, got {value}")
         if opt.choices and value is not None and value not in opt.choices:
             raise ConfigError(f"--{opt.name} must be one of {opt.choices}, got {value!r}")
         resolved[opt.name] = value

@@ -199,7 +199,7 @@ def analyze_relevance(
     with no model contribute all their features as non-relevant.
     """
     edges = [float(e) for e in bins]
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ConfigError("bins must be at least two strictly increasing edges")
     n_bins = len(edges) - 1
     inside_rel = np.zeros(n_bins, dtype=np.int64)

@@ -7,8 +7,8 @@ The inverted file is one CSR posting table: word ``w``'s postings are
 rows ``word_ptr[w]:word_ptr[w+1]`` of ``entry_ids`` and ``payload``.
 Scanning only the query's words reproduces the exhaustive kernel
 exactly: every other word contributes zero, and the scan applies the
-kernel's own rule (``kernels.word_match_rows``, the selectivity's
-C-library ``pow``, a per-entry sum in ascending word order).
+kernel's own rule (``kernels.word_match_rows``, then
+``kernels._match_totals`` per entry, in ascending word order).
 
 Index files ("DTRI", little-endian, version 1)::
 
@@ -54,12 +54,11 @@ from .kernels import (
     DEFAULT_SELECTIVITY,
     PLAIN_COUNTERPART,
     SelectivityParams,
-    _selectivity_rows,
+    _match_totals,
     aggregate,
     check_mode,
     is_binary_mode,
     is_regional_mode,
-    is_vlad_family,
     word_match_rows,
 )
 from .regional import (
@@ -247,16 +246,11 @@ def build_index(
     return index
 
 
-def query_representation(
-    index: RetrievalIndex,
-    features: ImageFeatures,
-    params: SelectivityParams | None = None,
-) -> AggregatedRepresentation:
+def query_representation(index: RetrievalIndex, features: ImageFeatures) -> AggregatedRepresentation:
     """Plain whole-image aggregate of the query in the index's query-side mode."""
-    params = params or index.params
     mode = PLAIN_COUNTERPART.get(index.mode, index.mode)
     part = partition(index.codebook, features)
-    return aggregate(part, index.codebook, mode, params)
+    return aggregate(part, index.codebook, mode, index.params)
 
 
 def entry_scores(index: RetrievalIndex, plain: AggregatedRepresentation) -> np.ndarray:
@@ -266,9 +260,9 @@ def entry_scores(index: RetrievalIndex, plain: AggregatedRepresentation) -> np.n
 
     Only the postings of the query's words are read.  Their payload rows
     are matched word by word in ascending order (one contiguous slice at a
-    time keeps the float64 copies small), the matches pass through the
-    selectivity once, and ``np.bincount`` sums them per entry, adding
-    each entry's terms in that same word order.
+    time keeps the float64 copies small), and ``kernels._match_totals``
+    totals them per entry, adding each entry's terms in that same word
+    order.
     """
     regional = is_regional_mode(index.mode)
     q = as_regional_query(plain, index.mode, index.params) if regional else plain
@@ -279,9 +273,7 @@ def entry_scores(index: RetrievalIndex, plain: AggregatedRepresentation) -> np.n
     u = np.concatenate(
         [np.empty(0)] + [word_match_rows(mode, payload[a:b], row, dim) for a, b, row in hits]
     )
-    if not is_vlad_family(mode):
-        u = _selectivity_rows(u, index.params)
-    sums = np.bincount(ids, weights=u, minlength=index.entry_count)
+    sums = _match_totals(mode, u, index.params, ids, index.entry_count)
     if regional and not index.normalize_regional:
         return sums
     return q.gamma * index.gammas * sums

@@ -30,12 +30,13 @@ the plain and the regional modes alike: ``aggregate`` feeds it the
 per-word residual sums of one descriptor set, and ``ramk.regional``
 feeds it the gamma-weighted sums of per-region aggregates.
 
-``_match_total`` is the one match rule: ``word_match_rows`` pairs rows
-up, the selectivity applies to each match, and the matches add up in
+``_match_totals`` is the one match rule: the selectivity applies to
+each raw match of ``word_match_rows`` (none for the vlad family), and
+``np.bincount`` adds the matches of each total one after another, in
 ascending word order.  The self-match gives gamma, the words two
 aggregates share (``np.intersect1d``) give their kernel, and the
-inverted file in ``ramk.index`` applies the same row match and
-selectivity to its posting lists.
+inverted file in ``ramk.index`` totals its posting matches per entry
+through the same function.
 """
 
 from __future__ import annotations
@@ -178,34 +179,32 @@ def word_match_rows(mode: str, a: np.ndarray, b: np.ndarray, dim: int) -> np.nda
     return np.matmul(a.astype(np.float64)[:, None, :], b64[..., None])[:, 0, 0]
 
 
-def _match_total(
-    mode: str, a: np.ndarray, b: np.ndarray, dim: int, params: SelectivityParams
-) -> float:
-    """Sum of the selective matches of rows ``a`` against ``b``
-    (``word_match_rows``), added one after another in row order."""
-    if len(a) == 0:
-        return 0.0
-    u = word_match_rows(mode, a, b, dim)
+def _match_totals(
+    mode: str,
+    u: np.ndarray,
+    params: SelectivityParams,
+    groups: np.ndarray | None = None,
+    n: int = 1,
+) -> np.ndarray:
+    """Kernel totals of the raw matches ``u`` (``word_match_rows``): the
+    selectivity applies to each match, then ``np.bincount`` adds the
+    matches of each of the ``n`` groups one after another in input order,
+    starting from 0.0.  Every match is in group 0 unless ``groups`` says
+    otherwise."""
     if not is_vlad_family(mode):
         u = _selectivity_rows(u, params)
-    return float(np.cumsum(u)[-1])
+    if groups is None:
+        groups = np.zeros(len(u), dtype=np.intp)
+    return np.bincount(groups, weights=u, minlength=n)
 
 
 def _gamma_from_rows(mode: str, rows: np.ndarray, dim: int, params: SelectivityParams) -> float:
     """Normalization factor of the stored ``rows`` of a representation:
     the inverse square root of their self-match total."""
-    total = _match_total(mode, rows, rows, dim, params)
-    if total <= 0.0:
+    if len(rows) == 0:
         return 0.0
-    return total ** -0.5
-
-
-def _shared_match_total(
-    x_repr: AggregatedRepresentation, y_repr: AggregatedRepresentation, params: SelectivityParams
-) -> float:
-    """``_match_total`` over the words both representations populate."""
-    _, xi, yi = np.intersect1d(x_repr.words, y_repr.words, assume_unique=True, return_indices=True)
-    return _match_total(y_repr.mode, x_repr.rows[xi], y_repr.rows[yi], y_repr.dim, params)
+    total = float(_match_totals(mode, word_match_rows(mode, rows, rows, dim), params)[0])
+    return total ** -0.5 if total > 0.0 else 0.0
 
 
 def _fold_residuals(
@@ -270,8 +269,8 @@ def aggregate(
         raise DimensionError(
             f"descriptor dimension {part.vectors.shape[1]} != centroid dimension {dim}"
         )
-    centroids = codebook.centroids.astype(np.float64)
-    residuals = part.vectors.astype(np.float64).reshape(-1, dim) - centroids[part.labels]
+    # The float32 centroid rows promote to float64 exactly.
+    residuals = part.vectors.astype(np.float64).reshape(-1, dim) - codebook.centroids[part.labels]
     return _fold_residuals(mode, dim, part.labels, residuals, params)
 
 
@@ -280,9 +279,12 @@ def kernel_similarity(
     y_repr: AggregatedRepresentation,
     params: SelectivityParams = DEFAULT_SELECTIVITY,
 ) -> float:
-    """Normalized aggregated-kernel similarity between two images."""
+    """Normalized aggregated-kernel similarity between two images: the
+    match total over the words both populate, times both gammas."""
     if x_repr.mode != y_repr.mode:
         raise ConfigError(f"mode mismatch: {x_repr.mode!r} vs {y_repr.mode!r}")
     if x_repr.dim != y_repr.dim:
         raise DimensionError(f"dimension mismatch: {x_repr.dim} vs {y_repr.dim}")
-    return float(x_repr.gamma * y_repr.gamma * _shared_match_total(x_repr, y_repr, params))
+    _, xi, yi = np.intersect1d(x_repr.words, y_repr.words, assume_unique=True, return_indices=True)
+    u = word_match_rows(x_repr.mode, x_repr.rows[xi], y_repr.rows[yi], x_repr.dim)
+    return float(x_repr.gamma * y_repr.gamma * _match_totals(x_repr.mode, u, params)[0])

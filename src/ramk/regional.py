@@ -34,7 +34,7 @@ per-word sum is stored is decided by ``kernels._fold_residuals``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,10 +51,10 @@ from .kernels import (
     SelectivityParams,
     _fold_residuals,
     _gamma_from_rows,
-    _shared_match_total,
     aggregate,
     check_mode,
     is_regional_mode,
+    kernel_similarity,
 )
 
 RMAC_MIN_OVERLAP = 0.4
@@ -265,10 +265,7 @@ def as_regional_query(
     if mode == MODE_R_VLAD:
         rows = plain.gamma * plain.rows.astype(np.float64)
         return _fold_residuals(mode, plain.dim, plain.words, rows, params)
-    gamma = _gamma_from_rows(mode, plain.rows, plain.dim, params)
-    return AggregatedRepresentation(
-        mode=mode, dim=plain.dim, words=plain.words, rows=plain.rows, gamma=gamma
-    )
+    return replace(plain, mode=mode, gamma=_gamma_from_rows(mode, plain.rows, plain.dim, params))
 
 
 def regional_similarity(
@@ -277,19 +274,17 @@ def regional_similarity(
     params: SelectivityParams = DEFAULT_SELECTIVITY,
     normalize: bool = True,
 ) -> float:
-    """Regional kernel similarity; the query side may be in a plain mode
-    (lifted automatically) or in the regional one (symmetric comparison).
-    With ``normalize`` disabled the raw match sum is returned, which for
-    self-similarity equals the populated word count of the asmk family."""
+    """Regional kernel similarity: ``kernel_similarity`` of the two sides
+    once the query side is regional.  The query may be in a plain mode
+    (lifted by ``as_regional_query``) or in the regional one (symmetric
+    comparison); mode and dimension mismatches raise as in the plain
+    kernel.  With ``normalize`` disabled both gammas are taken as 1, so
+    the raw match sum is returned, which for self-similarity equals the
+    populated word count of the asmk family."""
     if not is_regional_mode(y_repr.mode):
         raise ConfigError(f"database side must be regional, got {y_repr.mode!r}")
     if not is_regional_mode(x_repr.mode):
         x_repr = as_regional_query(x_repr, y_repr.mode, params)
-    if x_repr.mode != y_repr.mode:
-        raise ConfigError(f"mode mismatch: {x_repr.mode!r} vs {y_repr.mode!r}")
-    if x_repr.dim != y_repr.dim:
-        raise DataError(f"dimension mismatch: {x_repr.dim} vs {y_repr.dim}")
-    total = _shared_match_total(x_repr, y_repr, params)
-    if normalize:
-        return float(x_repr.gamma * y_repr.gamma * total)
-    return float(total)
+    if not normalize:
+        x_repr, y_repr = replace(x_repr, gamma=1.0), replace(y_repr, gamma=1.0)
+    return kernel_similarity(x_repr, y_repr, params)

@@ -103,6 +103,44 @@ class TestExitCodes:
         return run("search", "--index", str(tmp_path / "bad.dtri"),
                    "--queries", str(data / "queries.txt"), "--out", str(tmp_path / "r.txt"))
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("gen-synthetic", ("--seed", "-1")),
+            ("gen-synthetic", ("--anchor-scale", "nan")),
+            ("train-codebook", ("--seed", "-1")),
+            ("train-codebook", ("--sample-cap", "-1")),
+            ("train-codebook", ("--config", "{config}")),
+            ("build-index", ("--attention-min", "nan")),
+            ("search", ("--top-n", "-3")),
+            ("search", ("--sp", "--sp-seed", "-1")),
+            ("search", ("--sp", "--sp-iters", "-5")),
+            ("search", ("--sp", "--sp-tol", "nan")),
+            ("analyze-relevance", ("--sp-seed", "-1")),
+            ("analyze-relevance", ("--bins", "0,nan,100")),
+        ],
+    )
+    def test_negative_int_or_nan_value_is_config_error(
+        self, pipeline, tmp_path, index_bytes, command, flags
+    ):
+        root, data, cb = pipeline
+        manifest = str(data / "manifest.txt")
+        (tmp_path / "cfg.txt").write_text("seed:-1\n")
+        first, second = (img.image_id for img in load_manifest(manifest).images[:2])
+        (tmp_path / "pairs.txt").write_text(f"{first} {second}\n")
+        inputs = {
+            "gen-synthetic": (),
+            "train-codebook": ("--manifest", manifest, "--c", "8"),
+            "build-index": ("--manifest", manifest, "--codebook", str(cb)),
+            "search": ("--index", str(root / "exit-codes.dtri"), "--manifest", manifest,
+                       "--queries", str(data / "queries.txt")),
+            "analyze-relevance": ("--manifest", manifest, "--pairs", str(tmp_path / "pairs.txt")),
+        }[command]
+        flags = [flag.format(config=tmp_path / "cfg.txt") for flag in flags]
+        out = tmp_path / "out"
+        assert run(command, *inputs, *flags, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_non_utf8_image_id_is_data_error(self, pipeline, tmp_path, index_bytes):
         payload, image_id = index_bytes
         ident = image_id.encode()

@@ -279,6 +279,8 @@ class TestAnalyzeRelevance:
     def test_bins_validation_and_csv(self):
         with pytest.raises(ConfigError):
             analyze_relevance([], [1.0])
+        with pytest.raises(ConfigError):
+            analyze_relevance([], [0.0, float("nan"), 100.0])
         table = analyze_relevance([], [0, 50, 100, 200])
         assert len(table) == 3
         csv = relevance_csv(table)

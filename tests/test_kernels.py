@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ramk.codebook import Codebook, partition
-from ramk.errors import ConfigError
+from ramk.errors import ConfigError, DimensionError
 from ramk.kernels import (
     ALL_MODES,
     PLAIN_COUNTERPART,
@@ -264,6 +264,22 @@ class TestKernelSimilarity:
         b = rep_of("vlad", 4, {}, 0.0)
         with pytest.raises(ConfigError):
             kernel_similarity(a, b)
+
+    @pytest.mark.parametrize(
+        "similarity,x_mode,y_mode",
+        [
+            (kernel_similarity, "asmk", "asmk"),
+            (regional_similarity, "asmk", "r-asmk"),
+            (regional_similarity, "r-asmk", "r-asmk"),
+        ],
+    )
+    def test_dimension_mismatch_is_dimension_error(self, similarity, x_mode, y_mode):
+        # The plain and the regional kernel raise the same error class,
+        # whether the regional query side is lifted from a plain one or not.
+        x = rep_of(x_mode, 4, {0: np.array([1, 0, 0, 0], np.float32)}, 1.0)
+        y = rep_of(y_mode, 5, {0: np.array([1, 0, 0, 0, 0], np.float32)}, 1.0)
+        with pytest.raises(DimensionError):
+            similarity(x, y)
 
     @pytest.mark.parametrize("mode", ["vlad", "asmk", "asmk-star"])
     def test_matches_naive_oracle(self, mode):
