@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .codebook import codebook_digest, load_codebook, save_codebook, train_codebook
 from .errors import ConfigError, DataError, RamkError
-from .evaluation import PROTOCOLS, analyze_relevance, evaluate, relevance_csv
+from .evaluation import PROTOCOLS, analyze_relevance, bin_edges, evaluate, relevance_csv
 from .features_io import (
     filter_by_attention,
     load_ground_truth,
@@ -251,7 +251,7 @@ def _write_sidecar(binary_path: str, header: list[str]) -> None:
 
 
 def _threads(value: int) -> int:
-    return value if value and value > 0 else (os.cpu_count() or 1)
+    return value or os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +471,7 @@ def _cmd_analyze_relevance(cfg: dict) -> None:
             raise DataError(f"{cfg['pairs']}:{lineno}: expected two image ids per line")
         pair_ids.append((tokens[0], tokens[1]))
     try:
-        edges = [float(tok) for tok in cfg["bins"].split(",")]
+        edges = bin_edges([float(tok) for tok in cfg["bins"].split(",")])
     except ValueError as exc:
         raise ConfigError(f"--bins must be comma-separated numbers: {exc}") from exc
     if not pair_ids:

@@ -181,6 +181,14 @@ def relevance_csv(bins: Sequence[RelevanceBin]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bin_edges(bins: Sequence[float]) -> list[float]:
+    """``bins`` as floats; a ConfigError unless at least two strictly increasing edges."""
+    edges = [float(e) for e in bins]
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ConfigError("bins must be at least two strictly increasing edges")
+    return edges
+
+
 def analyze_relevance(
     pairs: Iterable[tuple[ImageFeatures, ImageFeatures]],
     bins: Sequence[float],
@@ -198,9 +206,7 @@ def analyze_relevance(
     an inlier of the affine model fitted to the pair's matches; pairs
     with no model contribute all their features as non-relevant.
     """
-    edges = [float(e) for e in bins]
-    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
-        raise ConfigError("bins must be at least two strictly increasing edges")
+    edges = bin_edges(bins)
     n_bins = len(edges) - 1
     inside_rel = np.zeros(n_bins, dtype=np.int64)
     inside_tot = np.zeros(n_bins, dtype=np.int64)

@@ -10,23 +10,25 @@ exactly: every other word contributes zero, and the scan applies the
 kernel's own rule (``kernels.word_match_rows``, then
 ``kernels._match_totals`` per entry, in ascending word order).
 
-Index files ("DTRI", little-endian, version 1)::
+Index files ("DTRI", little-endian, version 2)::
 
     magic b"DTRI" | version u16 | mode u8 | flags u8 (bit0: regional
     normalization) | alpha f64 | tau f64 | codebook sha256 (32 bytes) |
     C u32 | D u16 | centroids C*D f32 | strategy string (u16 length +
-    utf-8) | n_entries u32 | entries (u16 id length, id utf-8,
-    region_index u16, gamma f64) | n_words u32 | per populated word:
-    word u32, count u32, count * entry_id u32, count * payload
+    utf-8) | n u32 | id_len u16[n] | region_index u16[n] | gamma f64[n] |
+    image ids utf-8 | n_words u32 | word u32[n_words] | count u32[n_words]
+    | entry_id u32[N = sum(count)] | payload N rows
 
-The codebook is embedded so a saved index is self-contained; the hash
-identifies which codebook file it came from.  Loading is strict:
-truncation, trailing bytes, a count the rest of the file cannot hold,
-invalid selectivity parameters, an image id or region strategy that does
-not parse, a repeated (image id, region index) entry, an image whose
-entries are not contiguous, a negative or non-finite gamma, posting
-words or entry ids out of order or range, and non-finite float payloads
-are format errors.  Posting checks run once over the whole table.
+Version 2 stores version 1's fields, at their widths, as columns in place
+of per-entry and per-word records, so loading reads whole columns; version
+1 files are rejected.  The codebook is embedded so a saved index is
+self-contained; the hash identifies which codebook file it came from.
+Loading is strict: truncation, trailing bytes, a count the rest of the
+file cannot hold, invalid selectivity parameters, an image id or region
+strategy that does not parse, a repeated (image id, region index) entry,
+an image whose entries are not contiguous, a negative or non-finite gamma,
+posting words or entry ids out of order or range, and non-finite float
+payloads are format errors.  Posting checks run once over the whole table.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .regional import (
 logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"DTRI"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 MODE_CODES = {
     "vlad": 1,
@@ -352,8 +354,6 @@ class _Cursor:
 _IDX_HEADER = struct.Struct("<4sHBBdd32sIH")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_ENTRY_TAIL = struct.Struct("<Hd")
-_WORD_HEAD = struct.Struct("<II")
 _U16_MAX = 0xFFFF
 
 
@@ -369,7 +369,10 @@ def _u16_field(value: int, what: str) -> int:
 def serialize_index(index: RetrievalIndex) -> bytes:
     flags = FLAG_NORMALIZE_REGIONAL if index.normalize_regional else 0
     strat = index.strategy.encode()
-    parts = [
+    idents = [entry.image_id.encode() for entry in index.entries]
+    counts = np.diff(index.word_ptr)
+    words = np.flatnonzero(counts)
+    return b"".join([
         _IDX_HEADER.pack(
             INDEX_MAGIC, INDEX_VERSION, MODE_CODES[index.mode], flags, index.params.alpha,
             index.params.tau, index.codebook_hash, index.codebook.size,
@@ -379,19 +382,16 @@ def serialize_index(index: RetrievalIndex) -> bytes:
         _U16.pack(_u16_field(len(strat), "strategy byte length")),
         strat,
         _U32.pack(index.entry_count),
-    ]
-    for entry, gamma in zip(index.entries, index.gammas):
-        ident = entry.image_id.encode()
-        parts += [_U16.pack(_u16_field(len(ident), "image id byte length")), ident]
-        parts.append(_ENTRY_TAIL.pack(_u16_field(entry.region_index, "region index"), float(gamma)))
-    ids = index.entry_ids.astype("<u4", copy=False)
-    rows = index.payload.astype(_payload_layout(index.mode, index.dim)[0], copy=False)
-    ptr = index.word_ptr.tolist()
-    spans = [(w, a, b) for w, (a, b) in enumerate(zip(ptr, ptr[1:])) if a < b]
-    parts.append(_U32.pack(len(spans)))
-    for w, a, b in spans:
-        parts += [_WORD_HEAD.pack(w, b - a), ids[a:b].tobytes(), rows[a:b].tobytes()]
-    return b"".join(parts)
+        np.array([_u16_field(len(i), "image id byte length") for i in idents], "<u2").tobytes(),
+        np.array([_u16_field(e.region_index, "region index") for e in index.entries], "<u2").tobytes(),
+        index.gammas.astype("<f8", copy=False).tobytes(),
+        b"".join(idents),
+        _U32.pack(len(words)),
+        words.astype("<u4").tobytes(),
+        counts[words].astype("<u4").tobytes(),
+        index.entry_ids.astype("<u4", copy=False).tobytes(),
+        index.payload.astype(_payload_layout(index.mode, index.dim)[0], copy=False).tobytes(),
+    ])
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
@@ -417,41 +417,26 @@ def load_index(path: str | Path) -> RetrievalIndex:
         RegionStrategy.parse(strategy)
     except (UnicodeDecodeError, ConfigError) as exc:
         raise FormatError(f"{path}: bad region strategy: {exc}") from exc
-    n_entries = cur.count(_U16.size + _ENTRY_TAIL.size, "entries")
-    gammas = np.empty(n_entries, dtype=np.float64)
-    buf, pos = cur.data, cur.pos
-    dtype, columns = _payload_layout(mode, d)
-    row_size = dtype.itemsize * columns
-    entries, heads = [], []
+    # Columns are copied or decoded: the index keeps no reference to the file's bytes.
+    n_entries = cur.count(12, "entries")  # id_len, region_index, gamma: 12 bytes
+    id_lens, regions = np.frombuffer(cur.take(4 * n_entries), dtype="<u2").reshape(2, n_entries)
+    gammas = np.frombuffer(cur.take(8 * n_entries), dtype="<f8").copy()
+    ident_bytes = cur.take(int(id_lens.sum()))
+    ends = np.cumsum(id_lens, dtype=np.int64)
+    spans = zip((ends - id_lens).tolist(), ends.tolist(), regions.tolist())
     try:
-        for i in range(n_entries):
-            (id_len,) = _U16.unpack_from(buf, pos)
-            pos += _U16.size + id_len
-            region_index, gammas[i] = _ENTRY_TAIL.unpack_from(buf, pos)
-            entries.append(IndexEntry(str(buf[pos - id_len : pos], "utf-8"), region_index))
-            pos += _ENTRY_TAIL.size
-        cur.pos = pos  # the last entry's tail was in the file, so pos <= len(buf)
-        n_words, pos = cur.count(_WORD_HEAD.size, "words"), cur.pos
-        for _ in range(n_words):  # headers only; the ids and rows are copied below
-            heads.append((*_WORD_HEAD.unpack_from(buf, pos), pos + _WORD_HEAD.size))
-            pos += _WORD_HEAD.size + heads[-1][1] * (4 + row_size)
-    except struct.error as exc:
-        raise FormatError(f"{path}: truncated index file") from exc
+        entries = [IndexEntry(str(ident_bytes[a:b], "utf-8"), r) for a, b, r in spans]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: image id is not UTF-8: {exc}") from exc
-    cur.take(pos - cur.pos)  # a truncation error if the last word's bytes ran short
+    n_words = cur.count(8, "words")  # word, count: 8 bytes
+    words, counts = np.frombuffer(cur.take(8 * n_words), "<u4").reshape(2, n_words).astype(np.int64)
+    n = int(counts.sum())
+    dtype, cols = _payload_layout(mode, d)
+    entry_ids = np.frombuffer(cur.take(4 * n), dtype="<u4").copy()
+    payload = np.frombuffer(cur.take(n * cols * dtype.itemsize), dtype).reshape(n, cols).copy()
     cur.done()
     if not ((gammas >= 0.0) & np.isfinite(gammas)).all():
         raise FormatError(f"{path}: entry gammas must be finite and non-negative")
-    words, counts, _ = np.array(heads, dtype=np.int64).reshape(-1, 3).T
-    entry_ids = np.frombuffer(b"".join(buf[at : at + 4 * k] for _, k, at in heads), dtype="<u4")
-    # The rows go straight into NumPy memory: joining them into one bytes
-    # object first made a 35 MB dense load a quarter slower (page faults).
-    payload = np.empty((len(entry_ids), columns), dtype=dtype)
-    rows_out, n = memoryview(payload.view(np.uint8).ravel()), 0
-    for _, count, at in heads:
-        rows_out[n : n + row_size * count] = buf[at + 4 * count : at + (4 + row_size) * count]
-        n += row_size * count
     if (np.diff(words) <= 0).any():
         raise FormatError(f"{path}: postings words not strictly ascending")
     if words.size and words[-1] >= c:
@@ -472,7 +457,6 @@ def load_index(path: str | Path) -> RetrievalIndex:
             mode=mode,
             params=SelectivityParams(alpha=alpha, tau=tau),
             normalize_regional=bool(flags & FLAG_NORMALIZE_REGIONAL),
-            # A copy, so the index keeps no reference to the file's bytes.
             codebook=Codebook(centroids=cents.astype(np.float32)),
             codebook_hash=cb_hash,
             strategy=strategy,

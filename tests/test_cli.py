@@ -156,6 +156,14 @@ class TestExitCodes:
         payload[offset : offset + 8] = struct.pack("<d", value)
         assert self.search(pipeline, tmp_path, bytes(payload)) == 3
 
+    def test_version_1_index_is_format_error(self, pipeline, tmp_path, index_bytes):
+        payload = bytearray(index_bytes[0])
+        payload[4:6] = (1).to_bytes(2, "little")  # the u16 after the magic
+        (tmp_path / "v1.dtri").write_bytes(payload)
+        with pytest.raises(FormatError, match="unsupported index version 1"):
+            load_index(tmp_path / "v1.dtri")
+        assert self.search(pipeline, tmp_path, bytes(payload)) == 3
+
     @pytest.mark.parametrize("what", ["manifest", "ground truth", "results", "config", "pairs"])
     def test_non_utf8_text_input_is_format_error(self, pipeline, tmp_path, caplog, what):
         root, data, cb = pipeline
@@ -383,6 +391,16 @@ class TestAnalyzeRelevanceCli:
         assert run("analyze-relevance", "--manifest", str(data / "manifest.txt"),
                    "--pairs", str(pairs), "--out", str(out)) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("bins", ["0,nan,100", "5"])
+    def test_empty_pairs_bad_bins_is_config_error(self, pipeline, tmp_path, bins):
+        root, data, cb = pipeline
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("# nothing\n")
+        out = tmp_path / "rel.csv"
+        assert run("analyze-relevance", "--manifest", str(data / "manifest.txt"),
+                   "--pairs", str(pairs), "--bins", bins, "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestGenSyntheticCli:

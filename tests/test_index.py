@@ -87,16 +87,21 @@ def corpus(tmp_path_factory):
     return manifest, queries, codebook
 
 
-def dtri_layout(index) -> tuple[int, int, list[tuple[int, int]]]:
+def dtri_layout(index) -> tuple[int, int, list[tuple[int, int, int, int]]]:
     """Byte offsets in ``serialize_index(index)`` of the n_entries and
-    n_words fields, and the (offset, count) of each word record.  The
-    fixed header before the centroids is 62 bytes."""
+    n_words fields and, for each populated word, the offsets of its word
+    and count fields and of its first entry id, with its count.  The fixed
+    header before the centroids is 62 bytes."""
     n_entries_at = 62 + index.codebook.centroids.nbytes + 2 + len(index.strategy.encode())
     n_words_at = n_entries_at + 4 + sum(12 + len(e.image_id.encode()) for e in index.entries)
-    records, at = [], n_words_at + 4
-    for count in np.diff(index.word_ptr)[np.diff(index.word_ptr) > 0].tolist():
-        records.append((at, count))
-        at += 8 + count * (4 + index.payload[0].nbytes)
+    counts = np.diff(index.word_ptr)[np.diff(index.word_ptr) > 0].tolist()
+    words_at = n_words_at + 4
+    counts_at, ids_at = words_at + 4 * len(counts), words_at + 8 * len(counts)
+    starts = np.cumsum([0] + counts).tolist()
+    records = [
+        (words_at + 4 * i, counts_at + 4 * i, ids_at + 4 * start, count)
+        for i, (start, count) in enumerate(zip(starts, counts))
+    ]
     return n_entries_at, n_words_at, records
 
 
@@ -310,6 +315,22 @@ class TestPersistence:
             # serialization is canonical
             assert serialize_index(loaded) == serialize_index(index)
 
+    @pytest.mark.parametrize("mode", ["asmk", "asmk-star", "r-asmk-star"])
+    def test_file_length_is_the_sum_of_its_fields(self, corpus, mode):
+        # Storage per image is measured from this length, so it must not
+        # depend on how the fields are laid out.
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, mode, RegionStrategy.parse("detector:0.3"))
+        c, d = codebook.centroids.shape
+        n_words = np.count_nonzero(np.diff(index.word_ptr))
+        row_bytes = (d + 7) // 8 if mode.endswith("star") else 4 * d
+        expected = (
+            62 + 4 * c * d + 2 + len(index.strategy.encode())
+            + 4 + sum(12 + len(e.image_id.encode()) for e in index.entries)
+            + 4 + 8 * n_words + len(index.entry_ids) * (4 + row_bytes)
+        )
+        assert len(serialize_index(index)) == expected
+
     def test_truncated_file_rejected(self, corpus, tmp_path):
         manifest, _, codebook = corpus
         index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("whole"))
@@ -391,12 +412,13 @@ class TestPersistence:
             load_index(tmp_path / "payload.dtri")
         assert err.value.exit_code == 3
 
-    @pytest.mark.parametrize("field", [0, 1], ids=["n_entries", "n_words"])
+    @pytest.mark.parametrize("field", ["n_entries", "n_words", "posting count"])
     def test_count_beyond_the_file_is_truncated(self, corpus, tmp_path, field):
         manifest, _, codebook = corpus
         index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"))
         data = bytearray(serialize_index(index))
-        at = dtri_layout(index)[field]
+        n_entries_at, n_words_at, records = dtri_layout(index)
+        at = {"n_entries": n_entries_at, "n_words": n_words_at, "posting count": records[0][1]}[field]
         data[at : at + 4] = b"\xff\xff\xff\xff"
         (tmp_path / "count.dtri").write_bytes(data)
         with pytest.raises(FormatError, match="truncated") as err:
@@ -427,11 +449,11 @@ class TestPersistence:
         elif defect == "word outside codebook":
             put(records[-1][0], codebook.size)
         elif defect == "entry ids descend":  # swap the first two ids of a word
-            at = next(at for at, count in records if count >= 2) + 8
+            at = next(ids_at for _, _, ids_at, count in records if count >= 2)
             data[at : at + 8] = data[at + 4 : at + 8] + data[at : at + 4]
         elif defect == "entry id unknown":
-            at, count = records[-1]
-            put(at + 8 + 4 * (count - 1), index.entry_count)
+            _, _, ids_at, count = records[-1]
+            put(ids_at + 4 * (count - 1), index.entry_count)
         else:  # asmk-star at D=12: each packed row gains a byte for dims 8-11
             star = build_index(manifest, codebook, "asmk-star", RegionStrategy.parse("detector:0.3"))
             wide = dataclasses.replace(
@@ -461,14 +483,19 @@ class TestPersistence:
         manifest, _, codebook = corpus
         index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("whole"))
 
-        def record(image_id: str, region_index: int) -> bytes:
-            ident = image_id.encode()
-            return len(ident).to_bytes(2, "little") + ident + region_index.to_bytes(2, "little")
+        def record(entries) -> tuple[bytes, bytes]:
+            """The id_len and region_index columns, and the image id bytes."""
+            idents = [e.image_id.encode() for e in entries]
+            lens = b"".join(len(ident).to_bytes(2, "little") for ident in idents)
+            regions = b"".join(e.region_index.to_bytes(2, "little") for e in entries)
+            return lens + regions, b"".join(idents)
 
         payload = serialize_index(index)
-        target = record(index.entries[entry].image_id, 0)
-        assert payload.count(target) == 1
-        payload = payload.replace(target, record(index.entries[0].image_id, region))
+        rewritten = list(index.entries)
+        rewritten[entry] = dataclasses.replace(index.entries[0], region_index=region)
+        for target, column in zip(record(index.entries), record(rewritten)):
+            assert payload.count(target) == 1
+            payload = payload.replace(target, column)
         (tmp_path / f"{defect}.dtri").write_bytes(payload)
         with pytest.raises(FormatError, match=message) as err:
             load_index(tmp_path / f"{defect}.dtri")
