@@ -9,7 +9,6 @@ from .codebook import (
     WordPartition,
     load_codebook,
     partition,
-    quantize,
     quantize_batch,
     save_codebook,
     train_codebook,
@@ -43,7 +42,6 @@ from .kernels import (
     SelectivityParams,
     aggregate,
     kernel_similarity,
-    selectivity,
 )
 from .regional import (
     RegionSet,

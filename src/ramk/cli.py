@@ -166,6 +166,11 @@ _OPTIONS: dict[str, list[_Opt]] = {
 }
 
 
+# Float options that are distances: a negative one keeps no match (or no
+# inlier) and would leave the ranking unverified.
+_NON_NEGATIVE = {"sp-tol", "sp-max-dist"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramk",
@@ -223,8 +228,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             value = opt.default
         if value is None and opt.required:
             raise ConfigError(f"missing required option --{opt.name}")
-        if value is not None and (opt.type is int and value < 0 or opt.type is float and math.isnan(value)):
-            raise ConfigError(f"--{opt.name} must be {'>= 0' if opt.type is int else 'a number'}, got {value}")
+        if opt.type is float and value is not None and math.isnan(value):
+            raise ConfigError(f"--{opt.name} must be a number, got {value}")
+        if (opt.type is int or opt.name in _NON_NEGATIVE) and value is not None and value < 0:
+            raise ConfigError(f"--{opt.name} must be >= 0, got {value}")
         if opt.choices and value is not None and value not in opt.choices:
             raise ConfigError(f"--{opt.name} must be one of {opt.choices}, got {value!r}")
         resolved[opt.name] = value

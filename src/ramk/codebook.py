@@ -237,11 +237,6 @@ def quantize_batch(codebook: Codebook, vectors: np.ndarray) -> np.ndarray:
     return labels.astype(np.int32)
 
 
-def quantize(codebook: Codebook, vector: np.ndarray) -> int:
-    """Visual word of a single descriptor (single assignment)."""
-    return int(quantize_batch(codebook, np.asarray(vector)[None, :])[0])
-
-
 @dataclass
 class WordPartition:
     """Single-assignment grouping of an image's descriptors by visual word."""

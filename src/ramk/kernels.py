@@ -108,13 +108,6 @@ class SelectivityParams:
 DEFAULT_SELECTIVITY = SelectivityParams()
 
 
-def selectivity(u: float, params: SelectivityParams = DEFAULT_SELECTIVITY) -> float:
-    """sign(u) * |u|^alpha when u > tau, else 0."""
-    if u <= params.tau:
-        return 0.0
-    return math.copysign(abs(u) ** params.alpha, u)
-
-
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
 
@@ -151,9 +144,10 @@ class AggregatedRepresentation:
 
 
 def _selectivity_rows(u: np.ndarray, params: SelectivityParams) -> np.ndarray:
-    """``selectivity`` of each value of ``u``, bit for bit.  The power is
-    Python's float power (the C library's ``pow``): NumPy's vectorized
-    power differs from it in the last bit for about one value in twenty."""
+    """sign(u) * |u|^alpha where u > tau, else 0, for each value of ``u``.
+    The power is Python's float power (the C library's ``pow``): NumPy's
+    vectorized power differs from it in the last bit for about one value
+    in twenty."""
     out = np.zeros_like(u)
     on = u > params.tau
     powers = np.fromiter(

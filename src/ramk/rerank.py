@@ -116,6 +116,34 @@ def _sample_models(
     return picks[valid], at[valid], t[valid]
 
 
+def _sample_picks(n: int, iterations: int, seed: int) -> np.ndarray:
+    """The ``(iterations, 3)`` int64 picks of one ``choice(n, 3,
+    replace=False)`` call per iteration on a fresh PCG64 generator, bit
+    for bit, from one ``integers`` call and array operations.
+
+    ``choice(n, 3, replace=False)`` runs Floyd's algorithm: draws in
+    [0, j] for j = n-3, n-2, n-1, where a draw equal to an earlier pick
+    takes j instead.  A 2-step shuffle follows: draws in [0, 2] and then
+    [0, 1] swap into positions 2 and 1.  ``integers`` with the array of
+    the five bounds makes the same bounded draws on the same stream, one
+    row per iteration: Lemire's method, its redraws on rejection, 64-bit
+    draws for bounds beyond 32 bits, and no draw for a bound of 1.
+    """
+    iterations = max(iterations, 0)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    draws = rng.integers(0, np.array([n - 2, n - 1, n, 3, 2]), size=(iterations, 5))
+    picks = draws[:, :3].copy()
+    picks[:, 1] = np.where(picks[:, 1] == picks[:, 0], n - 2, picks[:, 1])
+    taken = (picks[:, 2] == picks[:, 0]) | (picks[:, 2] == picks[:, 1])
+    picks[:, 2] = np.where(taken, n - 1, picks[:, 2])
+    rows = np.arange(iterations)
+    for i, col in ((2, draws[:, 3]), (1, draws[:, 4])):
+        swapped = picks[rows, col]
+        picks[rows, col] = picks[:, i]
+        picks[:, i] = swapped
+    return picks
+
+
 def ransac_affine(
     src: np.ndarray,
     dst: np.ndarray,
@@ -127,24 +155,22 @@ def ransac_affine(
     points, given as two ``(k, 2)`` float64 arrays with row i of each
     forming one correspondence.
 
-    All ``iterations`` samples of 3 correspondences are drawn first, one
-    ``choice`` call each in iteration order; samples with collinear query
-    points are dropped and the rest are solved exactly and scored against
-    every correspondence in batch.  The first sample with the most
-    reprojection inliers wins and its model is refit by least squares on
-    its inliers.  Returns (None, empty) when fewer than 3 correspondences
-    exist or no model reaches 3 inliers.  Deterministic for a fixed seed.
+    All ``iterations`` samples of 3 correspondences are drawn first, in
+    one ``integers`` call whose bounded draws give the picks of one
+    ``choice(n, 3, replace=False)`` call per iteration, bit for bit
+    (``_sample_picks``).  Samples with collinear query points are dropped
+    and the rest are solved exactly and scored against every
+    correspondence in batch.  The first sample with the most reprojection
+    inliers wins and its model is refit by least squares on its inliers.
+    Returns (None, empty) when fewer than 3 correspondences exist or no
+    model reaches 3 inliers.  Deterministic for a fixed seed.
     """
     n = src.shape[0]
     empty = np.empty(0, dtype=np.int64)
     if n < 3:
         return None, empty
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    picks = np.array(
-        [rng.choice(n, size=3, replace=False) for _ in range(iterations)], dtype=np.int64
-    ).reshape(-1, 3)
-    picks, at, t = _sample_models(src, dst, picks)
+    picks, at, t = _sample_models(src, dst, _sample_picks(n, iterations, seed))
 
     best_count = 0
     best = -1

@@ -19,6 +19,7 @@ root sequence, so outputs are reproducible bit-for-bit for a fixed
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +45,11 @@ CLUTTER_ATTENTION = (0.0, 150.0)
 PLANTED_BOX_SCORE = (0.55, 0.95)
 ECHO_BOX_SCORE = (0.35, 0.65)
 BACKGROUND_BOX_SCORE = (0.02, 0.28)
+
+
+# Float fields that are magnitudes or jitter widths; the fractions and the
+# miss probability have their own ranges.
+_SCALES = ("anchor_scale", "instance_noise", "landmark_offset_scale", "box_noise", "echo_box_noise")
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,6 @@ class SyntheticConfig:
             raise ConfigError("pattern_pool must be >= 1 when set")
         if self.offset_pool is not None and self.offset_pool < 1:
             raise ConfigError("offset_pool must be >= 1 when set")
-        if self.landmark_offset_scale < 0:
-            raise ConfigError("landmark_offset_scale must be non-negative")
         if not 0.0 < self.background_box_min_frac <= self.background_box_max_frac < 1.0:
             raise ConfigError("background box fractions must satisfy 0 < min <= max < 1")
         if not 0.0 < self.min_box_frac <= self.max_box_frac < 1.0:
@@ -116,8 +120,12 @@ class SyntheticConfig:
             raise ConfigError("box_coverage must be in (0, 1]")
         if not 0.0 <= self.box_miss_prob <= 1.0:
             raise ConfigError("box_miss_prob must be in [0, 1]")
-        if self.box_noise < 0 or self.echo_boxes < 0 or self.background_boxes < 0:
-            raise ConfigError("box_noise/echo_boxes/background_boxes must be non-negative")
+        if self.echo_boxes < 0 or self.background_boxes < 0:
+            raise ConfigError("echo_boxes/background_boxes must be non-negative")
+        for name in _SCALES:
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _image_id(landmark: int, index: int) -> str:

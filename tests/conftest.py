@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from ramk.codebook import Codebook
+from ramk.codebook import Codebook, quantize_batch
 from ramk.features_io import ImageFeatures, RegionBox
 from ramk.errors import DimensionError
 from ramk.kernels import (
+    DEFAULT_SELECTIVITY,
     SelectivityParams,
     _gamma_from_rows,
     is_binary_mode,
     is_vlad_family,
-    selectivity,
 )
 
 
@@ -100,6 +102,19 @@ def packed_inner_scaled(a: np.ndarray, b: np.ndarray, dim: int) -> float:
     """Inner product of two packed +/-1 vectors, scaled by 1/dim (exact)."""
     hamming = int(sum(bin(x).count("1") for x in np.bitwise_xor(a, b).tolist()))
     return float(dim - 2 * hamming) / float(dim)
+
+
+def selectivity(u: float, params: SelectivityParams = DEFAULT_SELECTIVITY) -> float:
+    """sign(u) * |u|^alpha when u > tau, else 0, on one Python float: the
+    scalar oracle of ``kernels._selectivity_rows``."""
+    if u <= params.tau:
+        return 0.0
+    return math.copysign(abs(u) ** params.alpha, u)
+
+
+def quantize(codebook: Codebook, vector: np.ndarray) -> int:
+    """Visual word of a single descriptor, through ``quantize_batch``."""
+    return int(quantize_batch(codebook, np.asarray(vector)[None, :])[0])
 
 
 def word_match(mode: str, x_vec: np.ndarray, y_vec: np.ndarray, dim: int) -> float:

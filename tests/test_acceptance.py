@@ -23,7 +23,7 @@ from ramk.features_io import (
     serialize_image_features,
 )
 from ramk.index import POOL_MAX, build_index, load_index, query, save_index
-from ramk.kernels import aggregate, kernel_similarity, selectivity
+from ramk.kernels import aggregate, kernel_similarity
 from ramk.regional import (
     RegionSet,
     RegionStrategy,
@@ -37,7 +37,7 @@ from ramk.regional import (
 from ramk.rerank import ransac_affine
 from ramk.synthetic import SyntheticConfig, generate_synthetic_dataset
 
-from conftest import make_codebook, make_features, random_boxes
+from conftest import make_codebook, make_features, random_boxes, selectivity
 from test_index import ALL_CASES, exhaustive_ranking
 
 

@@ -118,6 +118,10 @@ class TestExitCodes:
             ("search", ("--sp", "--sp-tol", "nan")),
             ("analyze-relevance", ("--sp-seed", "-1")),
             ("analyze-relevance", ("--bins", "0,nan,100")),
+            ("search", ("--sp", "--sp-max-dist", "-1")),
+            ("search", ("--sp", "--sp-tol", "-1")),
+            ("analyze-relevance", ("--sp-max-dist", "-1")),
+            ("analyze-relevance", ("--sp-tol", "-1")),
         ],
     )
     def test_negative_int_or_nan_value_is_config_error(
@@ -409,6 +413,28 @@ class TestGenSyntheticCli:
         flags = [_synthetic_flag(f.name) for f in dataclasses.fields(SyntheticConfig)]
         assert len(set(flags)) == len(flags)
         assert set(flags) == options
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("anchor-scale", "-1"),
+            ("anchor-scale", "inf"),
+            ("instance-noise", "-1"),
+            ("instance-noise", "inf"),
+            ("instance-noise", "-inf"),
+            ("landmark-offset-scale", "inf"),
+            ("box-noise", "inf"),
+            ("echo-box-noise", "-1"),
+            ("echo-box-noise", "inf"),
+            ("echo-box-noise", "-inf"),
+        ],
+    )
+    def test_negative_or_infinite_scale_is_config_error(self, tmp_path, flag, value):
+        out = tmp_path / "data"
+        assert run("gen-synthetic", "--out", str(out), f"--{flag}={value}",
+                   "--landmarks", "2", "--images-per-landmark", "2",
+                   "--planted", "4", "--clutter", "8", "--dim", "4") == 2
+        assert not (out / "manifest.txt").exists()
 
     def test_same_seed_byte_identical_trees(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -22,7 +22,6 @@ from ramk.codebook import (
     codebook_digest,
     load_codebook,
     partition,
-    quantize,
     quantize_batch,
     save_codebook,
     serialize_codebook,
@@ -30,7 +29,7 @@ from ramk.codebook import (
 )
 from ramk.errors import DimensionError, FormatError, TrainingError
 
-from conftest import make_codebook, make_features
+from conftest import make_codebook, make_features, quantize
 
 
 def cdist_nearest(points: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,6 @@ from ramk.kernels import (
     _selectivity_rows,
     aggregate,
     kernel_similarity,
-    selectivity,
     is_regional_mode,
 )
 from ramk.regional import (
@@ -46,6 +45,7 @@ from conftest import (
     pack_signs,
     packed_inner_scaled,
     random_boxes,
+    selectivity,
     unpack_signs,
     vlad_residual,
 )

@@ -277,6 +277,36 @@ class TestRansacAffine:
         np.testing.assert_array_equal(a[0].matrix, b[0].matrix)
 
 
+def choice_loop(n: int, iterations: int, seed: int) -> np.ndarray:
+    """NumPy's own picks: one ``choice(n, 3, replace=False)`` per iteration."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    picks = [rng.choice(n, size=3, replace=False) for _ in range(iterations)]
+    return np.array(picks, dtype=np.int64).reshape(-1, 3)
+
+
+class TestSamplePicks:
+    @pytest.mark.parametrize("seed_base", [0, 1 << 32, 987_654_321])
+    def test_equals_choice_loop(self, seed_base):
+        for n in range(3, 301):
+            seed = seed_base + n
+            # Each call of the loop draws on from where the previous one
+            # stopped, so shorter runs are prefixes of the 7-iteration one.
+            want = choice_loop(n, 7, seed)
+            for iterations in (0, 1, 7):
+                got = rerank._sample_picks(n, iterations, seed)
+                assert got.dtype == np.int64 and got.shape == (iterations, 3)
+                np.testing.assert_array_equal(got, want[:iterations], err_msg=f"n={n}")
+
+    # At n = 3 * 2^30 Lemire rejects and redraws about one 32-bit draw in
+    # four; beyond 2^32 the draws are 64-bit.
+    @pytest.mark.parametrize("n", [3, 4, 16, 262, 300, 3 << 30, 1 << 33])
+    def test_equals_choice_loop_over_1000_iterations(self, n):
+        for seed in (n, 5):
+            got = rerank._sample_picks(n, 1000, seed)
+            assert got.dtype == np.int64 and got.shape == (1000, 3)
+            np.testing.assert_array_equal(got, choice_loop(n, 1000, seed))
+
+
 class TestSpatialRerank:
     def _setup(self, rng):
         db = {}
