@@ -7,8 +7,14 @@ The inverted file is one CSR posting table: word ``w``'s postings are
 rows ``word_ptr[w]:word_ptr[w+1]`` of ``entry_ids`` and ``payload``.
 Scanning only the query's words reproduces the exhaustive kernel
 exactly: every other word contributes zero, and the scan applies the
-kernel's own rule (``kernels.word_match_rows``, then
-``kernels._match_totals`` per entry, in ascending word order).
+kernel's own rule, adding each entry's terms with one ``np.bincount`` in
+ascending word order.  The dense modes match one word's posting slice at
+a time (``kernels.word_match_rows``, then ``kernels._match_totals``).
+The star modes gather the postings of all query words at once and count
+each Hamming distance h with one XOR and bit count; a binary match is
+one of the D+1 values (D - 2h)/D, so its selectivity is read from a
+table of those values, which ``kernels._selectivity_rows`` computes with
+the same expression and the same ``pow`` as a match-by-match pass.
 
 Index files ("DTRI", little-endian, version 2)::
 
@@ -56,6 +62,8 @@ from .kernels import (
     DEFAULT_SELECTIVITY,
     PLAIN_COUNTERPART,
     SelectivityParams,
+    _binary_selectivity_table,
+    _hamming_rows,
     _match_totals,
     aggregate,
     check_mode,
@@ -260,22 +268,32 @@ def entry_scores(index: RetrievalIndex, plain: AggregatedRepresentation) -> np.n
     aggregate, bit for bit what ``kernel_similarity`` (or, for a regional
     mode, ``regional_similarity``) returns for that pair.
 
-    Only the postings of the query's words are read.  Their payload rows
-    are matched word by word in ascending order (one contiguous slice at a
-    time keeps the float64 copies small), and ``kernels._match_totals``
-    totals them per entry, adding each entry's terms in that same word
-    order.
+    Only the postings of the query's words are read, at positions ``pos``
+    in ascending word order.  The star modes gather all of those rows at
+    once: one XOR and bit count against the repeated query rows gives each
+    Hamming distance h, and a (D+1)-entry table gives the selectivity of
+    (D - 2h)/D, which is the whole range of a binary match.  The dense
+    modes match one word's contiguous slice at a time, which keeps the
+    float64 copies small.  Either way ``np.bincount`` adds each entry's
+    terms in word order, as ``kernels._match_totals`` does.
     """
     regional = is_regional_mode(index.mode)
     q = as_regional_query(plain, index.mode, index.params) if regional else plain
     mode, dim, entry_ids, payload = index.mode, index.dim, index.entry_ids, index.payload
-    spans = zip(index.word_ptr[q.words].tolist(), index.word_ptr[q.words + 1].tolist(), q.rows)
-    hits = [(a, b, row) for a, b, row in spans if a < b]
-    ids = np.concatenate([np.empty(0, dtype=np.uint32)] + [entry_ids[a:b] for a, b, _ in hits])
-    u = np.concatenate(
-        [np.empty(0)] + [word_match_rows(mode, payload[a:b], row, dim) for a, b, row in hits]
-    )
-    sums = _match_totals(mode, u, index.params, ids, index.entry_count)
+    starts, ends = index.word_ptr[q.words], index.word_ptr[q.words + 1]
+    counts = ends - starts
+    pos = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    if is_binary_mode(mode):
+        # take copies whole rows; fancy indexing of narrow uint8 rows is ~6x slower.
+        hamming = _hamming_rows(payload.take(pos, axis=0), np.repeat(q.rows, counts, axis=0))
+        table = _binary_selectivity_table(dim, index.params)
+        sums = np.bincount(entry_ids[pos], weights=table[hamming], minlength=index.entry_count)
+    else:
+        spans = zip(starts.tolist(), ends.tolist(), q.rows)
+        u = np.concatenate(
+            [np.empty(0)] + [word_match_rows(mode, payload[a:b], row, dim) for a, b, row in spans if a < b]
+        )
+        sums = _match_totals(mode, u, index.params, entry_ids[pos], index.entry_count)
     if regional and not index.normalize_regional:
         return sums
     return q.gamma * index.gammas * sums
@@ -441,10 +459,15 @@ def load_index(path: str | Path) -> RetrievalIndex:
         raise FormatError(f"{path}: postings words not strictly ascending")
     if words.size and words[-1] >= c:
         raise FormatError(f"{path}: posting word {words[-1]} outside codebook size {c}")
-    posting_words = np.repeat(words, counts)
-    unordered = (np.diff(entry_ids.astype(np.int64)) <= 0) & (np.diff(posting_words) == 0)
+    word_ptr = np.zeros(c + 1, dtype=np.int64)
+    word_ptr[words + 1] = counts
+    np.cumsum(word_ptr, out=word_ptr)
+    # Posting i+1 continues posting i's word unless a word starts at i+1.
+    continues = np.ones(n + 1, dtype=bool)
+    continues[word_ptr] = False
+    unordered = (np.diff(entry_ids.astype(np.int64)) <= 0) & continues[1:n]
     if unordered.any():
-        word = posting_words[np.argmax(unordered)]
+        word = np.searchsorted(word_ptr, np.argmax(unordered), side="right") - 1
         raise FormatError(f"{path}: posting entry ids not ascending for word {word}")
     if (entry_ids >= n_entries).any():
         raise FormatError(f"{path}: posting references unknown entry id")
@@ -462,7 +485,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
             strategy=strategy,
             entries=entries,
             gammas=gammas,
-            word_ptr=np.append(0, np.cumsum(np.bincount(posting_words, minlength=c))),
+            word_ptr=word_ptr,
             entry_ids=entry_ids,
             payload=payload,
         )

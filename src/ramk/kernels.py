@@ -35,8 +35,13 @@ each raw match of ``word_match_rows`` (none for the vlad family), and
 ``np.bincount`` adds the matches of each total one after another, in
 ascending word order.  The self-match gives gamma, the words two
 aggregates share (``np.intersect1d``) give their kernel, and the
-inverted file in ``ramk.index`` totals its posting matches per entry
-through the same function.
+inverted file in ``ramk.index`` totals its dense posting matches per
+entry through the same function.  Its star-mode form serves the inverted
+file's scan of many postings: a packed-sign match is (D - 2h)/D for a
+Hamming distance h in 0..D, so ``_binary_selectivity_table`` evaluates
+the selectivity once per distance, with the expression and the ``pow``
+of ``word_match_rows`` and ``_selectivity_rows``, and a lookup by h gives
+every term bit for bit before the same ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -108,9 +113,6 @@ class SelectivityParams:
 DEFAULT_SELECTIVITY = SelectivityParams()
 
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
-
 @dataclass
 class AggregatedRepresentation:
     """Sparse per-word aggregate of one image (or one image region).
@@ -157,6 +159,31 @@ def _selectivity_rows(u: np.ndarray, params: SelectivityParams) -> np.ndarray:
     return out
 
 
+_UINT = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _hamming_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distance of each packed sign row of ``a`` to ``b`` (one row,
+    or as many rows as ``a``).  Rows are viewed as the widest unsigned
+    integers that divide their byte width, so one ``np.bitwise_count``
+    covers up to 8 bytes at a time."""
+    wide = _UINT[math.gcd(a.shape[-1], 8)]
+    x = np.ascontiguousarray(a).view(wide) ^ np.ascontiguousarray(b).view(wide)
+    return np.bitwise_count(x).sum(axis=-1)
+
+
+def _binary_match(hamming: np.ndarray, dim: int) -> np.ndarray:
+    """+/-1 inner product of packed sign rows ``hamming`` bits apart,
+    scaled by 1/dim: exact, and one of only dim + 1 values."""
+    return (float(dim) - 2.0 * hamming) / float(dim)
+
+
+def _binary_selectivity_table(dim: int, params: SelectivityParams) -> np.ndarray:
+    """Selectivity of the binary match at each Hamming distance 0..dim,
+    the very values ``_selectivity_rows`` gives those matches one by one."""
+    return _selectivity_rows(_binary_match(np.arange(dim + 1), dim), params)
+
+
 def word_match_rows(mode: str, a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     """Raw per-word match, before selectivity, of each stored row of ``a``
     against ``b``: one row matched against every row of ``a``, or as many
@@ -167,8 +194,7 @@ def word_match_rows(mode: str, a: np.ndarray, b: np.ndarray, dim: int) -> np.nda
     1/dim, which is exact.
     """
     if is_binary_mode(mode):
-        hamming = _POPCOUNT[np.bitwise_xor(a, b)].sum(axis=1).astype(np.float64)
-        return (float(dim) - 2.0 * hamming) / float(dim)
+        return _binary_match(_hamming_rows(a, b), dim)
     b64 = b.astype(np.float64)
     return np.matmul(a.astype(np.float64)[:, None, :], b64[..., None])[:, 0, 0]
 

@@ -10,11 +10,16 @@ from ramk.features_io import ImageFeatures, RegionBox
 from ramk.errors import DimensionError
 from ramk.kernels import (
     DEFAULT_SELECTIVITY,
+    AggregatedRepresentation,
     SelectivityParams,
     _gamma_from_rows,
+    _match_totals,
     is_binary_mode,
+    is_regional_mode,
     is_vlad_family,
+    word_match_rows,
 )
+from ramk.regional import as_regional_query
 
 
 def make_features(
@@ -164,6 +169,54 @@ def oracle_gamma(mode: str, entries: dict[int, np.ndarray], params: SelectivityP
     if total <= 0.0:
         return 0.0
     return total ** -0.5
+
+
+# Set bits of every byte value: the popcount oracle of the library's
+# wide-word ``np.bitwise_count``.
+POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
+
+
+def oracle_word_match_rows(mode: str, a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """``kernels.word_match_rows`` with packed sign rows counted byte by
+    byte through ``POPCOUNT``."""
+    if is_binary_mode(mode):
+        hamming = POPCOUNT[np.bitwise_xor(a, b)].sum(axis=1).astype(np.float64)
+        return (float(dim) - 2.0 * hamming) / float(dim)
+    return word_match_rows(mode, a, b, dim)
+
+
+def oracle_entry_scores(index, plain: AggregatedRepresentation) -> np.ndarray:
+    """``index.entry_scores`` one query word at a time: each word's posting
+    slice is matched by ``oracle_word_match_rows`` and every match goes
+    through the selectivity on its own, then ``_match_totals`` adds them
+    per entry in ascending word order."""
+    regional = is_regional_mode(index.mode)
+    q = as_regional_query(plain, index.mode, index.params) if regional else plain
+    mode, dim, entry_ids, payload = index.mode, index.dim, index.entry_ids, index.payload
+    spans = zip(index.word_ptr[q.words].tolist(), index.word_ptr[q.words + 1].tolist(), q.rows)
+    hits = [(a, b, row) for a, b, row in spans if a < b]
+    ids = np.concatenate([np.empty(0, dtype=np.uint32)] + [entry_ids[a:b] for a, b, _ in hits])
+    u = np.concatenate(
+        [np.empty(0)] + [oracle_word_match_rows(mode, payload[a:b], row, dim) for a, b, row in hits]
+    )
+    sums = _match_totals(mode, u, index.params, ids, index.entry_count)
+    if regional and not index.normalize_regional:
+        return sums
+    return q.gamma * index.gammas * sums
+
+
+def random_packed_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """``n`` random packed sign rows of ``dim`` bits, the padding bits past
+    ``dim`` clear as stored rows keep them."""
+    rows = rng.integers(0, 256, size=(n, (dim + 7) // 8), dtype=np.uint8)
+    rows[:, -1] &= np.uint8((1 << (dim % 8 or 8)) - 1)
+    return rows
+
+
+def complement_packed(row: np.ndarray, dim: int) -> np.ndarray:
+    """The packed row with each of its ``dim`` sign bits flipped, padding clear."""
+    bits = np.unpackbits(row, count=dim, bitorder="little")
+    return np.packbits(bits ^ 1, bitorder="little")
 
 
 def random_boxes(rng: np.random.Generator, n: int, width: int, height: int) -> list[RegionBox]:

@@ -25,6 +25,8 @@ from ramk.features_io import (
 from ramk.index import (
     POOL_AVG,
     POOL_MAX,
+    IndexEntry,
+    RetrievalIndex,
     build_index,
     entry_scores,
     load_index,
@@ -36,6 +38,9 @@ from ramk.index import (
 from ramk.kernels import (
     ALL_MODES,
     PLAIN_COUNTERPART,
+    AggregatedRepresentation,
+    SelectivityParams,
+    _gamma_from_rows,
     aggregate,
     is_regional_mode,
     kernel_similarity,
@@ -50,7 +55,13 @@ from ramk.regional import (
 )
 from ramk.synthetic import SyntheticConfig, generate_synthetic_dataset
 
-from conftest import make_codebook, make_features
+from conftest import (
+    complement_packed,
+    make_codebook,
+    make_features,
+    oracle_entry_scores,
+    random_packed_rows,
+)
 
 ALL_CASES = [
     ("vlad", "whole", POOL_MAX),
@@ -103,6 +114,39 @@ def dtri_layout(index) -> tuple[int, int, list[tuple[int, int, int, int]]]:
         for i, (start, count) in enumerate(zip(starts, counts))
     ]
     return n_entries_at, n_words_at, records
+
+
+def random_star_index(
+    rng: np.random.Generator, mode: str, dim: int, params: SelectivityParams, normalize: bool
+) -> tuple[RetrievalIndex, np.ndarray]:
+    """A star-mode index of random packed postings over 12 words of which
+    the last 3 have none, and one query row per word.  Entries 0 and 1
+    hold every populated word: entry 0 with the word's query row (Hamming
+    distance 0), entry 1 with its complement (distance D)."""
+    words, entries = 12, 9
+    held = rng.random((words, entries)) < 0.6
+    held[:, :2] = True
+    held[-3:] = False
+    word_of, entry_ids = np.nonzero(held)  # ascending words, entries ascending within each
+    q_rows = random_packed_rows(rng, words, dim)
+    payload = random_packed_rows(rng, len(word_of), dim)
+    first = np.flatnonzero(np.diff(word_of, prepend=-1))
+    payload[first] = q_rows[word_of[first]]
+    payload[first + 1] = [complement_packed(row, dim) for row in q_rows[word_of[first]]]
+    index = RetrievalIndex(
+        mode=mode,
+        params=params,
+        normalize_regional=normalize,
+        codebook=make_codebook(rng, words, dim),
+        codebook_hash=bytes(32),
+        strategy="whole",
+        entries=[IndexEntry(f"img{i}", 0) for i in range(entries)],
+        gammas=rng.uniform(0.1, 1.0, entries),
+        word_ptr=np.append(0, np.cumsum(held.sum(axis=1))),
+        entry_ids=entry_ids.astype(np.uint32),
+        payload=payload,
+    )
+    return index, q_rows
 
 
 def exhaustive_ranking(manifest, codebook, mode, strategy, query_features, pooling, normalize=True):
@@ -212,6 +256,35 @@ class TestQuery:
             plain = query_representation(index, queries.load_features(entry))
             expected = np.array([similarity(plain, rep) for rep in reps])
             assert entry_scores(index, plain).tobytes() == expected.tobytes(), entry.image_id
+
+    # Row widths of 1, 2, 4, 5, 8 and 16 bytes (uint8 to 2 x uint64 words,
+    # padding bits at D=12 and 33); default, low-, high- and all-cutting
+    # selectivity.
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SelectivityParams(),
+            SelectivityParams(alpha=2.5, tau=-0.2),
+            SelectivityParams(alpha=1.7, tau=0.35),
+            SelectivityParams(tau=1.0),
+        ],
+        ids=["default", "a2.5-t-0.2", "a1.7-t0.35", "t1.0"],
+    )
+    @pytest.mark.parametrize("dim", [8, 12, 32, 33, 64, 128])
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("mode", ["asmk-star", "r-asmk-star"])
+    def test_star_entry_scores_bitwise_equal_per_word_oracle(self, mode, normalize, dim, params):
+        rng = np.random.default_rng(dim)
+        index, q_rows = random_star_index(rng, mode, dim, params, normalize)
+        some = np.flatnonzero(rng.random(len(q_rows)) < 0.5)
+        # Every word, a random half, only words without postings, and no word
+        # (the aggregate of a query without descriptors).
+        for words in [np.arange(len(q_rows)), some, np.arange(9, 12), np.arange(0)]:
+            rows = q_rows[words]
+            gamma = _gamma_from_rows("asmk-star", rows, dim, params)
+            plain = AggregatedRepresentation("asmk-star", dim, words, rows, gamma)
+            got, want = entry_scores(index, plain), oracle_entry_scores(index, plain)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_identical_image_scores_one_asmk(self, corpus):
         manifest, _, codebook = corpus
@@ -471,6 +544,22 @@ class TestPersistence:
         with pytest.raises(FormatError, match=message) as err:
             load_index(tmp_path / "posting.dtri")
         assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize("pair", ["first", "last"])
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_descending_entry_ids_name_their_word(self, corpus, tmp_path, which, pair):
+        # The first or last two ids of the first or last word with three
+        # postings swap.
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"))
+        data = bytearray(serialize_index(index))
+        word_at, _, ids_at, count = [r for r in dtri_layout(index)[2] if r[3] >= 3][which]
+        at = ids_at + (0 if pair == "first" else 4 * (count - 2))
+        data[at : at + 8] = data[at + 4 : at + 8] + data[at : at + 4]
+        word = int.from_bytes(data[word_at : word_at + 4], "little")
+        (tmp_path / "swapped.dtri").write_bytes(data)
+        with pytest.raises(FormatError, match=rf"not ascending for word {word}$"):
+            load_index(tmp_path / "swapped.dtri")
 
     @pytest.mark.parametrize(
         "defect,entry,region,message",

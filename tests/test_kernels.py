@@ -25,6 +25,7 @@ from ramk.kernels import (
     aggregate,
     kernel_similarity,
     is_regional_mode,
+    word_match_rows,
 )
 from ramk.regional import (
     RegionStrategy,
@@ -36,15 +37,18 @@ from ramk.regional import (
 
 from conftest import (
     binarize,
+    complement_packed,
     gamma_from_entries,
     make_codebook,
     make_features,
     match_sum,
     normalize_residual,
     oracle_gamma,
+    oracle_word_match_rows,
     pack_signs,
     packed_inner_scaled,
     random_boxes,
+    random_packed_rows,
     selectivity,
     unpack_signs,
     vlad_residual,
@@ -210,6 +214,20 @@ class TestBinarize:
             # equivalently 1 - 2 * hamming / d (up to one ulp of reassociation)
             hamming = int((binarize(a) != binarize(b)).sum())
             assert got == pytest.approx(1.0 - 2.0 * hamming / d, abs=1e-15)
+
+    # Row widths of 1, 2, 4, 5, 8 and 16 bytes: uint8, uint16, uint32 and
+    # uint64 words, two of them at D=128, and padding bits at D=12 and 33.
+    @pytest.mark.parametrize("d", [8, 12, 32, 33, 64, 128])
+    def test_packed_match_rows_bitwise_equal_byte_table(self, d):
+        rng = np.random.default_rng(d)
+        a, b = random_packed_rows(rng, 40, d), random_packed_rows(rng, 40, d)
+        a[0], a[1] = b[0], complement_packed(b[1], d)  # Hamming distance 0 and D
+        for x, y in [(a, b), (a, b[5]), (a[::3], b[::3]), (a[:0], b[0])]:
+            got = word_match_rows("asmk-star", x, y, d)
+            want = oracle_word_match_rows("asmk-star", x, y, d)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert word_match_rows("asmk-star", a[:2], b[:2], d).tolist() == [1.0, -1.0]
 
 
 class TestAggregate:
