@@ -25,6 +25,47 @@ squared distances are the sequential sum of squared differences, which
 equals ``cdist``'s value bit for bit.  So labels and distances do not
 depend on the BLAS library or its thread count.
 
+k-means++ seeding skips the points that a new seed provably cannot bring
+nearer (Elkan, "Using the triangle inequality to accelerate k-means",
+2003; Raff, "Exact Acceleration of K-Means++ and K-Means||", 2021).
+Each point keeps ``closest``, its computed ``sum (x - a)^2`` to its
+owner seed ``a``, and its reach ``r = (sqrt(closest) + t) * 2(1 + delta)``
+with ``delta = 2^-20`` and ``t = 2^-520``.  A new seed ``b`` recomputes
+``np.sum((x - b) ** 2)`` only for the points whose owner lies within
+``sqrt(sum (a - b)^2) < r``; a strict ``<`` replaces ``closest`` and the
+owner.  So ``closest`` equals the unpruned ``np.minimum(closest,
+sum (x - b)^2)`` bit for bit at every step, and with it every
+``rng.choice`` probability, as long as no skipped point's computed
+``sum (x - b)^2`` falls below its ``closest``.  (NumPy reduces each row
+of a contiguous array on its own, so row sums over a subset or a chunk
+of rows equal those over the full array.)
+
+Why none does: let ``d_a = |x - a|``, ``d_b = |x - b|``, ``s = |a - b|``
+(exact), ``g = gamma_(D+2)`` and ``E = D 2^-1074``.  Training rejects
+components beyond the float32 range, so nothing overflows.  The
+subtractions and additions round by a factor (1 +- u) at most and are
+exact when the result is subnormal; a square rounds by (1 +- u) or, when
+it underflows, by at most 2^-1075.  So every computed squared sum of an
+exact ``S`` lies in ``[(1 - g) S - E, (1 + g) S + E]``, whatever the
+summation order, and the square root, the ``+ t`` and the product by the
+exact ``2(1 + delta)`` each round by (1 +- u).  A skipped point has
+computed ``s >= r``, so with
+``kappa = 2(1 + delta)(1 - u)^3 / ((1 + u) sqrt(1 + g))``::
+
+    s   >= kappa (sqrt(closest) + t) - sqrt(E)
+    d_b >= s - d_a
+        >= (kappa sqrt(1 - g) - 1) d_a + kappa t - (kappa + 1) sqrt(E)
+
+using ``sqrt(closest) >= sqrt(1 - g) d_a - sqrt(E)``.  As the computed
+``sum (x - b)^2 >= (1 - g) d_b^2 - E`` and ``closest <= (1 + g) d_a^2 + E``,
+the first is at least the second once
+``d_b >= sqrt((1 + g) / (1 - g)) d_a + sqrt(2E / (1 - g))``, which the
+bound above gives when ``kappa sqrt(1 - g) - 1 >= sqrt((1 + g) / (1 - g))``
+(true when ``delta >= 3g + 8u``) and ``kappa t >= (kappa + 2.5) sqrt(E)``
+(true when ``t >= 3 sqrt(E)``).  Both hold for any ``D <= 2^28``, where
+``g < 2^-24`` and ``sqrt(E) <= 2^-523``; a codebook file holds
+``D <= 65535``.
+
 Codebook files ("DTRC", little-endian)::
 
     magic 4 bytes b"DTRC" | version u16 | C u32 | D u16 | C*D float32
@@ -94,6 +135,13 @@ _MAX_CELLS = 1 << 22
 # absolute error of a product that underflows.
 _UNIT_ROUNDOFF = 2.0 ** -53
 _TINY = 2.0 ** -1074
+# k-means++ pruning: a point is recomputed against a new seed only when
+# the seed is nearer its owner than (sqrt(closest) + _REACH_FLOOR) *
+# _REACH_SCALE, the margin delta = 2^-20 and the absolute term 2^-520
+# of the derivation in the module docstring.  Both constants are exact.
+_REACH_SCALE = 2.0 * (1.0 + 2.0 ** -20)
+_REACH_FLOOR = 2.0 ** -520
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _nearest(points: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,12 +186,35 @@ def _nearest(points: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels, d2
 
 
+def _squared_distances(points: np.ndarray, rows: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """``np.sum((points[rows] - seed) ** 2, axis=1)``, the same sums, in
+    row chunks of about _CHUNK_CELLS cells that stay in cache (the
+    unchunked expression made seeding 1.3-1.45x slower at 10k x 64,
+    C=1024, on a 2-core x86-64 VM)."""
+    out = np.empty(rows.size, dtype=np.float64)
+    step = max(1, _CHUNK_CELLS // points.shape[1])
+    for lo in range(0, rows.size, step):
+        diff = points.take(rows[lo:lo + step], axis=0)
+        diff -= seed
+        diff *= diff
+        np.sum(diff, axis=1, out=out[lo:lo + step])
+    return out
+
+
 def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds (Arthur and Vassilvitskii, 2007), skipping each
+    point whose ``closest`` the triangle inequality proves unchanged (see
+    the module docstring); ``closest`` equals the unpruned update
+    ``np.minimum(closest, np.sum((points - seed) ** 2, axis=1))`` bit for
+    bit at every step."""
     n = points.shape[0]
     centroids = np.empty((c, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(0, n))
     centroids[0] = points[first]
-    closest = np.sum((points - centroids[0]) ** 2, axis=1)
+    closest = _squared_distances(points, np.arange(n), centroids[0])
+    # The seed each point's closest was computed against, and its reach.
+    owner = np.zeros(n, dtype=np.int64)
+    reach = (np.sqrt(closest) + _REACH_FLOOR) * _REACH_SCALE
     for i in range(1, c):
         total = closest.sum()
         if total <= 0:
@@ -152,7 +223,15 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
         else:
             pick = int(rng.choice(n, p=closest / total))
         centroids[i] = points[pick]
-        closest = np.minimum(closest, np.sum((points - centroids[i]) ** 2, axis=1))
+        seed = centroids[i]
+        sep = np.sqrt(np.sum((centroids[:i] - seed) ** 2, axis=1))
+        cand = np.flatnonzero(sep[owner] < reach)
+        d2 = _squared_distances(points, cand, seed)
+        nearer = d2 < closest[cand]
+        moved = cand[nearer]
+        closest[moved] = d2[nearer]
+        owner[moved] = i
+        reach[moved] = (np.sqrt(d2[nearer]) + _REACH_FLOOR) * _REACH_SCALE
     return centroids
 
 
@@ -165,10 +244,14 @@ def train_codebook(
     drops below 1e-6.  Deterministic for a fixed seed.
     """
     points = np.ascontiguousarray(descriptors, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] == 0:
+    if points.ndim != 2 or points.size == 0:
         raise TrainingError("training descriptors must be a non-empty (M, D) array")
     if not np.isfinite(points).all():
         raise TrainingError("training descriptors contain non-finite values")
+    if np.abs(points).max() > _F32_MAX:
+        # Centroids are stored as float32, and the seeding's pruning
+        # bound assumes no squared distance overflows.
+        raise TrainingError(f"training descriptors exceed the float32 range (|x| > {_F32_MAX:.7g})")
     if c < 1:
         raise TrainingError("codebook size must be >= 1")
     if max_iters < 1:

@@ -117,6 +117,26 @@ def selectivity(u: float, params: SelectivityParams = DEFAULT_SELECTIVITY) -> fl
     return math.copysign(abs(u) ** params.alpha, u)
 
 
+def oracle_kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding that recomputes every point's squared distance to
+    each new seed: the unpruned oracle of ``codebook._kmeanspp_init``."""
+    n = points.shape[0]
+    centroids = np.empty((c, points.shape[1]), dtype=np.float64)
+    first = int(rng.integers(0, n))
+    centroids[0] = points[first]
+    closest = np.sum((points - centroids[0]) ** 2, axis=1)
+    for i in range(1, c):
+        total = closest.sum()
+        if total <= 0:
+            # All remaining mass at distance zero: fall back to uniform choice.
+            pick = int(rng.integers(0, n))
+        else:
+            pick = int(rng.choice(n, p=closest / total))
+        centroids[i] = points[pick]
+        closest = np.minimum(closest, np.sum((points - centroids[i]) ** 2, axis=1))
+    return centroids
+
+
 def quantize(codebook: Codebook, vector: np.ndarray) -> int:
     """Visual word of a single descriptor, through ``quantize_batch``."""
     return int(quantize_batch(codebook, np.asarray(vector)[None, :])[0])

@@ -2,7 +2,9 @@
 
 ``cdist_nearest`` is the ``cdist`` + ``argmin`` assignment that the
 matrix-product nearest-neighbour core replaces; the core must return the
-same labels and byte-equal squared distances.
+same labels and byte-equal squared distances.  ``oracle_kmeanspp_init``
+(conftest) is the unpruned k-means++ seeding that the pruned one must
+reproduce draw for draw.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ramk.codebook import (
 )
 from ramk.errors import DimensionError, FormatError, TrainingError
 
-from conftest import make_codebook, make_features, quantize
+from conftest import make_codebook, make_features, oracle_kmeanspp_init, quantize
 
 
 def cdist_nearest(points: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,6 +82,27 @@ class TestTraining:
         with pytest.raises(TrainingError, match="distinct"):
             train_codebook(points, 3)
 
+    def test_descriptors_beyond_float32_range_rejected(self):
+        points = np.random.default_rng(17).normal(0, 1, size=(50, 4))
+        points[7, 2] = -1e150
+        seeding = mock.Mock(side_effect=AssertionError("seeding ran"))
+        with mock.patch.object(codebook_module, "_kmeanspp_init", seeding):
+            with pytest.raises(TrainingError, match="float32 range"):
+                train_codebook(points, 4)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (5, 0)])
+    def test_empty_descriptor_array_rejected(self, shape):
+        with pytest.raises(TrainingError, match="non-empty"):
+            train_codebook(np.zeros(shape), 1)
+
+    def test_descriptors_at_float32_limit_accepted(self):
+        big = float(np.finfo(np.float32).max)
+        points = np.random.default_rng(18).normal(0, 1, size=(50, 4))
+        points[7] = [big, -big, big, 0.0]
+        cb = train_codebook(points, 4, max_iters=5, seed=0)
+        assert np.isfinite(cb.centroids).all()
+        assert [big, -big, big, 0.0] in cb.centroids.tolist()
+
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(4)
         points = rng.normal(0, 1, size=(400, 6))
@@ -94,6 +117,149 @@ class TestTraining:
         cb = train_codebook(points, 32, max_iters=30, seed=7)
         cb.validate()
         assert cb.size == 32
+
+
+class RecordingRng:
+    """A PCG64 generator that records what the seeding asks of it: the
+    bounds of each ``integers`` call and the bytes of each ``p`` given to
+    ``choice``, so two seedings compare step by step."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        self.calls: list[tuple] = []
+
+    def integers(self, *args, **kwargs):
+        self.calls.append(("integers", args, kwargs))
+        return self._rng.integers(*args, **kwargs)
+
+    def choice(self, a, *args, p=None, **kwargs):
+        self.calls.append(("choice", a, args, kwargs, None if p is None else p.tobytes()))
+        return self._rng.choice(a, *args, p=p, **kwargs)
+
+
+def blobs(rng: np.random.Generator, n: int, d: int, centres: int, spread: float) -> np.ndarray:
+    """``n`` points scattered by ``spread`` around ``centres`` N(0, 1) centres."""
+    means = rng.normal(0, 1, size=(centres, d))
+    return means[rng.integers(0, centres, size=n)] + rng.normal(0, spread, size=(n, d))
+
+
+def assert_seeding_matches_oracle(points: np.ndarray, c: int, seed: int = 0) -> list[tuple]:
+    """Run the pruned and the unpruned seeding on the same stream; every
+    draw, each ``closest / total`` included, and the seeds must be
+    byte-equal.  Returns the oracle's draws."""
+    got_rng, want_rng = RecordingRng(seed), RecordingRng(seed)
+    got = codebook_module._kmeanspp_init(points, c, got_rng)
+    want = oracle_kmeanspp_init(points, c, want_rng)
+    # One draw per seed: the first pick, then one choice (or uniform fallback) each.
+    assert len(want_rng.calls) == c
+    for step, (g, w) in enumerate(zip(got_rng.calls, want_rng.calls)):
+        assert g == w, f"draw {step} differs"
+    assert len(got_rng.calls) == len(want_rng.calls)
+    assert got.tobytes() == want.tobytes()
+    return want_rng.calls
+
+
+def fallbacks(calls: list[tuple]) -> int:
+    """Uniform picks after the first: steps whose remaining mass was zero."""
+    return sum(call[0] == "integers" for call in calls[1:])
+
+
+class TestSeedingOracle:
+    @pytest.mark.parametrize("d", [1, 8, 9, 64, 128, 129])
+    def test_gaussian_blobs(self, d):
+        points = blobs(np.random.default_rng(d), 600, d, 12, 0.1)
+        assert fallbacks(assert_seeding_matches_oracle(points, 48, seed=d)) == 0
+
+    @pytest.mark.parametrize("d", [1, 8, 129])
+    def test_duplicated_points_with_c_equal_to_distinct_count(self, d):
+        rng = np.random.default_rng(20 + d)
+        distinct = blobs(rng, 30, d, 5, 0.2)
+        points = distinct[rng.permutation(np.repeat(np.arange(30), rng.integers(1, 9, size=30)))]
+        assert np.unique(points, axis=0).shape[0] == 30
+        assert_seeding_matches_oracle(points, 30, seed=d)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 9])
+    def test_integer_grid(self, d):
+        # Small integers: distances are exact, so ties and seeds at exactly
+        # twice a point's distance from its owner are common.  Past the
+        # distinct count (5 values at D=1) the uniform fallback runs.
+        points = np.random.default_rng(30 + d).integers(-2, 3, size=(400, d)).astype(np.float64)
+        distinct = np.unique(points, axis=0).shape[0]
+        assert_seeding_matches_oracle(points, min(distinct, 40), seed=d)
+        calls = assert_seeding_matches_oracle(points, distinct + 3, seed=d)
+        assert fallbacks(calls) > 0
+
+    def test_boundary_seed_at_twice_the_distance(self):
+        # The point at 1 has closest 1 to a seed at 0; a seed at 2 lies at
+        # exactly 2 sqrt(closest), inside the reach, and ties the point's
+        # distance, which must keep its value.
+        points = np.array([[0.0], [1.0], [2.0], [5.0]])
+        for seed in range(20):
+            assert_seeding_matches_oracle(points, 4, seed=seed)
+
+    def test_rounding_margin_at_the_midpoint(self):
+        # x is the midpoint of a and b = 2x - a, so |a - b| = 2|x - a| and
+        # |x - b| = |x - a| exactly, yet the computed |x - b|^2 is one ulp
+        # below the computed |x - a|^2 while the computed |a - b| reaches
+        # twice the computed |x - a|: without the margin delta, x would be
+        # skipped and keep the larger value.  y, near a, shares the last
+        # draw with x, so the value x keeps shows in that draw's p.
+        a = [1.3664634705496859, -0.6651946734866135]
+        x = [0.3515100700930197, 0.9034701816518086]
+        b = [-0.6634433303636464, 2.4721350367902306]
+        y = [1.4664634705496859, -0.5651946734866135]
+        points = np.array([a, x, b, y])
+        for seed in range(40):
+            assert_seeding_matches_oracle(points, 3, seed=seed)
+
+    def test_absolute_term_when_squares_underflow(self):
+        # In units of w = 2^-537 (w^2 the smallest subnormal): x - a =
+        # (32, 0.7), whose 0.7^2 = 0.49 underflows to 0, so closest is
+        # 1024; b - a = (63.99, 1.4), whose 1.4^2 = 1.96 rounds up to 2,
+        # so the computed |a - b| = sqrt(4097) passes 2(1 + delta) * 32;
+        # yet x - b = (-31.99, -0.7) gives 1023.36 -> 1023 < 1024.  Only
+        # the absolute term t keeps x a candidate.
+        w = 2.0 ** -537
+        a, x, b, y = [0.0, 0.0], [32 * w, 0.7 * w], [63.99 * w, 1.4 * w], [8 * w, 0.0]
+        points = np.array([a, x, b, y])
+        for seed in range(40):
+            assert_seeding_matches_oracle(points, 3, seed=seed)
+
+    @pytest.mark.parametrize("d", [1, 8, 64, 129])
+    def test_subnormal_scale(self, d):
+        # Squares near 1e-320 are subnormal; points of one blob differ by
+        # ~1e-163, whose squares underflow to zero, so the mass runs out
+        # and the uniform fallback runs.
+        points = blobs(np.random.default_rng(40 + d), 500, d, 6, 1e-3) * 1e-160
+        calls = assert_seeding_matches_oracle(points, 40, seed=d)
+        assert fallbacks(calls) > 0
+
+    @pytest.mark.parametrize("d", [1, 9, 128])
+    def test_large_scale(self, d):
+        points = blobs(np.random.default_rng(50 + d), 500, d, 10, 0.05) * 1e18
+        assert_seeding_matches_oracle(points, 40, seed=d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 3, 8, 9, 64, 129]),
+        n=st.integers(1, 300),
+        c=st.integers(1, 40),
+        kind=st.sampled_from(["blobs", "grid", "gaussian"]),
+        scale=st.sampled_from([1.0, 1e-160, 1e18]),
+        cells=st.sampled_from([1, 7, 64, codebook_module._CHUNK_CELLS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle(self, d, n, c, kind, scale, cells, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "blobs":
+            points = blobs(rng, n, d, 7, 0.05)
+        elif kind == "grid":
+            points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        else:
+            points = rng.normal(0, 1, size=(n, d))
+        # Small chunks put row-chunk boundaries inside every distance pass.
+        with mock.patch.object(codebook_module, "_CHUNK_CELLS", cells):
+            assert_seeding_matches_oracle(points * scale, c, seed=seed)
 
 
 class TestQuantize:
@@ -205,6 +371,26 @@ class TestTrainingOracle:
         got = train_codebook(points, c, max_iters=20, seed=seed)
         with mock.patch.object(codebook_module, "_nearest", cdist_nearest):
             want = train_codebook(points, c, max_iters=20, seed=seed)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.history == want.history
+        assert got.iterations == want.iterations
+
+    @pytest.mark.parametrize(
+        "m,c,d,seed,max_iters,centres",
+        [(400, 8, 6, 42, 20, 0), (3000, 64, 16, 1, 20, 0), (500, 32, 65, 3, 20, 0),
+         # The benchmark's shape at a smaller scale: clustered float32
+         # descriptors, C=256, 5 iterations.
+         (4000, 256, 32, 7, 5, 64)],
+    )
+    def test_equals_unpruned_seeding_training(self, m, c, d, seed, max_iters, centres):
+        rng = np.random.default_rng(seed)
+        if centres:
+            points = blobs(rng, m, d, centres, 0.3).astype(np.float32).astype(np.float64)
+        else:
+            points = rng.normal(0, 1, size=(m, d))
+        got = train_codebook(points, c, max_iters=max_iters, seed=seed)
+        with mock.patch.object(codebook_module, "_kmeanspp_init", oracle_kmeanspp_init):
+            want = train_codebook(points, c, max_iters=max_iters, seed=seed)
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert got.history == want.history
         assert got.iterations == want.iterations
