@@ -9,21 +9,65 @@ lowest centroid index; a descriptor is assigned to exactly one word.
 
 k-means assignment, quantization and descriptor matching share one
 nearest-neighbour routine, ``_nearest``.  It ranks the references of a
-row by ``g = |r|^2 - 2 x.r``, one float64 matrix product per chunk (the
-exact L2 search of Johnson, Douze and Jegou, "Billion-scale similarity
-search with GPUs", 2017), and certifies the winner.  With
-``gamma_n = n*u / (1 - n*u)`` (u = 2^-53), the dot-product error bound
-puts the computed ``g`` within
-``gamma_(D+1) (|r|^2 + 2|x||r|)`` of the exact ``|x - r|^2 - |x|^2``
-whatever the summation order, and the sequential ``cdist`` sum within
-``gamma_(D+2) |x - r|^2`` of the exact ``|x - r|^2``; both are at most
-``gamma_(D+2) (|x| + max|r|)^2 =: e``.  A row whose best and second-best
-``g`` are more than ``4e`` apart therefore has the same argmin as
-``cdist``.  Rows that are not certified (near-ties, exact ties,
-non-finite or huge values) are recomputed with ``cdist``.  The returned
-squared distances are the sequential sum of squared differences, which
+row by ``g = |r|^2 - 2 x.r`` (the exact L2 search of Johnson, Douze and
+Jegou, "Billion-scale similarity search with GPUs", 2017) and certifies
+the winner.  A reference set is prepared once (``_Refs``; a ``Codebook``
+keeps its own): the float64 rows, their computed squared norms ``s``,
+``R = max |r|`` and the lifted (D+1, C) matrix ``L = [-2 R^T; s]``.  A
+chunk of points lifted by a trailing 1 gives every ``g`` in one matrix
+product with ``L``.  When both sides are float32, that product runs in
+float32 first; rows it cannot certify take the float64 product, and rows
+that fail there are recomputed with ``cdist``.  The returned squared
+distances are the sequential float64 sum of squared differences, which
 equals ``cdist``'s value bit for bit.  So labels and distances do not
-depend on the BLAS library or its thread count.
+depend on the BLAS library, its thread count or the stage that
+certified a row.
+
+The certificate uses Higham's bound ("Accuracy and Stability of
+Numerical Algorithms", section 3.1): with unit roundoff u and
+``gamma_n = n u / (1 - n u)``, a sum of n products computed in any order,
+fused or not, is within ``gamma_n`` times the sum of their magnitudes.
+Let ``S = (|x| + R)^2`` and ``G_j = |r_j|^2 - 2 x.r_j``, exact.  If every
+computed ``g_j`` is within ``e`` of ``G_j`` and every ``cdist`` value
+``c_j`` within ``e'`` of ``|x - r_j|^2 = G_j + |x|^2``, a row whose best
+``g_b`` is below every other ``g_j`` by more than ``2e + 2e'`` has::
+
+    c_j >= G_j + |x|^2 - e' >= g_j - e - e' + |x|^2
+        >  g_b + e + e' + |x|^2 >= G_b + e' + |x|^2 >= c_b,
+
+the same argmin as ``cdist``.  Exact ties and near-ties are never
+certified.  ``cdist`` rounds each difference, square and addition once,
+so ``e' <= gamma_(D+2) S + D 2^-1075`` (2^-1075 bounds an underflowing
+square).
+
+- float64 (u = 2^-53).  The computed ``s`` is within ``gamma_D |r|^2`` of
+  ``|r|^2``, and the product of the D+1 lifted terms adds
+  ``gamma_(D+1) (2 |x||r| + s)``; as ``gamma_a + gamma_b + gamma_a gamma_b
+  <= gamma_(a+b)``, ``e <= gamma_(2D+1) S + (2D+1) 2^-1075``.  The
+  certificate is ``gap > 4 gamma_(2D+4) S + 4 (2D+4) 2^-1074``: the three
+  spare units absorb the rounding of the gap, of ``|x|`` and of the bound.
+- float32 (u = 2^-24; ``gamma_n[2^-53]`` is float64's gamma).  ``-2 r``
+  is exact and the stored ``s`` is the float64 sum rounded once to
+  float32, within ``(u + gamma_D[2^-53] (1 + u)) |r|^2`` of ``|r|^2``, so
+  ``e <= gamma_(D+2) S + 2 gamma_D[2^-53] S`` plus what underflows.  The
+  certificate is ``gap > 2 (gamma_(D+4) + gamma_(D+4)[2^-53]) S``: the
+  second term covers ``e'``, and the two spare float32 units (about
+  ``4u S``) cover the float32 rounding of the gap, the float64 term of
+  ``e`` (below 2^-35 S for D <= 2^16) and the underflow below.
+- The float32 guard.  A row is certified in float32 only when
+  ``2^-60 <= S <= 2^100`` and D <= 2^16; other rows, non-finite ones
+  included, take the float64 product.  No partial sum of the product
+  exceeds ``(1 + gamma_(D+1)) S < 2^101``, and ``|2 r| <= 2^51``, far
+  below the float32 maximum (~2^128): nothing overflows.  Even when
+  subnormal inputs and results are flushed to zero, each of the D+1
+  products and D additions, and the stored ``s``, loses at most
+  ``2^-126 (1 + 2 sqrt(S)) <= 2^-124 max(1, S)``; in total at most
+  ``(2D+2) 2^-124 max(1, S) <= (2D+2) 2^-64 S < 2^-46 S``, below
+  ``2^-22 u S``.
+
+On the 120k descriptors of the benchmark's LARGE reference corpus
+against its trained codebook (D=64, C=1024), 1.13% of rows fail the
+float32 certificate and none fail the float64 one.
 
 k-means++ seeding skips the points that a new seed provably cannot bring
 nearer (Elkan, "Using the triangle inequality to accelerate k-means",
@@ -75,8 +119,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +141,13 @@ _CB_HEADER = struct.Struct("<4sHIH")
 CONVERGENCE_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class Codebook:
-    """C visual words of dimension D, plus training metadata when trained here."""
+    """C visual words of dimension D, plus training metadata when trained here.
+
+    Frozen, and its centroids are not written in place: the state
+    prepared for quantization (``_refs``) is built once, on first use.
+    """
 
     centroids: np.ndarray  # (C, D) float32
     iterations: int | None = None
@@ -120,21 +170,38 @@ class Codebook:
         if np.unique(self.centroids, axis=0).shape[0] != self.size:
             raise DataError("codebook contains duplicate centroids")
 
+    @cached_property
+    def _refs(self) -> _Refs:
+        return _Refs(self.centroids)
 
-# Row chunks of the nearest-neighbour search hold about _CHUNK_CELLS
-# distance cells: a 512 KB block and its temporaries stay in cache (on a
-# 2-core x86-64 VM, 1 << 22 cells made k-means assignment 1.3-1.9x
-# slower at C=1024 and C=48).  A chunk keeps at least _MIN_ROWS rows,
-# so the matrix product reuses each reference across rows (single rows
-# ran 5.7x slower at C=65536), and never more than _MAX_CELLS cells
-# (32 MB).
+
+# Row chunks of the float64 nearest-neighbour search hold about
+# _CHUNK_CELLS distance cells: a 512 KB block and its temporaries stay in
+# cache (on a 2-core x86-64 VM, 1 << 22 cells made k-means assignment
+# 1.3-1.9x slower at C=1024 and C=48, and 1 << 19 cells 1.12x slower at
+# C=48, 3% faster at C=1024).  float32 chunks hold _F32_CHUNK_BYTES of
+# distances, one chunk per 400-descriptor image at C=1024: there the
+# per-chunk NumPy calls cost more than the cache (quantization took
+# 0.70 ms per image at 512 KB chunks, 0.59 ms at 2 MB, and the same from
+# 2 MB up on 8192 rows).  A chunk keeps at least _MIN_ROWS rows, so the
+# matrix product reuses each reference across rows (single rows ran 5.7x
+# slower at C=65536), and never more than _MAX_CELLS cells.
 _CHUNK_CELLS = 1 << 16
+_F32_CHUNK_BYTES = 1 << 21
 _MIN_ROWS = 64
 _MAX_CELLS = 1 << 22
-# Unit roundoff of float64, and the smallest subnormal, which bounds the
-# absolute error of a product that underflows.
+# Unit roundoffs of float64 and float32, and the smallest float64
+# subnormal, which bounds the absolute error of a product that underflows.
 _UNIT_ROUNDOFF = 2.0 ** -53
+_F32_UNIT_ROUNDOFF = 2.0 ** -24
 _TINY = 2.0 ** -1074
+# A row is ranked in float32 only when (|x| + max|r|)^2 lies in
+# [_F32_LO, _F32_HI] and D <= _F32_MAX_DIM: there nothing in the float32
+# product overflows, and what underflows stays below 2^-22 of its rounding
+# bound (module docstring).
+_F32_LO = 2.0 ** -60
+_F32_HI = 2.0 ** 100
+_F32_MAX_DIM = 1 << 16
 # k-means++ pruning: a point is recomputed against a new seed only when
 # the seed is nearer its owner than (sqrt(closest) + _REACH_FLOOR) *
 # _REACH_SCALE, the margin delta = 2^-20 and the absolute term 2^-520
@@ -144,43 +211,111 @@ _REACH_FLOOR = 2.0 ** -520
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def _nearest(points: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest row of ``refs`` (C, D) for each row of ``points`` (M, D),
-    both float64: the exact argmin of the squared Euclidean distance with
-    ties to the lowest index, as int64 labels, and the squared distance
-    to it as ``cdist(..., "sqeuclidean")`` computes it (see the module
-    docstring for the certificate)."""
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * u / (1.0 - n * u)
+
+
+class _Refs:
+    """A reference set (C, D) prepared for ``_nearest``: its float64 rows,
+    their squared norms and the largest norm; the lifted (D+1, C) matrix
+    ``[-2 R^T; |r|^2]`` in float64, built on first use; and its float32
+    copy, kept when the references are float32 and within the float32
+    guard (None otherwise)."""
+
+    def __init__(self, refs: np.ndarray):
+        self.rows = np.ascontiguousarray(refs, dtype=np.float64)
+        self.sq = np.vecdot(self.rows, self.rows)
+        max_sq = float(self.sq.max())
+        self.max_norm = math.sqrt(max_sq)
+        # Rounding bounds per unit (|x| + max|r|)^2: n = 2D + 4 for the
+        # float64 product, n = D + 4 for the float32 one (module docstring).
+        d = refs.shape[1]
+        self.coef64 = 4.0 * _gamma(2 * d + 4, _UNIT_ROUNDOFF)
+        self.floor64 = 4.0 * (2 * d + 4) * _TINY
+        self.lifted32 = None
+        if refs.dtype == np.float32 and d <= _F32_MAX_DIM and _F32_LO <= max_sq <= _F32_HI:
+            self.lifted32 = self._lift_refs(refs)
+            self.coef32 = 2.0 * (_gamma(d + 4, _F32_UNIT_ROUNDOFF) + _gamma(d + 4, _UNIT_ROUNDOFF))
+            # Rows with |x| <= norm_limit have (|x| + max|r|)^2 <= _F32_HI.
+            self.norm_limit = math.sqrt(_F32_HI) - self.max_norm
+
+    def _lift_refs(self, refs: np.ndarray) -> np.ndarray:
+        d = refs.shape[1]
+        lifted = np.empty((d + 1, refs.shape[0]), dtype=refs.dtype)
+        # Scaling by -2 is exact, so x . (-2 r) has the error bound of -2 (x . r).
+        np.multiply(refs.T, -2.0, out=lifted[:d])
+        lifted[d] = self.sq
+        return lifted
+
+    @cached_property
+    def lifted(self) -> np.ndarray:
+        return self._lift_refs(self.rows)
+
+
+def _lift(x: np.ndarray, dtype: type) -> np.ndarray:
+    """``[x, 1]``: rows of ``x`` with a trailing 1, so that one product
+    with a lifted reference matrix gives ``|r|^2 - 2 x.r``."""
+    out = np.ones((x.shape[0], x.shape[1] + 1), dtype=dtype)
+    out[:, :-1] = x
+    return out
+
+
+def _rank(xl: np.ndarray, lifted: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the smallest ``g = xl @ lifted`` per row, and the rows
+    (as positions) whose gap to the second smallest is not above
+    ``bound``: exact ties, near-ties and non-finite rows."""
+    g = np.matmul(xl, lifted)
+    best = np.argmin(g, axis=1)
+    # Flat positions of each row's start, then of its best and runner-up:
+    # on short rows, np.min(axis=1) took 2.5x as long as argmin + gather.
+    at = np.arange(0, g.size, g.shape[1])
+    flat = g.reshape(-1)
+    pos = at + best
+    first = flat[pos]
+    flat[pos] = np.inf
+    at += np.argmin(g, axis=1)
+    gap = flat[at] - first
+    return best, np.flatnonzero(~(gap > bound))
+
+
+def _nearest(points: np.ndarray, refs: np.ndarray | _Refs) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest row of ``refs`` (C, D) for each row of ``points`` (M, D):
+    the exact argmin of the squared Euclidean distance with ties to the
+    lowest index, as int64 labels, and the squared distance to it as
+    ``cdist(..., "sqeuclidean")`` computes it (see the module docstring
+    for the certificate).  ``refs`` is an array or a prepared ``_Refs``;
+    when both sides are float32, rows are ranked in float32 first."""
+    if not isinstance(refs, _Refs):
+        refs = _Refs(refs)
     m, d = points.shape
     labels = np.empty(m, dtype=np.int64)
     d2 = np.empty(m, dtype=np.float64)
-    ref_sq = np.einsum("ij,ij->i", refs, refs)
-    # Scaling by -2 is exact, so x @ (-2 r).T has the error bound of -2 (x @ r.T).
-    neg2_refs_t = (-2.0 * refs).T
-    ref_max = float(np.sqrt(ref_sq.max()))
-    # n = D + 4: the two extra units absorb the O(D u) relative rounding
-    # of the norms, of the bound itself and of the gap; the absolute term
-    # covers underflowing products in either computation.
-    n = d + 4
-    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    c = refs.shape[0]
-    step = max(1, min(max(_MIN_ROWS, _CHUNK_CELLS // c), _MAX_CELLS // c))
+    single = points.dtype == np.float32 and refs.lifted32 is not None
+    c = refs.rows.shape[0]
+    cells = _F32_CHUNK_BYTES // 4 if single else _CHUNK_CELLS
+    step = max(1, min(max(_MIN_ROWS, cells // c), _MAX_CELLS // c))
     for lo in range(0, m, step):
         x = points[lo:lo + step]
-        rows = np.arange(x.shape[0])
-        g = np.matmul(x, neg2_refs_t)
-        g += ref_sq
-        best = np.argmin(g, axis=1)
-        first = g[rows, best]
-        g[rows, best] = np.inf
-        gap = g.min(axis=1) - first
-        x_norm = np.sqrt(np.einsum("ij,ij->i", x, x))
-        bound = 4.0 * gamma * (x_norm + ref_max) ** 2 + 4.0 * n * _TINY
-        unsure = np.flatnonzero(~(gap > bound))
+        x64 = x.astype(np.float64, copy=False)
+        x_norm = np.sqrt(np.vecdot(x64, x64))
+        s2 = (x_norm + refs.max_norm) ** 2
+        if single and x_norm.max() <= refs.norm_limit:
+            best, unsure = _rank(_lift(x, np.float32), refs.lifted32, refs.coef32 * s2)
+            if unsure.size:
+                # The float64 product for the rows float32 cannot certify.
+                best64, still = _rank(
+                    _lift(x64[unsure], np.float64), refs.lifted, refs.coef64 * s2[unsure] + refs.floor64
+                )
+                best[unsure] = best64
+                unsure = unsure[still]
+        else:
+            best, unsure = _rank(_lift(x64, np.float64), refs.lifted, refs.coef64 * s2 + refs.floor64)
         if unsure.size:
-            best[unsure] = np.argmin(cdist(x[unsure], refs, metric="sqeuclidean"), axis=1)
+            best[unsure] = np.argmin(cdist(x64[unsure], refs.rows, metric="sqeuclidean"), axis=1)
         labels[lo:lo + step] = best
         # A sequential sum of squares in the order of the dimensions, like cdist's.
-        diff = x - refs[best]
+        diff = x64 - refs.rows.take(best, axis=0)
         diff *= diff
         d2[lo:lo + step] = np.cumsum(diff, axis=1)[:, -1]
     return labels, d2
@@ -309,14 +444,16 @@ def train_codebook(
 
 def quantize_batch(codebook: Codebook, vectors: np.ndarray) -> np.ndarray:
     """Exact nearest visual word per descriptor row (lowest index on ties)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.asarray(vectors)
+    if vectors.dtype != np.float32:
+        vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
         raise DataError("expected a (M, D) descriptor array")
     if vectors.shape[1] != codebook.dim:
         raise DimensionError(
             f"descriptor dimension {vectors.shape[1]} != codebook dimension {codebook.dim}"
         )
-    labels, _ = _nearest(vectors, codebook.centroids.astype(np.float64))
+    labels, _ = _nearest(vectors, codebook._refs)
     return labels.astype(np.int32)
 
 

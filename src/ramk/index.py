@@ -430,6 +430,9 @@ def load_index(path: str | Path) -> RetrievalIndex:
         raise FormatError(f"{path}: degenerate codebook dimensions C={c}, D={d}")
     mode = CODE_MODES[mode_code]
     cents = np.frombuffer(cur.take(c * d * 4), dtype="<f4").reshape(c, d)
+    # Finiteness only: Codebook.validate's duplicate check costs more than a whole load.
+    if not np.isfinite(cents).all():
+        raise FormatError(f"{path}: codebook contains non-finite centroid components")
     try:
         strategy = str(cur.take(cur.unpack(_U16)[0]), "utf-8")
         RegionStrategy.parse(strategy)

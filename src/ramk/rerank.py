@@ -63,11 +63,12 @@ def match_features(
         return np.empty((0, 2), dtype=np.int64)
     if query.dim != candidate.dim:
         raise DimensionError(f"descriptor dimensions differ: {query.dim} vs {candidate.dim}")
-    nearest, d2 = _nearest(
-        query.vectors.astype(np.float64), candidate.vectors.astype(np.float64)
-    )
+    nearest, d2 = _nearest(query.vectors, candidate.vectors)
     kept = np.flatnonzero(np.sqrt(d2) <= max_distance)
-    return np.stack([kept, nearest[kept]], axis=1)
+    pairs = np.empty((kept.size, 2), dtype=np.int64)
+    pairs[:, 0] = kept
+    pairs[:, 1] = nearest[kept]
+    return pairs
 
 
 def _solve_affine(src: np.ndarray, dst: np.ndarray) -> AffineModel | None:

@@ -160,6 +160,13 @@ class TestExitCodes:
         payload[offset : offset + 8] = struct.pack("<d", value)
         assert self.search(pipeline, tmp_path, bytes(payload)) == 3
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_centroid_is_format_error(self, pipeline, tmp_path, index_bytes, value):
+        # The first centroid component is the f32 right after the 62-byte header.
+        payload = bytearray(index_bytes[0])
+        payload[62:66] = struct.pack("<f", value)
+        assert self.search(pipeline, tmp_path, bytes(payload)) == 3
+
     def test_version_1_index_is_format_error(self, pipeline, tmp_path, index_bytes):
         payload = bytearray(index_bytes[0])
         payload[4:6] = (1).to_bytes(2, "little")  # the u16 after the magic

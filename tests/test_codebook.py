@@ -9,6 +9,7 @@ reproduce draw for draw.
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -362,6 +363,140 @@ class TestNearest:
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], points[[0, 2]])
         assert d2.tobytes() == cdist_nearest(points, refs)[1].tobytes()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.sampled_from([1, 8, 64, 65, 128]),
+        c=st.integers(1, 12),
+        m=st.integers(0, 40),
+        grid=st.booleans(),
+        scale=st.sampled_from([1.0, 1e30, 1e-40]),
+        offset=st.sampled_from([0.0, 1e6]),
+        outlier=st.booleans(),
+        cells=st.sampled_from([1, 7, 64, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_float32_matches_cdist_oracle(self, d, c, m, grid, scale, offset, outlier, cells, seed):
+        rng = np.random.default_rng(seed)
+        if grid:
+            # Small integers: every distance is exact, so equal ones are exact ties.
+            refs = rng.integers(-2, 3, size=(c, d)).astype(np.float64)
+            points = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+        else:
+            refs = rng.normal(0, 1, size=(c, d))
+            points = rng.normal(0, 1, size=(m, d))
+        refs[-1] = refs[0]  # a duplicated reference (a tie for every row)
+        points[::3] = refs[rng.integers(0, c, size=points[::3].shape[0])]
+        if m > 1:
+            points[-1] = points[0]
+        # 1e30 puts (|x| + max|r|)^2 above the float32 guard, 1e-40 makes
+        # every component subnormal; the offset leaves float32 no digits
+        # for the gaps.
+        refs = (refs * scale + offset).astype(np.float32)
+        points = (points * scale + offset).astype(np.float32)
+        if outlier and m and scale == 1.0:
+            # One row outside the guard, whose float32 products would overflow.
+            points[m // 2] = np.float32(3e38)
+        stages = []
+        rank = codebook_module._rank
+
+        def spy(xl, lifted, bound):
+            best, unsure = rank(xl, lifted, bound)
+            stages.append((lifted.dtype, xl.shape[0], unsure.size))
+            return best, unsure
+
+        patches = {"_rank": spy, "_MIN_ROWS": 1}
+        if cells is not None:
+            patches.update(_CHUNK_CELLS=cells, _F32_CHUNK_BYTES=4 * cells)
+        with mock.patch.multiple(codebook_module, **patches):
+            labels, d2 = _nearest(points, refs)
+        want_labels, want_d2 = cdist_nearest(points.astype(np.float64), refs.astype(np.float64))
+        assert labels.dtype == np.int64 and labels.shape == (m,)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert d2.dtype == np.float64 and d2.tobytes() == want_d2.tobytes()
+        certified32 = sum(n - k for dtype, n, k in stages if dtype == np.float32)
+        if offset and scale == 1.0 and c > 1:
+            assert certified32 == 0  # every row falls through to float64
+        if not 2.0**-60 <= (refs.astype(np.float64) ** 2).sum(axis=1).max() <= 2.0**100:
+            assert certified32 == 0  # outside the float32 guard
+
+    def test_float32_cascade_sends_only_uncertified_rows_on(self):
+        refs = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 5.0]], dtype=np.float32)
+        points = np.array(
+            [
+                [0.1, 4.0],  # clearly word 2: certified in float32
+                [1.0 - 4 * 2.0**-24, 0.0],  # word 0 by 2^-20: only float64 certifies it
+                [1.0, 0.0],  # an exact tie between words 0 and 1: cdist
+            ],
+            dtype=np.float32,
+        )
+        ranked, seen = [], []
+        rank = codebook_module._rank
+
+        def rank_spy(xl, lifted, bound):
+            ranked.append((lifted.dtype, xl[:, :-1].copy()))
+            return rank(xl, lifted, bound)
+
+        def cdist_spy(x, r, metric):
+            seen.append(x.copy())
+            return cdist(x, r, metric=metric)
+
+        with mock.patch.multiple(codebook_module, _rank=rank_spy, cdist=cdist_spy):
+            labels, d2 = _nearest(points, refs)
+        assert labels.tolist() == [2, 0, 0]
+        assert [dtype for dtype, _ in ranked] == [np.float32, np.float64]
+        np.testing.assert_array_equal(ranked[0][1], points)
+        np.testing.assert_array_equal(ranked[1][1], points[[1, 2]])
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], points[[2]])
+        want_labels, want_d2 = cdist_nearest(points.astype(np.float64), refs.astype(np.float64))
+        assert d2.tobytes() == want_d2.tobytes()
+
+    def test_float64_refs_skip_the_float32_product(self):
+        rng = np.random.default_rng(17)
+        refs = rng.normal(0, 1, size=(20, 8))
+        points = rng.normal(0, 1, size=(30, 8)).astype(np.float32)
+        dtypes = []
+        rank = codebook_module._rank
+
+        def spy(xl, lifted, bound):
+            dtypes.append(lifted.dtype)
+            return rank(xl, lifted, bound)
+
+        with mock.patch.object(codebook_module, "_rank", spy):
+            labels, d2 = _nearest(points, refs)
+        assert dtypes == [np.float64]
+        want_labels, want_d2 = cdist_nearest(points.astype(np.float64), refs)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert d2.tobytes() == want_d2.tobytes()
+
+    def test_quantize_prepares_each_codebook_once(self):
+        rng = np.random.default_rng(18)
+        cb, other = make_codebook(rng, 16, 8), make_codebook(rng, 16, 8)
+        vectors = rng.normal(0, 1, size=(40, 8)).astype(np.float32)
+        made = []
+
+        class CountingRefs(codebook_module._Refs):
+            def __init__(self, refs):
+                made.append(refs)
+                super().__init__(refs)
+
+        with mock.patch.object(codebook_module, "_Refs", CountingRefs):
+            first = quantize_batch(cb, vectors)
+            assert len(made) == 1 and made[0] is cb.centroids
+            for _ in range(3):
+                np.testing.assert_array_equal(quantize_batch(cb, vectors), first)
+            partition(cb, make_features(rng, 10, 8))
+            assert len(made) == 1
+            quantize_batch(other, vectors)
+            assert len(made) == 2 and made[1] is other.centroids
+
+    def test_codebook_fields_cannot_be_reassigned(self):
+        cb = make_codebook(np.random.default_rng(19), 4, 8)
+        quantize_batch(cb, np.zeros((1, 8), dtype=np.float32))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cb.centroids = np.zeros((4, 8), dtype=np.float32)
 
 
 class TestTrainingOracle:

@@ -9,6 +9,7 @@ inverted-file traversal must reproduce it for every mode.
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -483,6 +484,19 @@ class TestPersistence:
         save_index(dataclasses.replace(index, payload=payload), tmp_path / "payload.dtri")
         with pytest.raises(FormatError, match="payloads") as err:
             load_index(tmp_path / "payload.dtri")
+        assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_centroid_is_format_error(self, corpus, tmp_path, value):
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk-star", RegionStrategy.parse("detector:0.3"))
+        data = bytearray(serialize_index(index))
+        # The C*D float32 centroids follow the 62-byte header; patch word 1's third component.
+        at = 62 + 4 * (codebook.dim + 2)
+        data[at : at + 4] = struct.pack("<f", value)
+        (tmp_path / "centroid.dtri").write_bytes(data)
+        with pytest.raises(FormatError, match="non-finite centroid") as err:
+            load_index(tmp_path / "centroid.dtri")
         assert err.value.exit_code == 3
 
     @pytest.mark.parametrize("field", ["n_entries", "n_words", "posting count"])
