@@ -29,7 +29,6 @@ from .features_io import (
     save_manifest,
 )
 from .index import (
-    IndexEntry,
     RankedResult,
     RetrievalIndex,
     build_index,

@@ -51,11 +51,11 @@ FEATURE_VERSION = 1
 _HEADER = struct.Struct("<4sHHII")
 _BOX_FLOATS = 5
 
-_ID_RE = re.compile(r"^[A-Za-z0-9._/+-]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9._/+-]+")
 
 
 def _check_identifier(value: str, what: str) -> str:
-    if not _ID_RE.match(value):
+    if not _ID_RE.fullmatch(value):
         raise FormatError(f"invalid {what} {value!r}: must match {_ID_RE.pattern}")
     return value
 

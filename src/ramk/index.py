@@ -22,13 +22,15 @@ Index files ("DTRI", little-endian, version 2)::
     normalization) | alpha f64 | tau f64 | codebook sha256 (32 bytes) |
     C u32 | D u16 | centroids C*D f32 | strategy string (u16 length +
     utf-8) | n u32 | id_len u16[n] | region_index u16[n] | gamma f64[n] |
-    image ids utf-8 | n_words u32 | word u32[n_words] | count u32[n_words]
+    image ids ascii | n_words u32 | word u32[n_words] | count u32[n_words]
     | entry_id u32[N = sum(count)] | payload N rows
 
 Version 2 stores version 1's fields, at their widths, as columns in place
 of per-entry and per-word records, so loading reads whole columns; version
-1 files are rejected.  The codebook is embedded so a saved index is
-self-contained; the hash identifies which codebook file it came from.
+1 files are rejected.  Image ids follow the manifest identifier rule, so the
+id column is ASCII and decodes in one piece.  The codebook is embedded so a
+saved index is self-contained; the hash identifies which codebook file it
+came from.
 Loading is strict: truncation, trailing bytes, a count the rest of the
 file cannot hold, invalid selectivity parameters, an image id or region
 strategy that does not parse, a repeated (image id, region index) entry,
@@ -53,6 +55,8 @@ from .errors import ConfigError, DataError, DimensionError, FormatError
 from .features_io import (
     DatasetManifest,
     ImageFeatures,
+    _ID_RE,
+    _check_identifier,
     filter_by_attention,
     read_file,
     write_atomic,
@@ -101,14 +105,6 @@ POOL_MAX = "max"
 POOL_AVG = "avg"
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    """One scored unit of the index; its entry id is its position."""
-
-    image_id: str
-    region_index: int  # 0 = whole image
-
-
 @dataclass
 class RankedResult:
     """Scored ranking for one query; scores non-increasing, image ids unique."""
@@ -126,34 +122,38 @@ class RetrievalIndex:
     codebook: Codebook
     codebook_hash: bytes
     strategy: str
-    entries: list[IndexEntry]
+    # Entry table: entry e (its entry id) is region region_index[e] of
+    # image images[entry_image[e]]; region 0 is the whole image.
+    images: list[str]  # image ids in first-seen order
+    entry_image: np.ndarray  # (n_entries,) intp, each image's entries contiguous
+    region_index: np.ndarray  # (n_entries,) int64
     gammas: np.ndarray  # (n_entries,) float64
     # Posting table: word w's postings are rows word_ptr[w]:word_ptr[w+1].
     word_ptr: np.ndarray  # (C+1,) int64, non-decreasing from 0
     entry_ids: np.ndarray  # (N,) uint32, ascending within a word
     payload: np.ndarray  # (N, D) float32 rows or (N, ceil(D/8)) packed uint8 signs
-    # Derived from ``entries``: image ids in first-seen order, the image of
-    # each entry, the first entry of each image, and images by id.
-    _image_ids: list[str] = field(init=False, repr=False)
-    _entry_image: np.ndarray = field(init=False, repr=False)
+    # Derived from the entry table: each image's first entry, and images by id.
     _image_starts: np.ndarray = field(init=False, repr=False)
     _images_by_id: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Derive the entry -> image map; pooling needs each image's
-        entries contiguous and its (image id, region index) pairs unique."""
-        ids = [e.image_id for e in self.entries]
-        starts = [i for i, ident in enumerate(ids) if i == 0 or ident != ids[i - 1]]
-        self._image_ids = [ids[i] for i in starts]
-        if len(set(self._image_ids)) < len(starts):
-            raise DataError("the entries of an image are not contiguous")
-        if len({(e.image_id, e.region_index) for e in self.entries}) < len(ids):
+        """Check the entry table: ids follow the manifest identifier rule; pooling
+        needs each image's entries contiguous, its (id, region) pairs unique."""
+        # Non-empty ids each match when their concatenation does: one match.
+        if not (all(self.images) and _ID_RE.fullmatch("".join(self.images))):
+            for ident in self.images:
+                _check_identifier(ident, "image id")
+        # Valid steps are 0 (same image) or 1 (next image), from -1 to len(images).
+        steps = np.diff(self.entry_image, prepend=-1, append=len(self.images))
+        if len(set(self.images)) < len(self.images) or ((steps < 0) | (steps > 1)).any():
+            raise DataError("the entries of an image are missing or not contiguous")
+        # (image, region) pairs in sorted order: a repeat is a zero step in both.
+        pairs = np.stack([self.entry_image, self.region_index])
+        if (np.diff(pairs[:, np.lexsort(pairs[::-1])], axis=1) == 0).all(axis=0).any():
             raise DataError("an (image id, region index) entry repeats")
-        bounds = np.array(starts + [len(ids)], dtype=np.intp)
-        self._image_starts = bounds[:-1]
-        self._entry_image = np.repeat(np.arange(len(starts)), np.diff(bounds))
+        self._image_starts = np.flatnonzero(steps[:-1])
         self._images_by_id = np.asarray(
-            sorted(range(len(starts)), key=self._image_ids.__getitem__), dtype=np.intp
+            sorted(range(len(self.images)), key=self.images.__getitem__), dtype=np.intp
         )
 
     @property
@@ -162,10 +162,10 @@ class RetrievalIndex:
 
     @property
     def entry_count(self) -> int:
-        return len(self.entries)
+        return len(self.entry_image)
 
     def image_ids(self) -> list[str]:
-        return list(self._image_ids)
+        return list(self.images)
 
     @cached_property
     def postings(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -219,11 +219,7 @@ def build_index(
     else:
         per_image = [work(img) for img in manifest.images]
 
-    entries = [
-        IndexEntry(img.image_id, region_index)
-        for img, reps in zip(manifest.images, per_image)
-        for region_index in range(len(reps))
-    ]
+    sizes = np.array([len(reps) for reps in per_image], dtype=np.intp)
     flat = [rep for reps in per_image for rep in reps]
 
     # Owners ascend, so a stable sort by word orders postings by (word, entry).
@@ -240,10 +236,12 @@ def build_index(
         codebook=codebook,
         codebook_hash=codebook_digest(codebook),
         strategy=str(strategy),
-        entries=entries,
+        images=[img.image_id for img in manifest.images],
+        entry_image=np.repeat(np.arange(len(sizes)), sizes),
+        region_index=np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
         gammas=np.array([rep.gamma for rep in flat], dtype=np.float64),
         word_ptr=word_ptr,
-        entry_ids=np.repeat(np.arange(len(entries), dtype=np.uint32), counts)[order],
+        entry_ids=np.repeat(np.arange(len(flat), dtype=np.uint32), counts)[order],
         payload=np.concatenate([np.empty((0, columns), dtype), *(rep.rows for rep in flat)])[order],
     )
     logger.info(
@@ -329,11 +327,11 @@ def query(
     else:
         # bincount adds in entry order, as a running sum per image would.
         sizes = np.diff(index._image_starts, append=index.entry_count)
-        pooled = np.bincount(index._entry_image, weights=scores, minlength=len(sizes)) / sizes
+        pooled = np.bincount(index.entry_image, weights=scores, minlength=len(sizes)) / sizes
     final32 = pooled.astype(np.float32)
     by_id = index._images_by_id
     order = by_id[np.argsort(-final32[by_id], kind="stable")][: max(0, top_n)]
-    ranking = list(zip([index._image_ids[i] for i in order], final32[order].tolist()))
+    ranking = list(zip([index.images[i] for i in order], final32[order].tolist()))
     return RankedResult(query_id=qid, ranking=ranking)
 
 
@@ -375,19 +373,21 @@ _U32 = struct.Struct("<I")
 _U16_MAX = 0xFFFF
 
 
-def _u16_field(value: int, what: str) -> int:
-    """``value`` when it fits the index's u16 field, else a DataError."""
-    if not 0 <= value <= _U16_MAX:
-        raise DataError(
-            f"cannot serialize index: {what} {value} does not fit in u16 (0..{_U16_MAX})"
-        )
-    return value
+def _u16_field(values, what: str):
+    """``values`` (an int or an integer column) if each fits a u16 field, else a DataError."""
+    column = np.atleast_1d(values)
+    outside = column[(column < 0) | (column > _U16_MAX)]
+    if outside.size:
+        raise DataError(f"cannot serialize index: {what} {outside[0]} does not fit in u16 (0..{_U16_MAX})")
+    return values
 
 
 def serialize_index(index: RetrievalIndex) -> bytes:
     flags = FLAG_NORMALIZE_REGIONAL if index.normalize_regional else 0
     strat = index.strategy.encode()
-    idents = [entry.image_id.encode() for entry in index.entries]
+    # Ids are ASCII, so characters are bytes; each entry repeats its image's id.
+    sizes = np.diff(index._image_starts, append=index.entry_count).tolist()
+    id_lens = np.array([len(ident) for ident in index.images], dtype=np.int64)[index.entry_image]
     counts = np.diff(index.word_ptr)
     words = np.flatnonzero(counts)
     return b"".join([
@@ -400,10 +400,10 @@ def serialize_index(index: RetrievalIndex) -> bytes:
         _U16.pack(_u16_field(len(strat), "strategy byte length")),
         strat,
         _U32.pack(index.entry_count),
-        np.array([_u16_field(len(i), "image id byte length") for i in idents], "<u2").tobytes(),
-        np.array([_u16_field(e.region_index, "region index") for e in index.entries], "<u2").tobytes(),
+        _u16_field(id_lens, "image id byte length").astype("<u2").tobytes(),
+        _u16_field(index.region_index, "region index").astype("<u2").tobytes(),
         index.gammas.astype("<f8", copy=False).tobytes(),
-        b"".join(idents),
+        "".join(ident * size for ident, size in zip(index.images, sizes)).encode(),
         _U32.pack(len(words)),
         words.astype("<u4").tobytes(),
         counts[words].astype("<u4").tobytes(),
@@ -442,13 +442,11 @@ def load_index(path: str | Path) -> RetrievalIndex:
     n_entries = cur.count(12, "entries")  # id_len, region_index, gamma: 12 bytes
     id_lens, regions = np.frombuffer(cur.take(4 * n_entries), dtype="<u2").reshape(2, n_entries)
     gammas = np.frombuffer(cur.take(8 * n_entries), dtype="<f8").copy()
-    ident_bytes = cur.take(int(id_lens.sum()))
-    ends = np.cumsum(id_lens, dtype=np.int64)
-    spans = zip((ends - id_lens).tolist(), ends.tolist(), regions.tolist())
-    try:
-        entries = [IndexEntry(str(ident_bytes[a:b], "utf-8"), r) for a, b, r in spans]
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: image id is not UTF-8: {exc}") from exc
+    # A byte past ASCII decodes to U+FFFD, which the identifier rule rejects.
+    text = str(cur.take(int(id_lens.sum())), "ascii", "replace")
+    ends = np.cumsum(id_lens, dtype=np.int64).tolist()
+    ids = [text[a:b] for a, b in zip([0, *ends], ends)]
+    new_image = np.array([a != b for a, b in zip(ids, [None, *ids])], dtype=bool)
     n_words = cur.count(8, "words")  # word, count: 8 bytes
     words, counts = np.frombuffer(cur.take(8 * n_words), "<u4").reshape(2, n_words).astype(np.int64)
     n = int(counts.sum())
@@ -486,7 +484,9 @@ def load_index(path: str | Path) -> RetrievalIndex:
             codebook=Codebook(centroids=cents.astype(np.float32)),
             codebook_hash=cb_hash,
             strategy=strategy,
-            entries=entries,
+            images=[ids[i] for i in np.flatnonzero(new_image)],
+            entry_image=np.cumsum(new_image, dtype=np.intp) - 1,
+            region_index=regions.astype(np.int64),
             gammas=gammas,
             word_ptr=word_ptr,
             entry_ids=entry_ids,

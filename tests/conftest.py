@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -237,6 +238,20 @@ def complement_packed(row: np.ndarray, dim: int) -> np.ndarray:
     """The packed row with each of its ``dim`` sign bits flipped, padding clear."""
     bits = np.unpackbits(row, count=dim, bitorder="little")
     return np.packbits(bits ^ 1, bitorder="little")
+
+
+def with_first_image_id(data: bytes, ident: bytes) -> bytes:
+    """DTRI index bytes ``data`` with entry 0's image id replaced by ``ident``."""
+    c, d = struct.unpack_from("<IH", data, 56)  # the last fields of the 62-byte header
+    at = 62 + 4 * c * d
+    at += 2 + struct.unpack_from("<H", data, at)[0]  # the strategy string
+    (n,) = struct.unpack_from("<I", data, at)
+    lens_at, ids_at = at + 4, at + 4 + 12 * n  # id_len, region_index, gamma: 12 bytes each
+    (old,) = struct.unpack_from("<H", data, lens_at)
+    return (
+        data[:lens_at] + struct.pack("<H", len(ident)) + data[lens_at + 2 : ids_at]
+        + ident + data[ids_at + old :]
+    )
 
 
 def random_boxes(rng: np.random.Generator, n: int, width: int, height: int) -> list[RegionBox]:

@@ -16,6 +16,8 @@ from ramk.features_io import load_manifest
 from ramk.index import load_index
 from ramk.synthetic import SyntheticConfig
 
+from conftest import with_first_image_id
+
 
 def run(*argv: str) -> int:
     return main(list(argv))
@@ -95,7 +97,7 @@ class TestExitCodes:
         path = root / "exit-codes.dtri"
         assert run("build-index", "--manifest", str(data / "manifest.txt"), "--codebook", str(cb),
                    "--mode", "asmk", "--out", str(path)) == 0
-        return path.read_bytes(), load_index(path).entries[0].image_id
+        return path.read_bytes(), load_index(path).images[0]
 
     def search(self, pipeline, tmp_path, payload: bytes) -> int:
         root, data, cb = pipeline
@@ -150,6 +152,25 @@ class TestExitCodes:
         ident = image_id.encode()
         assert payload.count(ident) == 1
         assert self.search(pipeline, tmp_path, payload.replace(ident, b"\xff" * len(ident))) == 3
+
+    @pytest.mark.parametrize(
+        "ident,code",
+        [
+            (b"L9.x/y+z_0-", 0),
+            (b"a,", 3), (b"a ", 3), (b"a=b", 3), (b"a\n", 3), (b"", 3),
+            ("\u00e9".encode(), 3),  # non-ASCII UTF-8
+            (b"a\xff", 3),  # not UTF-8
+        ],
+    )
+    def test_image_id_outside_the_identifier_rule_is_data_error(
+        self, pipeline, tmp_path, index_bytes, ident, code
+    ):
+        # search accepts an index only if evaluate can read the ids it writes back.
+        root, data, cb = pipeline
+        assert self.search(pipeline, tmp_path, with_first_image_id(index_bytes[0], ident)) == code
+        if code == 0:
+            rankings = [result.ranking for result in load_results(tmp_path / "r.txt")]
+            assert rankings and all(ident.decode() in dict(ranking) for ranking in rankings)
 
     @pytest.mark.parametrize(
         "offset,value", [(8, 0.5), (8, float("nan")), (16, float("nan")), (16, float("inf"))]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -21,6 +22,7 @@ from ramk.features_io import (
     load_ground_truth,
     load_image_features,
     load_manifest,
+    _check_identifier,
     parse_image_features,
     save_ground_truth,
     save_image_features,
@@ -122,6 +124,19 @@ class TestAttentionFilter:
         assert (kept.attentions >= 150.0).all()
 
 
+class TestIdentifier:
+    @pytest.mark.parametrize("value", ["a", "L000_I00", "x/y.dtrf", "a+b-c"])
+    def test_valid_identifier_passes(self, value):
+        assert _check_identifier(value, "image id") == value
+
+    @pytest.mark.parametrize(
+        "value", ["", "a,b", "a b", "a:b", "a=b", "abc\n", "\nabc", "a\tb", "\u00e9"]
+    )
+    def test_invalid_identifier_is_format_error(self, value):
+        with pytest.raises(FormatError, match=re.escape(f"invalid image id {value!r}")):
+            _check_identifier(value, "image id")
+
+
 class TestManifest:
     def test_round_trip_and_missing_file(self, tmp_path):
         cfg = SyntheticConfig(landmarks=2, images_per_landmark=2, planted_descriptors=4, clutter_descriptors=4, dim=4)
@@ -195,7 +210,8 @@ def _writers():
     codebook = make_codebook(rng, 4, 3)
     index = RetrievalIndex(
         mode="asmk", params=DEFAULT_SELECTIVITY, normalize_regional=True, codebook=codebook,
-        codebook_hash=codebook_digest(codebook), strategy="whole", entries=[],
+        codebook_hash=codebook_digest(codebook), strategy="whole", images=[],
+        entry_image=np.zeros(0, dtype=np.intp), region_index=np.zeros(0, dtype=np.int64),
         gammas=np.zeros(0), word_ptr=np.zeros(5, dtype=np.int64),
         entry_ids=np.zeros(0, dtype=np.uint32), payload=np.zeros((0, 3), dtype=np.float32),
     )

@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ramk.codebook import Codebook, partition, train_codebook
 from ramk.errors import ConfigError, DataError, DimensionError, FormatError
@@ -26,7 +28,6 @@ from ramk.features_io import (
 from ramk.index import (
     POOL_AVG,
     POOL_MAX,
-    IndexEntry,
     RetrievalIndex,
     build_index,
     entry_scores,
@@ -38,6 +39,7 @@ from ramk.index import (
 )
 from ramk.kernels import (
     ALL_MODES,
+    DEFAULT_SELECTIVITY,
     PLAIN_COUNTERPART,
     AggregatedRepresentation,
     SelectivityParams,
@@ -62,6 +64,7 @@ from conftest import (
     make_features,
     oracle_entry_scores,
     random_packed_rows,
+    with_first_image_id,
 )
 
 ALL_CASES = [
@@ -105,7 +108,7 @@ def dtri_layout(index) -> tuple[int, int, list[tuple[int, int, int, int]]]:
     and count fields and of its first entry id, with its count.  The fixed
     header before the centroids is 62 bytes."""
     n_entries_at = 62 + index.codebook.centroids.nbytes + 2 + len(index.strategy.encode())
-    n_words_at = n_entries_at + 4 + sum(12 + len(e.image_id.encode()) for e in index.entries)
+    n_words_at = n_entries_at + 4 + sum(12 + len(index.images[i].encode()) for i in index.entry_image)
     counts = np.diff(index.word_ptr)[np.diff(index.word_ptr) > 0].tolist()
     words_at = n_words_at + 4
     counts_at, ids_at = words_at + 4 * len(counts), words_at + 8 * len(counts)
@@ -141,7 +144,9 @@ def random_star_index(
         codebook=make_codebook(rng, words, dim),
         codebook_hash=bytes(32),
         strategy="whole",
-        entries=[IndexEntry(f"img{i}", 0) for i in range(entries)],
+        images=[f"img{i}" for i in range(entries)],
+        entry_image=np.arange(entries),
+        region_index=np.zeros(entries, dtype=np.int64),
         gammas=rng.uniform(0.1, 1.0, entries),
         word_ptr=np.append(0, np.cumsum(held.sum(axis=1))),
         entry_ids=entry_ids.astype(np.uint32),
@@ -400,7 +405,7 @@ class TestPersistence:
         row_bytes = (d + 7) // 8 if mode.endswith("star") else 4 * d
         expected = (
             62 + 4 * c * d + 2 + len(index.strategy.encode())
-            + 4 + sum(12 + len(e.image_id.encode()) for e in index.entries)
+            + 4 + sum(12 + len(index.images[i].encode()) for i in index.entry_image)
             + 4 + 8 * n_words + len(index.entry_ids) * (4 + row_bytes)
         )
         assert len(serialize_index(index)) == expected
@@ -426,13 +431,12 @@ class TestPersistence:
     def test_u16_field_overflow_is_data_error(self, corpus, tmp_path, field):
         manifest, _, codebook = corpus
         index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"))
-        first = index.entries[0]
         if field == "image id byte length":
-            entries = [dataclasses.replace(first, image_id="x" * 65536)] + index.entries[1:]
-            index = dataclasses.replace(index, entries=entries)
+            index = dataclasses.replace(index, images=["x" * 65536] + index.images[1:])
         elif field == "region index":
-            entries = [dataclasses.replace(first, region_index=65536)] + index.entries[1:]
-            index = dataclasses.replace(index, entries=entries)
+            regions = index.region_index.copy()
+            regions[0] = 65536
+            index = dataclasses.replace(index, region_index=regions)
         elif field == "strategy byte length":
             index = dataclasses.replace(index, strategy="d" * 65536)
         else:
@@ -446,8 +450,9 @@ class TestPersistence:
     def test_u16_fields_at_their_maximum_serialize(self, corpus):
         manifest, _, codebook = corpus
         index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("whole"))
-        first = dataclasses.replace(index.entries[0], image_id="x" * 65535, region_index=65535)
-        index = dataclasses.replace(index, entries=[first] + index.entries[1:])
+        regions = index.region_index.copy()
+        regions[0] = 65535
+        index = dataclasses.replace(index, images=["x" * 65535] + index.images[1:], region_index=regions)
         assert len(serialize_index(index)) > 65535
 
     @pytest.mark.parametrize("strategy", ["detector:7", "detector:.", "rmac:4", "banana", "\udcff"])
@@ -586,22 +591,45 @@ class TestPersistence:
         manifest, _, codebook = corpus
         index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("whole"))
 
-        def record(entries) -> tuple[bytes, bytes]:
+        def record(ids, regions) -> tuple[bytes, bytes]:
             """The id_len and region_index columns, and the image id bytes."""
-            idents = [e.image_id.encode() for e in entries]
+            idents = [ident.encode() for ident in ids]
             lens = b"".join(len(ident).to_bytes(2, "little") for ident in idents)
-            regions = b"".join(e.region_index.to_bytes(2, "little") for e in entries)
-            return lens + regions, b"".join(idents)
+            return lens + b"".join(r.to_bytes(2, "little") for r in regions), b"".join(idents)
 
         payload = serialize_index(index)
-        rewritten = list(index.entries)
-        rewritten[entry] = dataclasses.replace(index.entries[0], region_index=region)
-        for target, column in zip(record(index.entries), record(rewritten)):
+        ids = [index.images[i] for i in index.entry_image]
+        regions = index.region_index.tolist()
+        rewritten_ids, rewritten_regions = list(ids), list(regions)
+        rewritten_ids[entry], rewritten_regions[entry] = ids[0], region
+        for target, column in zip(record(ids, regions), record(rewritten_ids, rewritten_regions)):
             assert payload.count(target) == 1
             payload = payload.replace(target, column)
         (tmp_path / f"{defect}.dtri").write_bytes(payload)
         with pytest.raises(FormatError, match=message) as err:
             load_index(tmp_path / f"{defect}.dtri")
+        assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "ident,valid",
+        [
+            ("L9.x/y+z_0-", True),
+            ("a,b", False), ("a b", False), ("a=b", False), ("ab\n", False), ("", False),
+            ("\u00e9", False),  # non-ASCII UTF-8
+            ("\udcff", False),  # a byte that is not UTF-8
+        ],
+    )
+    def test_image_id_outside_the_identifier_rule_is_format_error(self, corpus, tmp_path, ident, valid):
+        # A loaded id must be one a results file can hold.
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("whole"))
+        data = with_first_image_id(serialize_index(index), ident.encode(errors="surrogateescape"))
+        (tmp_path / "ident.dtri").write_bytes(data)
+        if valid:
+            assert load_index(tmp_path / "ident.dtri").images == [ident] + index.images[1:]
+            return
+        with pytest.raises(FormatError, match="invalid image id") as err:
+            load_index(tmp_path / "ident.dtri")
         assert err.value.exit_code == 3
 
     def test_empty_index_round_trips(self, tmp_path, corpus):
@@ -616,3 +644,94 @@ class TestPersistence:
         loaded = load_index(tmp_path / "empty.dtri")
         qf = queries.load_features(queries.images[0])
         assert query(loaded, qf).ranking == []
+
+
+def entry_table(images: list[str], entry_image, region_index, gammas=None) -> RetrievalIndex:
+    """An index with this entry table, over a 4-word D=3 codebook, with no postings."""
+    gammas = np.ones(len(entry_image)) if gammas is None else gammas
+    return RetrievalIndex(
+        mode="asmk",
+        params=DEFAULT_SELECTIVITY,
+        normalize_regional=True,
+        codebook=make_codebook(np.random.default_rng(0), 4, 3),
+        codebook_hash=bytes(32),
+        strategy="whole",
+        images=images,
+        entry_image=np.asarray(entry_image, dtype=np.intp),
+        region_index=np.asarray(region_index, dtype=np.int64),
+        gammas=gammas,
+        word_ptr=np.zeros(5, dtype=np.int64),
+        entry_ids=np.zeros(0, dtype=np.uint32),
+        payload=np.zeros((0, 3), dtype=np.float32),
+    )
+
+
+class TestEntryTable:
+    def test_derived_image_starts_and_id_order(self):
+        index = entry_table(["b", "c", "a"], [0, 0, 1, 2, 2, 2], [3, 0, 0, 2, 0, 1])
+        assert index.image_ids() == ["b", "c", "a"] and index.entry_count == 6
+        assert index._image_starts.tolist() == [0, 2, 3]
+        assert index._images_by_id.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize(
+        "images,entry_image,region_index,message",
+        [
+            (["a", "b"], [0, 0, 1], [0, 0, 0], "repeats"),
+            (["a"], [0, 0, 0], [2, 0, 2], "repeats"),
+            (["a", "b"], [0, 1, 0], [0, 0, 1], "not contiguous"),  # a split image
+            (["a", "b", "a"], [0, 1, 2], [0, 0, 1], "not contiguous"),  # the same, by id
+            (["a", "b"], [0, 0], [0, 1], "missing"),  # image b has no entry
+            (["a", "b", "c"], [0, 2], [0, 0], "missing"),
+            (["a,b"], [0], [0], "invalid image id 'a,b'"),
+            (["a", "b c", "d,e"], [0, 1, 2], [0, 0, 0], "invalid image id 'b c'"),  # the first bad id
+            (["a", ""], [0, 1], [0, 0], "invalid image id ''"),
+        ],
+    )
+    def test_bad_layout_is_data_error(self, images, entry_image, region_index, message):
+        with pytest.raises(DataError, match=message):
+            entry_table(images, entry_image, region_index)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_array_checks_match_the_per_entry_rule(self, data):
+        # Reference: the rule on a list of (image id, region index) entries.
+        images = data.draw(st.lists(st.sampled_from("abc"), max_size=3))
+        n = data.draw(st.integers(0, 6)) if images else 0
+        entry_image = data.draw(st.lists(st.integers(0, max(len(images) - 1, 0)), min_size=n, max_size=n))
+        regions = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        ids = [images[i] for i in entry_image]
+        runs = [ident for i, ident in enumerate(ids) if i == 0 or ident != ids[i - 1]]
+        valid = runs == images and len(set(runs)) == len(runs) and len(set(zip(ids, regions))) == n
+        if valid:
+            assert entry_table(images, entry_image, regions).image_ids() == images
+        else:
+            with pytest.raises(DataError, match="contiguous|repeats"):
+                entry_table(images, entry_image, regions)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_random_layouts_round_trip(self, tmp_path, data):
+        # 0-6 images of 1-4 entries each, region indices distinct per image in any order.
+        sizes = data.draw(st.lists(st.integers(1, 4), max_size=6))
+        ident = st.from_regex(r"[A-Za-z0-9._/+-]{1,12}", fullmatch=True)
+        images = data.draw(st.lists(ident, min_size=len(sizes), max_size=len(sizes), unique=True))
+        regions = [
+            r for size in sizes
+            for r in data.draw(st.lists(st.integers(0, 65535), min_size=size, max_size=size, unique=True))
+        ]
+        entry_image = np.repeat(np.arange(len(sizes)), sizes)
+        gammas = np.random.default_rng(len(regions)).uniform(0.0, 2.0, len(regions))
+        index = entry_table(images, entry_image, regions, gammas)
+        save_index(index, tmp_path / "table.dtri")
+        loaded = load_index(tmp_path / "table.dtri")
+        assert serialize_index(loaded) == (tmp_path / "table.dtri").read_bytes()
+        assert loaded.image_ids() == images
+        np.testing.assert_array_equal(loaded.entry_image, entry_image)
+        np.testing.assert_array_equal(loaded.region_index, regions)
+        np.testing.assert_array_equal(loaded.gammas, gammas)
