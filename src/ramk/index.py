@@ -139,6 +139,8 @@ class RetrievalIndex:
     def __post_init__(self) -> None:
         """Check the entry table: ids follow the manifest identifier rule; pooling
         needs each image's entries contiguous, its (id, region) pairs unique."""
+        if not len(self.entry_image) == len(self.region_index) == len(self.gammas):
+            raise DataError("the entry table's columns differ in length")
         # Non-empty ids each match when their concatenation does: one match.
         if not (all(self.images) and _ID_RE.fullmatch("".join(self.images))):
             for ident in self.images:
@@ -169,8 +171,7 @@ class RetrievalIndex:
 
     @cached_property
     def postings(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Read-only word -> (entry ids, payload rows) view of the populated
-        words, built once for ``perfbench/spans.py``; ``ramk`` never reads it."""
+        """Word -> (entry ids, rows) view, for ``perfbench/spans.py`` only: ``ramk`` never reads it."""
         ptr = self.word_ptr.tolist()
         spans = enumerate(zip(ptr, ptr[1:]))
         return {w: (self.entry_ids[a:b], self.payload[a:b]) for w, (a, b) in spans if a < b}
@@ -466,7 +467,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
     # Posting i+1 continues posting i's word unless a word starts at i+1.
     continues = np.ones(n + 1, dtype=bool)
     continues[word_ptr] = False
-    unordered = (np.diff(entry_ids.astype(np.int64)) <= 0) & continues[1:n]
+    unordered = (entry_ids[1:] <= entry_ids[:-1]) & continues[1:n]
     if unordered.any():
         word = np.searchsorted(word_ptr, np.argmax(unordered), side="right") - 1
         raise FormatError(f"{path}: posting entry ids not ascending for word {word}")

@@ -25,10 +25,10 @@ reproducible.  Words whose aggregated residual is exactly zero are
 dropped: they can never contribute to any match and per-word
 normalization would be undefined for them.
 
-``_fold_residuals`` is the one place that knows this storage rule, for
-the plain and the regional modes alike: ``aggregate`` feeds it the
-per-word residual sums of one descriptor set, and ``ramk.regional``
-feeds it the gamma-weighted sums of per-region aggregates.
+``_fold_residuals`` is the one place that knows this storage rule and the
+summation order, left to right per key: ``aggregate`` keys one descriptor
+set by word, ``ramk.regional`` all regions of an image by ``region * C +
+word`` and then the gamma-weighted region rows by word.
 
 ``_match_totals`` is the one match rule: the selectivity applies to
 each raw match of ``word_match_rows`` (none for the vlad family), and
@@ -139,9 +139,7 @@ class AggregatedRepresentation:
 
     @property
     def entries(self) -> dict[int, np.ndarray]:
-        """Read-only word -> row view.  It exists for ``perfbench/spans.py``,
-        which counts and lists the populated words through it; nothing in
-        ``ramk`` reads it."""
+        """Word -> row view, for ``perfbench/spans.py`` only: ``ramk`` never reads it."""
         return dict(zip(self.words.tolist(), self.rows))
 
 
@@ -218,37 +216,33 @@ def _match_totals(
     return np.bincount(groups, weights=u, minlength=n)
 
 
-def _gamma_from_rows(mode: str, rows: np.ndarray, dim: int, params: SelectivityParams) -> float:
-    """Normalization factor of the stored ``rows`` of a representation:
-    the inverse square root of their self-match total."""
-    if len(rows) == 0:
-        return 0.0
-    total = float(_match_totals(mode, word_match_rows(mode, rows, rows, dim), params)[0])
-    return total ** -0.5 if total > 0.0 else 0.0
+def _gammas(
+    mode: str, rows: np.ndarray, dim: int, params: SelectivityParams, groups=None, n: int = 1
+) -> list[float]:
+    """Normalization factor of each of the ``n`` ``_match_totals`` groups of stored ``rows``: the
+    inverse square root, by Python's float power, of its self-match total if positive, else 0.0."""
+    totals = _match_totals(mode, word_match_rows(mode, rows, rows, dim), params, groups, n)
+    return [t ** -0.5 if t > 0.0 else 0.0 for t in totals.tolist()]
 
 
 def _fold_residuals(
-    mode: str,
-    dim: int,
-    words: np.ndarray,
-    rows: np.ndarray,
-    params: SelectivityParams,
-    region_count: int = 1,
-) -> AggregatedRepresentation:
-    """Sum float64 residual ``rows`` per word, average them over
-    ``region_count`` and store the result the way ``mode`` stores entries.
-
-    Rows of one word are added in their input order (stable sort, then
-    one sequential ``np.add.reduceat``).  Stored are float32 rows for
-    vlad, r-vlad and naive-r-asmk, unit float32 rows for asmk and r-asmk,
-    and packed signs of the unit rows for the star modes.  All-zero rows
-    are dropped.
-    """
-    order = np.argsort(words, kind="stable")
-    words = words[order]
-    starts = np.flatnonzero(np.diff(words, prepend=-1))
-    sums = np.add.reduceat(rows[order], starts, axis=0) / region_count
-    words = words[starts]
+    mode: str, keys: np.ndarray, rows: np.ndarray, region_count: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum float64 residual ``rows`` per key in input order, left to right:
+    ((r0 + r1) + r2) + ..., one vectorized add per position in a key's run.
+    Average over ``region_count``, store as ``mode`` does (float32 rows for vlad,
+    r-vlad and naive-r-asmk, unit float32 rows for asmk and r-asmk, their
+    packed signs for the star modes), drop all-zero rows and return the rest
+    with their keys, ascending (int64)."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+    sums = rows[order[starts]]
+    for k in range(1, counts.max(initial=0)):
+        live = np.flatnonzero(counts > k)
+        sums[live] += rows[order[starts[live] + k]]
+    sums /= region_count
+    keys = keys[order[starts]]
     if mode in (MODE_VLAD, MODE_R_VLAD, MODE_NAIVE_R_ASMK):
         stored = sums.astype(np.float32)
         keep = stored.any(axis=1)
@@ -263,15 +257,16 @@ def _fold_residuals(
             stored = np.packbits(unit > 0, axis=1, bitorder="little")
         else:
             stored = unit.astype(np.float32)
-    stored = stored[keep]
-    return AggregatedRepresentation(
-        mode=mode,
-        dim=dim,
-        words=words[keep].astype(np.int64),
-        rows=stored,
-        gamma=_gamma_from_rows(mode, stored, dim, params),
-        region_count=region_count,
-    )
+    return keys[keep].astype(np.int64), stored[keep]
+
+
+def _residuals(part: WordPartition, codebook: Codebook) -> np.ndarray:
+    """float64 residual of each descriptor against its word's centroid."""
+    dim = codebook.dim
+    if part.count and part.vectors.shape[1] != dim:
+        raise DimensionError(f"descriptor dimension {part.vectors.shape[1]} != centroid dimension {dim}")
+    # The float32 centroid rows promote to float64 exactly.
+    return part.vectors.astype(np.float64).reshape(-1, dim) - codebook.centroids[part.labels]
 
 
 def aggregate(
@@ -284,14 +279,9 @@ def aggregate(
     check_mode(mode)
     if is_regional_mode(mode):
         raise ConfigError(f"aggregate() handles plain modes only, got {mode!r}")
-    dim = codebook.dim
-    if part.count and part.vectors.shape[1] != dim:
-        raise DimensionError(
-            f"descriptor dimension {part.vectors.shape[1]} != centroid dimension {dim}"
-        )
-    # The float32 centroid rows promote to float64 exactly.
-    residuals = part.vectors.astype(np.float64).reshape(-1, dim) - codebook.centroids[part.labels]
-    return _fold_residuals(mode, dim, part.labels, residuals, params)
+    words, rows = _fold_residuals(mode, part.labels, _residuals(part, codebook))
+    gamma = _gammas(mode, rows, codebook.dim, params)[0]
+    return AggregatedRepresentation(mode, codebook.dim, words, rows, gamma)
 
 
 def kernel_similarity(

@@ -26,9 +26,9 @@ self-similarity rule as the plain kernel) is applied to both sides by
 default so scores are comparable across images, and can be disabled to
 study the raw kernel.
 
-``region_aggregates`` is the one loop over regions: it serves both the
-regional fold here and regional search in ``ramk.index``.  How a folded
-per-word sum is stored is decided by ``kernels._fold_residuals``.
+``_region_fold`` sums every (region, word) pair of an image left to right in one
+fold keyed ``region * C + word``; ``region_aggregates`` (regional search) slices
+it by region and ``aggregate_regional`` folds its gamma-weighted rows by word.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ from .kernels import (
     DEFAULT_SELECTIVITY,
     SelectivityParams,
     _fold_residuals,
-    _gamma_from_rows,
-    aggregate,
+    _gammas,
+    _residuals,
+    aggregate,  # not called here; perfbench/spans.py wraps this name
     check_mode,
     is_regional_mode,
     kernel_similarity,
@@ -191,6 +192,20 @@ def region_descriptor_indices(
     return assign_to_region(features, regions.boxes[region_index])
 
 
+def _region_fold(
+    features: ImageFeatures, regions: RegionSet, codebook: Codebook, mode: str, params: SelectivityParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """Words, stored rows and regions of the plain ``mode`` entries of every region, ascending by
+    region then word, from one fold keyed ``region * C + word``, and each region's gamma."""
+    part, c = partition(codebook, features), codebook.size
+    members = [region_descriptor_indices(features, regions, r) for r in range(regions.count)]
+    desc = np.concatenate(members)
+    region = np.repeat(np.arange(regions.count), [len(m) for m in members])
+    keys, stored = _fold_residuals(mode, region * c + part.labels[desc], _residuals(part, codebook)[desc])
+    gammas = _gammas(mode, stored, codebook.dim, params, keys // c, regions.count)
+    return keys % c, stored, keys // c, gammas
+
+
 def region_aggregates(
     features: ImageFeatures,
     regions: RegionSet,
@@ -198,16 +213,11 @@ def region_aggregates(
     mode: str,
     params: SelectivityParams = DEFAULT_SELECTIVITY,
 ) -> list[AggregatedRepresentation]:
-    """Plain ``mode`` aggregate of every region, in region order.
-
-    Descriptors are quantized once for the image and shared across
-    regions.
-    """
-    part = partition(codebook, features)
-    return [
-        aggregate(part.subset(region_descriptor_indices(features, regions, r)), codebook, mode, params)
-        for r in range(regions.count)
-    ]
+    """Plain ``mode`` aggregate of every region, in region order: slices of one fold."""
+    words, stored, region, gammas = _region_fold(features, regions, codebook, mode, params)
+    cuts = np.searchsorted(region, np.arange(1, regions.count))
+    parts = zip(np.split(words, cuts), np.split(stored, cuts), gammas)
+    return [AggregatedRepresentation(mode, codebook.dim, w, r, gamma) for w, r, gamma in parts]
 
 
 def aggregate_regional(
@@ -217,7 +227,8 @@ def aggregate_regional(
     mode: str,
     params: SelectivityParams = DEFAULT_SELECTIVITY,
 ) -> AggregatedRepresentation:
-    """Fold all regions of an image into one per-word representation.
+    """Fold all regions of an image into one per-word representation: the
+    rows of ``_region_fold`` weighted by their region's gamma, by word.
 
     Empty regions contribute nothing but still count toward the 1/R
     averaging factor.
@@ -229,15 +240,13 @@ def aggregate_regional(
         raise DataError("region set must contain at least the whole image")
     # r-asmk-star binarizes after regional averaging, so its regions stay dense.
     base_mode = MODE_ASMK if mode == MODE_R_ASMK_STAR else PLAIN_COUNTERPART[mode]
-    words = [np.empty(0, dtype=np.int64)]
-    rows = [np.empty((0, codebook.dim))]
-    for rep in region_aggregates(features, regions, codebook, base_mode, params):
-        if rep.gamma != 0.0:
-            words.append(rep.words)
-            rows.append(rep.gamma * rep.rows.astype(np.float64))
-    return _fold_residuals(
-        mode, codebook.dim, np.concatenate(words), np.concatenate(rows), params, regions.count
-    )
+    words, stored, region, gammas = _region_fold(features, regions, codebook, base_mode, params)
+    weights = np.asarray(gammas)[region]
+    kept = weights != 0.0
+    rows = weights[kept, None] * stored[kept].astype(np.float64)
+    words, stored = _fold_residuals(mode, words[kept], rows, regions.count)
+    gamma = _gammas(mode, stored, codebook.dim, params)[0]
+    return AggregatedRepresentation(mode, codebook.dim, words, stored, gamma, regions.count)
 
 
 def as_regional_query(
@@ -262,10 +271,10 @@ def as_regional_query(
             f"query representation must be {expected!r} to match database mode {mode!r}, "
             f"got {plain.mode!r}"
         )
+    words, rows = plain.words, plain.rows
     if mode == MODE_R_VLAD:
-        rows = plain.gamma * plain.rows.astype(np.float64)
-        return _fold_residuals(mode, plain.dim, plain.words, rows, params)
-    return replace(plain, mode=mode, gamma=_gamma_from_rows(mode, plain.rows, plain.dim, params))
+        words, rows = _fold_residuals(mode, words, plain.gamma * rows.astype(np.float64))
+    return replace(plain, mode=mode, words=words, rows=rows, gamma=_gammas(mode, rows, plain.dim, params)[0])
 
 
 def regional_similarity(

@@ -13,7 +13,7 @@ from ramk.kernels import (
     DEFAULT_SELECTIVITY,
     AggregatedRepresentation,
     SelectivityParams,
-    _gamma_from_rows,
+    _gammas,
     _match_totals,
     is_binary_mode,
     is_regional_mode,
@@ -170,8 +170,9 @@ def gamma_from_entries(
     mode: str, entries: dict[int, np.ndarray], dim: int, params: SelectivityParams
 ) -> float:
     """The library's normalization factor of a word -> entry map: its rows
-    in ascending word order through ``kernels._gamma_from_rows``."""
-    return _gamma_from_rows(mode, np.array([entries[word] for word in sorted(entries)]), dim, params)
+    in ascending word order through ``kernels._gammas``."""
+    rows = [entries[word] for word in sorted(entries)]
+    return _gammas(mode, np.array(rows), dim, params)[0] if rows else 0.0
 
 
 def oracle_gamma(mode: str, entries: dict[int, np.ndarray], params: SelectivityParams) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ramk.cli import main as cli_main
-from ramk.codebook import partition, train_codebook
+from ramk.codebook import WordPartition, partition, train_codebook
 from ramk.evaluation import analyze_relevance, average_precision, evaluate
 from ramk.features_io import (
     RegionBox,
@@ -141,7 +141,8 @@ def test_criterion_02_average_pooling_collapse():
         pooled = 0.0
         for i in range(regions.count):
             idx = region_descriptor_indices(fy, regions, i)
-            pooled += kernel_similarity(q_plain, aggregate(part.subset(idx), cb, "vlad"))
+            region_part = WordPartition(part.labels[idx], part.vectors[idx])
+            pooled += kernel_similarity(q_plain, aggregate(region_part, cb, "vlad"))
         pooled /= regions.count
         collapsed = regional_similarity(
             as_regional_query(q_plain, "r-vlad"),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ramk.codebook import Codebook, partition, train_codebook
+from ramk.codebook import Codebook, WordPartition, partition, train_codebook
 from ramk.errors import ConfigError, DataError, DimensionError, FormatError
 from ramk.features_io import (
     DatasetManifest,
@@ -43,7 +43,7 @@ from ramk.kernels import (
     PLAIN_COUNTERPART,
     AggregatedRepresentation,
     SelectivityParams,
-    _gamma_from_rows,
+    _gammas,
     aggregate,
     is_regional_mode,
     kernel_similarity,
@@ -175,7 +175,7 @@ def exhaustive_ranking(manifest, codebook, mode, strategy, query_features, pooli
                 entry_scores = []
                 for r in range(regions.count):
                     idx = region_descriptor_indices(features, regions, r)
-                    rep = aggregate(part.subset(idx), codebook, mode)
+                    rep = aggregate(WordPartition(part.labels[idx], part.vectors[idx]), codebook, mode)
                     entry_scores.append(kernel_similarity(q_repr, rep))
             s = max(entry_scores) if pooling == POOL_MAX else sum(entry_scores) / len(entry_scores)
         scores[img.image_id] = np.float32(s)
@@ -287,7 +287,7 @@ class TestQuery:
         # (the aggregate of a query without descriptors).
         for words in [np.arange(len(q_rows)), some, np.arange(9, 12), np.arange(0)]:
             rows = q_rows[words]
-            gamma = _gamma_from_rows("asmk-star", rows, dim, params)
+            gamma = _gammas("asmk-star", rows, dim, params)[0]
             plain = AggregatedRepresentation("asmk-star", dim, words, rows, gamma)
             got, want = entry_scores(index, plain), oracle_entry_scores(index, plain)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -685,6 +685,7 @@ class TestEntryTable:
             (["a,b"], [0], [0], "invalid image id 'a,b'"),
             (["a", "b c", "d,e"], [0, 1, 2], [0, 0, 0], "invalid image id 'b c'"),  # the first bad id
             (["a", ""], [0, 1], [0, 0], "invalid image id ''"),
+            (["a"], [0, 0], [0], "columns differ in length"),  # one region index short
         ],
     )
     def test_bad_layout_is_data_error(self, images, entry_image, region_index, message):

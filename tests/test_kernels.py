@@ -31,6 +31,7 @@ from ramk.regional import (
     RegionStrategy,
     aggregate_regional,
     as_regional_query,
+    region_aggregates,
     regional_similarity,
     select_regions,
 )
@@ -268,6 +269,23 @@ class TestAggregate:
         f.vectors[1] = [2.0, 2.0]  # residuals cancel exactly in word 0
         rep = aggregate(partition(cb, f), cb, "asmk")
         assert 0 not in rep.entries
+
+    def test_fold_adds_a_word_left_to_right(self):
+        # Ten rows in one word: 2^53, eight 1.0s, -2^53 in the first column.
+        # Left to right each 1.0 is lost in 2^53 and the sum is 0.0; the
+        # exact sum, and any order that adds the 1.0s first, give 8.0.
+        cb = Codebook(centroids=np.zeros((1, 2), dtype=np.float32))
+        f = make_features(np.random.default_rng(8), 10, 2)
+        f.vectors[:, 0] = [2.0 ** 53] + [1.0] * 8 + [-(2.0 ** 53)]
+        f.vectors[:, 1] = 1.0
+        rows = f.vectors.astype(np.float64)
+        left_to_right = rows[0]
+        for row in rows[1:]:
+            left_to_right = left_to_right + row
+        assert left_to_right.tolist() == [0.0, 10.0] and math.fsum(rows[:, 0]) == 8.0
+        regions = select_regions(f, RegionStrategy.parse("whole"))
+        for rep in [aggregate(partition(cb, f), cb, "vlad"), *region_aggregates(f, regions, cb, "vlad")]:
+            assert rep.words.tolist() == [0] and rep.rows.tolist() == [left_to_right.tolist()]
 
 
 class TestKernelSimilarity:

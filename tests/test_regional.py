@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ramk.codebook import Codebook, partition
+from ramk.codebook import Codebook, WordPartition, partition
 from ramk.errors import ConfigError
 from ramk.features_io import RegionBox
 from ramk.kernels import (
@@ -58,7 +58,7 @@ def avg_pooled_similarity(query_repr, features, regions, codebook, mode) -> floa
     total = 0.0
     for r in range(regions.count):
         idx = region_descriptor_indices(features, regions, r)
-        region_repr = aggregate(part.subset(idx), codebook, mode)
+        region_repr = aggregate(WordPartition(part.labels[idx], part.vectors[idx]), codebook, mode)
         total += kernel_similarity(query_repr, region_repr)
     return total / regions.count
 
@@ -293,7 +293,9 @@ class TestAggregateRegional:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_fold_bitwise_equals_per_word_oracle(self, mode):
         # Plain modes are checked per region (regional search), regional
-        # modes on the fold; the regions overlap and one is empty.
+        # modes on the fold; the regions overlap and one is empty.  An
+        # image without descriptors, but with a detector box, goes through
+        # both paths too.
         rng = np.random.default_rng(36)
         d = 6
         cents = np.vstack([make_codebook(rng, 12, d).centroids, np.full((1, d), 100.0, np.float32)])
@@ -308,17 +310,21 @@ class TestAggregateRegional:
         empty_box = RegionBox(62.9, 46.9, 63.9, 47.9, 1.0)
         assert assign_to_region(f, empty_box).size == 0
         regions.boxes += [regions.boxes[1], empty_box]
-        expected = oracle_entries(f, regions, cb, mode)
-        if is_regional_mode(mode):
-            got = [aggregate_regional(f, regions, cb, mode)]
-            assert got[0].region_count == regions.count
-        else:
-            got = region_aggregates(f, regions, cb, mode)
-            assert 12 not in got[0].entries and got[-1].entries == {}
-        assert len(got) == len(expected)
-        for rep, entries in zip(got, expected):
-            assert_entries_bitwise(rep.entries, entries)
-            assert rep.gamma == oracle_gamma(mode, entries, DEFAULT_SELECTIVITY)
+        blank = make_features(rng, 0, d, boxes=[RegionBox(8.0, 6.0, 40.0, 30.0, 0.9)])
+        blank_regions = select_regions(blank, RegionStrategy.parse("detector:0.5"))
+        assert blank_regions.count == 2
+        for image, image_regions in [(f, regions), (blank, blank_regions)]:
+            expected = oracle_entries(image, image_regions, cb, mode)
+            if is_regional_mode(mode):
+                got = [aggregate_regional(image, image_regions, cb, mode)]
+                assert got[0].region_count == image_regions.count
+            else:
+                got = region_aggregates(image, image_regions, cb, mode)
+                assert 12 not in got[0].entries and got[-1].entries == {}
+            assert len(got) == len(expected)
+            for rep, entries in zip(got, expected):
+                assert_entries_bitwise(rep.entries, entries)
+                assert rep.gamma == oracle_gamma(mode, entries, DEFAULT_SELECTIVITY)
         if is_regional_mode(mode):
             plain = aggregate(partition(cb, f), cb, PLAIN_COUNTERPART[mode])
             oracle = dict(plain.entries)
