@@ -289,7 +289,7 @@ def parse_image_features(
         positions=np.ascontiguousarray(rec[:, 0:2], dtype=np.float32),
         scales=np.ascontiguousarray(rec[:, 2], dtype=np.float32),
         attentions=np.ascontiguousarray(rec[:, 3], dtype=np.float32),
-        boxes=[RegionBox(*(float(v) for v in row)) for row in boxes_flat],
+        boxes=[RegionBox(*row) for row in boxes_flat.tolist()],
         width=width,
         height=height,
     )

@@ -417,6 +417,23 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
     write_atomic(path, serialize_index(index), "index")
 
 
+def _id_runs(id_bytes: bytes, id_lens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each entry, whether its id bytes differ from the previous
+    entry's, and where its id starts and ends in ``id_bytes``.  Ids of one
+    length are compared byte for byte, each byte against the one ``len``
+    earlier.  Two bytes past ASCII differ here though both decode to
+    U+FFFD; the identifier rule rejects the first such id either way."""
+    lens = id_lens.astype(np.int64)
+    ends = np.cumsum(lens)
+    chars = np.frombuffer(id_bytes, np.uint8)
+    back = np.maximum(np.arange(chars.size) - np.repeat(lens, lens), 0)
+    new = np.empty(lens.size, dtype=bool)
+    new[1:] = lens[1:] != lens[:-1]
+    new[np.repeat(np.arange(lens.size), lens)[chars != chars[back]]] = True
+    new[:1] = True
+    return new, ends - lens, ends
+
+
 def load_index(path: str | Path) -> RetrievalIndex:
     path = Path(path)
     cur = _Cursor(read_file(path, "index"), str(path))
@@ -444,10 +461,10 @@ def load_index(path: str | Path) -> RetrievalIndex:
     id_lens, regions = np.frombuffer(cur.take(4 * n_entries), dtype="<u2").reshape(2, n_entries)
     gammas = np.frombuffer(cur.take(8 * n_entries), dtype="<f8").copy()
     # A byte past ASCII decodes to U+FFFD, which the identifier rule rejects.
-    text = str(cur.take(int(id_lens.sum())), "ascii", "replace")
-    ends = np.cumsum(id_lens, dtype=np.int64).tolist()
-    ids = [text[a:b] for a, b in zip([0, *ends], ends)]
-    new_image = np.array([a != b for a, b in zip(ids, [None, *ids])], dtype=bool)
+    id_bytes = cur.take(int(id_lens.sum()))
+    text = str(id_bytes, "ascii", "replace")
+    new_image, starts, ends = _id_runs(id_bytes, id_lens)
+    images = [text[a:b] for a, b in zip(starts[new_image].tolist(), ends[new_image].tolist())]
     n_words = cur.count(8, "words")  # word, count: 8 bytes
     words, counts = np.frombuffer(cur.take(8 * n_words), "<u4").reshape(2, n_words).astype(np.int64)
     n = int(counts.sum())
@@ -485,7 +502,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
             codebook=Codebook(centroids=cents.astype(np.float32)),
             codebook_hash=cb_hash,
             strategy=strategy,
-            images=[ids[i] for i in np.flatnonzero(new_image)],
+            images=images,
             entry_image=np.cumsum(new_image, dtype=np.intp) - 1,
             region_index=regions.astype(np.int64),
             gammas=gammas,

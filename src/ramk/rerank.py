@@ -7,6 +7,12 @@ test) and yields a ``(k, 2)`` array of (query, candidate) descriptor
 index pairs; the geometric model is a full 2-D affine map estimated
 from 3-point samples of the matched position arrays and refined by
 least squares on the best inlier set.
+
+RANSAC works on coordinate columns: each hypothesis's entries come from
+element-wise formulas over 1-D arrays of all samples, and a block of
+hypotheses is scored by one ``(n, 2) @ (2, 2k)`` product followed by
+element-wise steps on ``(n, k)`` error columns, with no per-iteration
+Python loop.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -94,27 +100,37 @@ def _sample_models(
     finite or whose linear part has ``|det| <= _MIN_DET``, are dropped.
     Returns the kept samples, their transposed linear parts (k', 2, 2),
     so that ``src @ At + t`` applies them, and their translations (k', 2).
+
+    Column layout: each coordinate (x, y, x', y') of each pick column is
+    gathered into a 1-D array over all k samples, and each entry of
+    ``A^T`` comes from the element-wise formula a single sample would use,
+    so every kept model has the bits of a one-sample solve; ``t`` is the
+    stacked ``(1, 2) @ (2, 2)`` product per sample.  Samples are dropped by
+    one compress at the end, so a collinear sample may divide by a zero
+    determinant first; those floating-point warnings are silenced.
     """
-    s = src[picks]
-    u1, u2 = s[:, 1] - s[:, 0], s[:, 2] - s[:, 0]
+    sx, sy = src.T
+    dx, dy = dst.T
+    p0, p1, p2 = picks.T
+    x0, y0, x0d, y0d = sx[p0], sy[p0], dx[p0], dy[p0]
+    u1x, u1y, u2x, u2y = sx[p1] - x0, sy[p1] - y0, sx[p2] - x0, sy[p2] - y0
+    v1x, v1y, v2x, v2y = dx[p1] - x0d, dy[p1] - y0d, dx[p2] - x0d, dy[p2] - y0d
     # Twice the signed triangle area: the collinearity test and the
-    # solve's determinant, never zero for a kept sample.
-    det = u1[:, 0] * u2[:, 1] - u2[:, 0] * u1[:, 1]
-    spread = np.ptp(src[:, 0]) * np.ptp(src[:, 1])
-    keep = 0.5 * np.abs(det) > _COLLINEAR_FRAC * spread
-    picks, s, u1, u2, det = picks[keep], s[keep], u1[keep], u2[keep], det[keep, None]
-    d = dst[picks]
-    v1, v2 = d[:, 1] - d[:, 0], d[:, 2] - d[:, 0]
-    at = np.empty((det.shape[0], 2, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # solve's determinant.
+    det = u1x * u2y - u2x * u1y
+    at = np.empty((picks.shape[0], 2, 2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # A = [v1 v2] [u1 u2]^-1, stored as A^T: at[:, j] is column j of A.
-        at[:, 0] = (v1 * u2[:, 1:] - v2 * u1[:, 1:]) / det
-        at[:, 1] = (v2 * u1[:, :1] - v1 * u2[:, :1]) / det
-        t = d[:, 0] - np.matmul(s[:, 0, None], at)[:, 0]
+        np.divide(v1x * u2y - v2x * u1y, det, out=at[:, 0, 0])
+        np.divide(v1y * u2y - v2y * u1y, det, out=at[:, 0, 1])
+        np.divide(v2x * u1x - v1x * u2x, det, out=at[:, 1, 0])
+        np.divide(v2y * u1x - v1y * u2x, det, out=at[:, 1, 1])
+        t = dst.take(p0, axis=0) - np.matmul(src.take(p0, axis=0)[:, None], at)[:, 0]
         det_a = at[:, 0, 0] * at[:, 1, 1] - at[:, 0, 1] * at[:, 1, 0]
-    valid = np.isfinite(at).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
-    valid &= np.abs(det_a) > _MIN_DET
-    return picks[valid], at[valid], t[valid]
+    keep = 0.5 * np.abs(det) > _COLLINEAR_FRAC * (np.ptp(sx) * np.ptp(sy))
+    keep &= np.isfinite(at.reshape(-1, 4)).all(axis=1) & np.isfinite(t).all(axis=1)
+    keep &= np.abs(det_a) > _MIN_DET
+    return picks[keep], at[keep], t[keep]
 
 
 def _sample_picks(n: int, iterations: int, seed: int) -> np.ndarray:
@@ -128,21 +144,56 @@ def _sample_picks(n: int, iterations: int, seed: int) -> np.ndarray:
     [0, 1] swap into positions 2 and 1.  ``integers`` with the array of
     the five bounds makes the same bounded draws on the same stream, one
     row per iteration: Lemire's method, its redraws on rejection, 64-bit
-    draws for bounds beyond 32 bits, and no draw for a bound of 1.
+    draws for bounds beyond 32 bits, and no draw for a bound of 1.  The
+    fix-ups and the swaps are ``np.where`` selections on the five draw
+    columns.
     """
     iterations = max(iterations, 0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     draws = rng.integers(0, np.array([n - 2, n - 1, n, 3, 2]), size=(iterations, 5))
-    picks = draws[:, :3].copy()
-    picks[:, 1] = np.where(picks[:, 1] == picks[:, 0], n - 2, picks[:, 1])
-    taken = (picks[:, 2] == picks[:, 0]) | (picks[:, 2] == picks[:, 1])
-    picks[:, 2] = np.where(taken, n - 1, picks[:, 2])
-    rows = np.arange(iterations)
-    for i, col in ((2, draws[:, 3]), (1, draws[:, 4])):
-        swapped = picks[rows, col]
-        picks[rows, col] = picks[:, i]
-        picks[:, i] = swapped
-    return picks
+    p0, p1, p2, c2, c1 = draws.T
+    p1 = np.where(p1 == p0, n - 2, p1)
+    p2 = np.where((p2 == p0) | (p2 == p1), n - 1, p2)
+    # Swap position c2 with position 2, then position c1 with position 1.
+    p0, p1, p2 = (
+        np.where(c2 == 0, p2, p0),
+        np.where(c2 == 1, p2, p1),
+        np.where(c2 == 0, p0, np.where(c2 == 1, p1, p2)),
+    )
+    first = c1 == 0
+    return np.stack([np.where(first, p1, p0), np.where(first, p0, p1), p2], axis=1)
+
+
+def _inlier_masks(
+    src: np.ndarray, dst: np.ndarray, at: np.ndarray, t: np.ndarray, inlier_tol: float
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(lo, masks)`` per block of hypotheses ``at``/``t`` (as
+    ``_sample_models`` returns them), where ``masks[i, h]`` tells whether
+    correspondence i lies within ``inlier_tol`` of hypothesis ``lo + h``.
+
+    One product ``src @ F`` maps every correspondence under every
+    hypothesis of a block: column ``c * k + h`` of the (2, 2k) factor F is
+    column c of hypothesis h's ``A^T``.  Each entry is the same two-term
+    dot product ``x a_0c + y a_1c`` that one ``(n, 2) @ (2, 2)`` product
+    per hypothesis computes, and OpenBLAS's kernels give it the same bits
+    on every shape tried (``tests/test_rerank.py`` pins it against that
+    stacked form).  The rest is element-wise in the stacked form's order,
+    ``sqrt((m_x + t_x - x')^2 + (m_y + t_y - y')^2)``, done in place: a
+    block allocates only its product, its error and its masks, where more
+    large temporaries made glibc hand memory back to the OS on every call
+    and fault it in again (~150 page faults per call at n = 16).
+    """
+    n = src.shape[0]
+    block = max(1, _SCORE_CELLS // n)
+    for lo in range(0, at.shape[0], block):
+        k = min(block, at.shape[0] - lo)
+        diff = src @ at[lo : lo + k].transpose(1, 2, 0).reshape(2, 2 * k)
+        diff = diff.reshape(n, 2, k)  # [i, c, h]: coordinate c of hypothesis h's error
+        diff += t[lo : lo + k].T
+        diff -= dst[:, :, None]
+        diff *= diff
+        err = diff[:, 0] + diff[:, 1]
+        yield lo, np.sqrt(err, out=err) <= inlier_tol
 
 
 def ransac_affine(
@@ -160,9 +211,11 @@ def ransac_affine(
     one ``integers`` call whose bounded draws give the picks of one
     ``choice(n, 3, replace=False)`` call per iteration, bit for bit
     (``_sample_picks``).  Samples with collinear query points are dropped
-    and the rest are solved exactly and scored against every
-    correspondence in batch.  The first sample with the most reprojection
-    inliers wins and its model is refit by least squares on its inliers.
+    and the rest are solved exactly on coordinate columns
+    (``_sample_models``) and scored against every correspondence, one
+    matrix product per block of hypotheses (``_inlier_masks``).  The
+    first sample with the most reprojection inliers wins and its model is
+    refit by least squares on its inliers.
     Returns (None, empty) when fewer than 3 correspondences exist or no
     model reaches 3 inliers.  Deterministic for a fixed seed.
     """
@@ -176,17 +229,13 @@ def ransac_affine(
     best_count = 0
     best = -1
     best_mask: np.ndarray | None = None
-    block = max(1, _SCORE_CELLS // n)
-    for lo in range(0, picks.shape[0], block):
-        diff = np.matmul(src, at[lo : lo + block]) + t[lo : lo + block, None] - dst
-        err = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
-        masks = err <= inlier_tol
-        counts = np.count_nonzero(masks, axis=1)
+    for lo, masks in _inlier_masks(src, dst, at, t, inlier_tol):
+        counts = masks.sum(axis=0)
         j = int(np.argmax(counts))
         if counts[j] > best_count:
             best_count = int(counts[j])
             best = lo + j
-            best_mask = masks[j]
+            best_mask = masks[:, j]
     if best_mask is None or best_count < 3:
         return None, empty
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import struct
@@ -114,6 +115,39 @@ class TestDtrfFormat:
         assert serialize_image_features(loaded) == payload
         np.testing.assert_array_equal(loaded.vectors, f.vectors)
         assert len(loaded.boxes) == len(f.boxes)
+
+
+class TestBoxParse:
+    def test_boxes_hold_the_float32_values_as_floats(self):
+        boxes = [
+            RegionBox(0.1, 0.2, 10.3, 20.7, 0.33),
+            RegionBox(1 / 3, 2 / 3, 40.1, 47.9, 1.0),
+            RegionBox(0.0, 0.0, 64.0, 48.0, 0.0),
+        ]
+        f = make_features(np.random.default_rng(8), 5, 4, boxes=boxes)
+        loaded = parse_image_features(serialize_image_features(f), image_id="img", width=64, height=48)
+        want = [tuple(float(np.float32(v)) for v in dataclasses.astuple(b)) for b in boxes]
+        got = [dataclasses.astuple(b) for b in loaded.boxes]
+        assert got == want
+        assert all(type(v) is float for row in got for v in row)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((5.0, 1.0, 3.0, 4.0, 0.5), "degenerate box (xmin < xmax, ymin < ymax required): (5.0, 1.0, 3.0, 4.0, 0.5)"),
+            ((1.0, 2.0, 3.0, 4.0, 1.1), "box score 1.100000023841858 outside [0, 1]"),
+            ((np.nan, 2.0, 3.0, 4.0, 0.5), "box has non-finite coordinates: (nan, 2.0, 3.0, 4.0, 0.5)"),
+        ],
+    )
+    def test_first_invalid_box_is_format_error_naming_its_values(self, bad, message):
+        f = make_features(np.random.default_rng(9), 2, 4, boxes=[RegionBox(1.0, 2.0, 3.0, 4.0, 0.5)] * 3)
+        payload = bytearray(serialize_image_features(f))
+        first = len(payload) - 3 * 20
+        payload[first + 20 : first + 40] = np.array(bad, dtype="<f4").tobytes()
+        payload[first + 40 :] = np.array([7.0, 7.0, 1.0, 1.0, 2.0], dtype="<f4").tobytes()
+        with pytest.raises(FormatError) as exc:
+            parse_image_features(bytes(payload), image_id="x", source="s.dtrf")
+        assert str(exc.value) == f"s.dtrf: {message}"
 
 
 class TestAttentionFilter:

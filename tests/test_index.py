@@ -736,3 +736,81 @@ class TestEntryTable:
         np.testing.assert_array_equal(loaded.entry_image, entry_image)
         np.testing.assert_array_equal(loaded.region_index, regions)
         np.testing.assert_array_equal(loaded.gammas, gammas)
+
+
+def with_entry_ids(ids: list[bytes], regions: list[int]) -> bytes:
+    """DTRI bytes of a posting-free index whose entry section holds these
+    raw id bytes and region indices, gamma 1 each, written past the checks
+    ``RetrievalIndex`` makes."""
+    index = entry_table(["x"], [0], [0])
+    n_entries_at, n_words_at, _ = dtri_layout(index)
+    data = serialize_index(index)
+    section = (
+        struct.pack("<I", len(ids))
+        + np.array([len(i) for i in ids] + regions, dtype="<u2").tobytes()
+        + np.ones(len(ids), dtype="<f8").tobytes()
+        + b"".join(ids)
+    )
+    return data[:n_entries_at] + section + data[n_words_at:]
+
+
+def runs_by_string(ids: list[bytes]) -> tuple[list[str], np.ndarray]:
+    """Reference: each id decoded alone, and a new image wherever the
+    decoded id differs from the one before."""
+    texts = [str(i, "ascii", "replace") for i in ids]
+    new = [i == 0 or t != texts[i - 1] for i, t in enumerate(texts)]
+    return [t for t, s in zip(texts, new) if s], np.cumsum(new, dtype=np.intp) - 1
+
+
+class TestLoadedIdRuns:
+    """``load_index`` finds each image's run of entries by comparing id bytes
+    as arrays; it must agree with comparing the decoded ids one by one."""
+
+    def check(self, tmp_path, ids: list[bytes], regions: list[int]) -> None:
+        path = tmp_path / "ids.dtri"
+        path.write_bytes(with_entry_ids(ids, regions))
+        images, entry_image = runs_by_string(ids)
+        try:
+            entry_table(images, entry_image, regions)
+        except DataError as exc:
+            with pytest.raises(FormatError) as err:
+                load_index(path)
+            assert str(err.value) == f"{path}: {exc}" and err.value.exit_code == 3
+            return
+        loaded = load_index(path)
+        assert loaded.images == images
+        np.testing.assert_array_equal(loaded.entry_image, entry_image)
+        np.testing.assert_array_equal(loaded.region_index, regions)
+
+    @pytest.mark.parametrize(
+        "ids,regions",
+        [
+            ([b"img1", b"img2", b"img3"], [0, 0, 0]),  # equal lengths, last byte differs
+            ([b"img1", b"img1", b"img2", b"img2"], [0, 1, 0, 1]),
+            ([b"a", b"ab"], [0, 0]),  # prefix ids
+            ([b"ab", b"a", b"a"], [0, 0, 1]),
+            ([b"ab", b"ba"], [0, 0]),
+            ([b"a", b"b", b"a"], [0, 0, 1]),  # a split image
+            ([b"a", b"a"], [2, 2]),  # a repeated entry
+            ([b"a", b""], [0, 0]),  # an empty id
+            ([b"\xff", b"\xfe"], [0, 1]),  # two bytes that decode alike
+            ([b"a\xc3\xa9", b"a\xc3\xa8"], [0, 0]),
+            ([], []),
+        ],
+    )
+    def test_runs_match_the_decoded_ids(self, tmp_path, ids, regions):
+        self.check(tmp_path, ids, regions)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_random_id_columns_match_the_decoded_ids(self, tmp_path, data):
+        pool = [b"a", b"b", b"ab", b"ba", b"img1", b"img2", b"jmg1", b"", b"a,", b"\xff", b"\xfe"]
+        ids = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        regions = data.draw(st.lists(st.integers(0, 2), min_size=len(ids), max_size=len(ids)))
+        self.check(tmp_path, ids, regions)

@@ -5,14 +5,23 @@ replaces with a batched pass: one ``choice`` call, a collinearity test, a
 least-squares solve and a reprojection score per iteration, the first
 strictly better count winning.  The batched pass must return the same
 inliers and byte-equal models.
+
+``oracle_sample_models`` and ``oracle_score_masks`` are the earlier batched
+pass: models built on ``(k, 3, 2)`` point stacks, compressed after the
+collinearity test, and scored with one ``(n, 2) @ (2, 2)`` product per
+hypothesis.  The column form must give their picks, models, masks and
+final result bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from ramk import rerank
@@ -104,6 +113,65 @@ def oracle_ransac(corr, iterations, inlier_tol, seed):
     if inliers.size < 3:
         return None, empty, best_pick
     return refit, inliers, best_pick
+
+
+def oracle_sample_models(src, dst, picks):
+    """Affine maps through ``picks`` on ``(k, 3, 2)`` point stacks: the
+    collinear samples are dropped before the solve, the rest after it."""
+    s = src[picks]
+    u1, u2 = s[:, 1] - s[:, 0], s[:, 2] - s[:, 0]
+    det = u1[:, 0] * u2[:, 1] - u2[:, 0] * u1[:, 1]
+    spread = np.ptp(src[:, 0]) * np.ptp(src[:, 1])
+    keep = 0.5 * np.abs(det) > _COLLINEAR_FRAC * spread
+    picks, s, u1, u2, det = picks[keep], s[keep], u1[keep], u2[keep], det[keep, None]
+    d = dst[picks]
+    v1, v2 = d[:, 1] - d[:, 0], d[:, 2] - d[:, 0]
+    at = np.empty((det.shape[0], 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        at[:, 0] = (v1 * u2[:, 1:] - v2 * u1[:, 1:]) / det
+        at[:, 1] = (v2 * u1[:, :1] - v1 * u2[:, :1]) / det
+        t = d[:, 0] - np.matmul(s[:, 0, None], at)[:, 0]
+        det_a = at[:, 0, 0] * at[:, 1, 1] - at[:, 0, 1] * at[:, 1, 0]
+    valid = np.isfinite(at).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
+    valid &= np.abs(det_a) > _MIN_DET
+    return picks[valid], at[valid], t[valid]
+
+
+def oracle_score_masks(src, dst, at, t, inlier_tol, cells=_SCORE_CELLS):
+    """``(k, n)`` inlier masks from one stacked ``(n, 2) @ (2, 2)`` product
+    per hypothesis, in blocks of ``cells // n`` hypotheses."""
+    n = src.shape[0]
+    block = max(1, cells // n)
+    masks = [np.zeros((0, n), dtype=bool)]
+    for lo in range(0, at.shape[0], block):
+        diff = np.matmul(src, at[lo : lo + block]) + t[lo : lo + block, None] - dst
+        err = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+        masks.append(err <= inlier_tol)
+    return np.concatenate(masks)
+
+
+def oracle_batched_ransac(corr, iterations, inlier_tol, seed, cells=_SCORE_CELLS):
+    """``ransac_affine`` on the two oracles above and NumPy's own picks."""
+    empty = np.empty(0, dtype=np.int64)
+    src, dst = corr
+    n = src.shape[0]
+    if n < 3:
+        return None, empty
+    picks, at, t = oracle_sample_models(src, dst, choice_loop(n, iterations, seed))
+    masks = oracle_score_masks(src, dst, at, t, inlier_tol, cells)
+    counts = masks.sum(axis=1)
+    if counts.size == 0 or counts.max() < 3:
+        return None, empty
+    best = int(np.argmax(counts))
+    refit = oracle_solve(src[masks[best]], dst[masks[best]])
+    if refit is None:
+        refit = oracle_solve(src[picks[best]], dst[picks[best]])
+        if refit is None:
+            return None, empty
+    inliers = np.flatnonzero(np.linalg.norm(refit.apply(src) - dst, axis=1) <= inlier_tol)
+    if inliers.size < 3:
+        return None, empty
+    return refit, inliers
 
 
 def assert_same_result(got, want) -> None:
@@ -275,6 +343,85 @@ class TestRansacAffine:
         b = ransac_affine(*corr, iterations=300, inlier_tol=3.0, seed=9)
         np.testing.assert_array_equal(a[1], b[1])
         np.testing.assert_array_equal(a[0].matrix, b[0].matrix)
+
+
+def column_case(kind: str, n: int, rng: np.random.Generator):
+    """Matched points ``(src, dst, inlier_tol)`` of a shape the column form
+    must handle bit for bit."""
+    if kind == "grid":  # integer grid: moved points err by exactly 5 = tol
+        src = np.stack(np.divmod(np.arange(n), 8), axis=1) * 7.0
+        dst = src + [10.0, -4.0]
+        dst[rng.random(n) < 0.3] += [3.0, 4.0]
+        far = rng.random(n) < 0.2
+        dst[far] += rng.integers(-50, 50, size=(int(far.sum()), 2))
+        return src, dst, 5.0
+    if kind == "collinear":  # all on one line but a few
+        x = rng.uniform(0, 500, n)
+        src = np.stack([x, 0.5 * x + 7.0], axis=1)
+        off = rng.random(n) < 0.1
+        src[off, 1] += rng.uniform(-50, 50, int(off.sum()))
+        return src, src * 1.5 + 3.0, 2.0
+    if kind == "duplicated":  # rows repeated, so some samples repeat a point
+        base = rng.uniform(0, 500, size=(max(2, n // 3), 2))
+        src = base[rng.integers(0, base.shape[0], n)]
+    elif kind == "near 1e6":
+        src = 1e6 + rng.uniform(-500, 500, size=(n, 2))
+    elif kind == "near 1e-3":
+        src = 1e-3 + rng.uniform(-5e-4, 5e-4, size=(n, 2))
+    else:
+        src = rng.uniform(0, 500, size=(n, 2))
+    scale = np.ptp(src) or 1.0
+    dst = src @ np.array([[1.2, 0.3], [-0.2, 0.9]]).T + [0.1 * scale, -0.05 * scale]
+    dst += rng.normal(0, 1e-3 * scale, size=(n, 2))
+    outliers = rng.random(n) < 0.4
+    dst[outliers] = src[outliers] + rng.uniform(-scale, scale, size=(int(outliers.sum()), 2))
+    return src, dst, 6e-3 * scale
+
+
+COLUMN_KINDS = ("uniform", "grid", "collinear", "duplicated", "near 1e6", "near 1e-3")
+
+
+class TestColumnForm:
+    """The column form of ``_sample_models`` and ``_inlier_masks`` against
+    the stacked-point oracles, on every shape that could split them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(COLUMN_KINDS),
+        n=st.integers(3, 300),
+        iterations=st.sampled_from([0, 1, 7, 1000]),
+        cells=st.sampled_from([_SCORE_CELLS, 4096, 300, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_stacked_oracle(self, kind, n, iterations, cells, seed):
+        src, dst, tol = column_case(kind, n, np.random.default_rng(seed))
+        picks = rerank._sample_picks(n, iterations, seed)
+        np.testing.assert_array_equal(picks, choice_loop(n, iterations, seed))
+        got = rerank._sample_models(src, dst, picks)
+        want = oracle_sample_models(src, dst, picks)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes()
+        _, at, t = want
+        with mock.patch.object(rerank, "_SCORE_CELLS", cells):
+            blocks = list(rerank._inlier_masks(src, dst, at, t, tol))
+            result = ransac_affine(src, dst, iterations=iterations, inlier_tol=tol, seed=seed)
+        assert [lo for lo, _ in blocks] == list(range(0, at.shape[0], max(1, cells // n)))
+        got_masks = np.concatenate([np.zeros((n, 0), dtype=bool)] + [m for _, m in blocks], axis=1)
+        want_masks = oracle_score_masks(src, dst, at, t, tol, cells)
+        np.testing.assert_array_equal(got_masks.T, want_masks)
+        np.testing.assert_array_equal(got_masks.sum(axis=0), want_masks.sum(axis=1))
+        assert_same_result(result, oracle_batched_ransac((src, dst), iterations, tol, seed, cells))
+
+    def test_grid_errors_meet_the_tolerance_exactly(self):
+        # The boundary case the grid shape is there for: errors equal to
+        # inlier_tol must count as inliers in both forms.
+        src, dst, tol = column_case("grid", 120, np.random.default_rng(5))
+        _, at, t = oracle_sample_models(src, dst, rerank._sample_picks(120, 1000, 5))
+        diff = np.matmul(src, at) + t[:, None] - dst
+        err = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+        assert (err == tol).any()
+        masks = np.concatenate([m for _, m in rerank._inlier_masks(src, dst, at, t, tol)], axis=1)
+        np.testing.assert_array_equal(masks.T, err <= tol)
 
 
 def choice_loop(n: int, iterations: int, seed: int) -> np.ndarray:
