@@ -17,28 +17,30 @@ keeps its own): the float64 rows, their computed squared norms ``s``,
 chunk of points lifted by a trailing 1 gives every ``g`` in one matrix
 product with ``L``.  When both sides are float32, that product runs in
 float32 first; rows it cannot certify take the float64 product, and rows
-that fail there are recomputed with ``cdist``.  The returned squared
-distances are the sequential float64 sum of squared differences, which
-equals ``cdist``'s value bit for bit.  So labels and distances do not
-depend on the BLAS library, its thread count or the stage that
-certified a row.
+that fail there are recomputed with ``_sequential_sqdist``.  That routine
+and the returned squared distances are the sequential float64 sum of
+squared differences, which equals scipy's ``cdist(..., "sqeuclidean")``
+bit for bit (the tests pin it).  So labels and distances do not depend
+on the BLAS library, its thread count or the stage that certified a
+row.
 
 The certificate uses Higham's bound ("Accuracy and Stability of
 Numerical Algorithms", section 3.1): with unit roundoff u and
 ``gamma_n = n u / (1 - n u)``, a sum of n products computed in any order,
 fused or not, is within ``gamma_n`` times the sum of their magnitudes.
 Let ``S = (|x| + R)^2`` and ``G_j = |r_j|^2 - 2 x.r_j``, exact.  If every
-computed ``g_j`` is within ``e`` of ``G_j`` and every ``cdist`` value
-``c_j`` within ``e'`` of ``|x - r_j|^2 = G_j + |x|^2``, a row whose best
-``g_b`` is below every other ``g_j`` by more than ``2e + 2e'`` has::
+computed ``g_j`` is within ``e`` of ``G_j`` and every
+``_sequential_sqdist`` value ``c_j`` within ``e'`` of
+``|x - r_j|^2 = G_j + |x|^2``, a row whose best ``g_b`` is below every
+other ``g_j`` by more than ``2e + 2e'`` has::
 
     c_j >= G_j + |x|^2 - e' >= g_j - e - e' + |x|^2
         >  g_b + e + e' + |x|^2 >= G_b + e' + |x|^2 >= c_b,
 
-the same argmin as ``cdist``.  Exact ties and near-ties are never
-certified.  ``cdist`` rounds each difference, square and addition once,
-so ``e' <= gamma_(D+2) S + D 2^-1075`` (2^-1075 bounds an underflowing
-square).
+the same argmin as ``_sequential_sqdist``.  Exact ties and near-ties
+are never certified.  ``_sequential_sqdist`` rounds each difference,
+square and addition once, so ``e' <= gamma_(D+2) S + D 2^-1075``
+(2^-1075 bounds an underflowing square).
 
 - float64 (u = 2^-53).  The computed ``s`` is within ``gamma_D |r|^2`` of
   ``|r|^2``, and the product of the D+1 lifted terms adds
@@ -126,7 +128,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DataError, DimensionError, FormatError, TrainingError
 from .features_io import ImageFeatures, read_file, write_atomic
@@ -285,7 +286,7 @@ def _nearest(
     """Nearest row of ``refs`` (C, D) for each row of ``points`` (M, D):
     the exact argmin of the squared Euclidean distance with ties to the
     lowest index, as int64 labels, and with ``distances`` the squared
-    distance to it as ``cdist(..., "sqeuclidean")`` computes it (else None).
+    distance to it as ``_sequential_sqdist`` computes it (else None).
     ``refs`` is an array or a prepared ``_Refs``; when both sides are
     float32, rows are ranked in float32 first (module docstring)."""
     if not isinstance(refs, _Refs):
@@ -314,14 +315,35 @@ def _nearest(
         else:
             best, unsure = _rank(_lift(x64, np.float64), refs.lifted, refs.coef64 * s2 + refs.floor64)
         if unsure.size:
-            best[unsure] = np.argmin(cdist(x64[unsure], refs.rows, metric="sqeuclidean"), axis=1)
+            best[unsure] = np.argmin(_sequential_sqdist(x64[unsure], refs.rows), axis=1)
         labels[lo:lo + step] = best
         if distances:
-            # A sequential sum of squares in the order of the dimensions, like cdist's.
+            # A sequential sum of squares in the order of the dimensions, as in _sequential_sqdist.
             diff = x64 - refs.rows.take(best, axis=0)
             diff *= diff
             d2[lo:lo + step] = np.cumsum(diff, axis=1)[:, -1]
     return labels, d2
+
+
+def _sequential_sqdist(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Every squared distance between the rows of ``x`` (M, D) and of
+    ``refs`` (C, D), float64, as ``cdist(x, refs, "sqeuclidean")`` computes
+    it: the sum of squared differences added in the order of the
+    dimensions, each difference, square and addition rounded once.  Blocks
+    of rows and references hold about _CHUNK_CELLS (row, reference,
+    dimension) cells; IEEE specials pass silently, as in ``cdist``."""
+    m, d = x.shape
+    c = refs.shape[0]
+    out = np.empty((m, c), dtype=np.float64)
+    cols = max(1, min(c, _CHUNK_CELLS // d))
+    rows = max(1, _CHUNK_CELLS // (cols * d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, m, rows):
+            for at in range(0, c, cols):
+                diff = x[lo:lo + rows, None] - refs[None, at:at + cols]
+                diff *= diff
+                out[lo:lo + rows, at:at + cols] = np.cumsum(diff, axis=-1)[..., -1]
+    return out
 
 
 def _squared_distances(points: np.ndarray, rows: np.ndarray, seed: np.ndarray) -> np.ndarray:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,3 +477,23 @@ class TestGenSyntheticCli:
         for rel in files:
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
         assert (a / "manifest.txt").read_text() == (b / "manifest.txt").read_text()
+
+
+def test_runtime_imports_no_scipy():
+    """scipy is a test dependency only: a fresh interpreter that imports
+    ``ramk``, ``ramk.cli`` and every ``ramk`` submodule loads none of it."""
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import ramk, ramk.cli\n"
+        "names = [m.name for m in pkgutil.walk_packages(ramk.__path__, 'ramk.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(len(names))\n"
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    count, loaded = done.stdout.splitlines()
+    assert int(count) >= 10
+    assert loaded == "[]"

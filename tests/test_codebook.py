@@ -10,6 +10,7 @@ reproduce draw for draw.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from scipy.spatial.distance import cdist
 from ramk import codebook as codebook_module
 from ramk.codebook import (
     _nearest,
+    _sequential_sqdist,
     Codebook,
     codebook_digest,
     load_codebook,
@@ -352,12 +354,13 @@ class TestNearest:
             ]
         )
         seen = []
+        sqdist = codebook_module._sequential_sqdist
 
-        def spy(x, r, metric):
+        def spy(x, r):
             seen.append(x.copy())
-            return cdist(x, r, metric=metric)
+            return sqdist(x, r)
 
-        with mock.patch.object(codebook_module, "cdist", spy):
+        with mock.patch.object(codebook_module, "_sequential_sqdist", spy):
             labels, d2 = _nearest(points, refs)
         assert labels.tolist() == [0, 2, 0]
         assert len(seen) == 1
@@ -433,16 +436,17 @@ class TestNearest:
         )
         ranked, seen = [], []
         rank = codebook_module._rank
+        sqdist = codebook_module._sequential_sqdist
 
         def rank_spy(xl, lifted, bound):
             ranked.append((lifted.dtype, xl[:, :-1].copy()))
             return rank(xl, lifted, bound)
 
-        def cdist_spy(x, r, metric):
+        def sqdist_spy(x, r):
             seen.append(x.copy())
-            return cdist(x, r, metric=metric)
+            return sqdist(x, r)
 
-        with mock.patch.multiple(codebook_module, _rank=rank_spy, cdist=cdist_spy):
+        with mock.patch.multiple(codebook_module, _rank=rank_spy, _sequential_sqdist=sqdist_spy):
             labels, d2 = _nearest(points, refs)
         assert labels.tolist() == [2, 0, 0]
         assert [dtype for dtype, _ in ranked] == [np.float32, np.float64]
@@ -497,6 +501,68 @@ class TestNearest:
         quantize_batch(cb, np.zeros((1, 8), dtype=np.float32))
         with pytest.raises(dataclasses.FrozenInstanceError):
             cb.centroids = np.zeros((4, 8), dtype=np.float32)
+
+
+class TestSequentialSqdist:
+    """The exact stage of ``_nearest`` against scipy's ``cdist``, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 8, 63, 64, 65, 128]),
+        c=st.integers(1, 12),
+        m=st.integers(0, 12),
+        grid=st.booleans(),
+        exponent=st.sampled_from([-540, -520, -30, 0, 30, 60]),
+        spread=st.booleans(),
+        cells=st.sampled_from([1, 7, codebook_module._CHUNK_CELLS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_cdist_bytes(self, d, c, m, grid, exponent, spread, cells, seed):
+        rng = np.random.default_rng(seed)
+        if grid:
+            # Small integers: every distance is exact, so equal ones are exact ties.
+            refs = rng.integers(-2, 3, size=(c, d)).astype(np.float64)
+            points = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+        else:
+            refs = rng.normal(0, 1, size=(c, d))
+            points = rng.normal(0, 1, size=(m, d))
+        refs[-1] = refs[0]  # a duplicated reference (a tie for every row)
+        points[::3] = refs[rng.integers(0, c, size=points[::3].shape[0])]
+        # Powers of two scale exactly, so ties stay ties.  At 2^-540 the
+        # squares underflow; a spread of exponents across the dimensions
+        # makes the result depend on the order of the additions.
+        lo = exponent - 40 if spread else exponent
+        scale = 2.0 ** rng.integers(lo, exponent + 1, size=d).astype(np.float64)
+        refs *= scale
+        points *= scale
+        with mock.patch.object(codebook_module, "_CHUNK_CELLS", cells):
+            got = _sequential_sqdist(points, refs)
+        want = cdist(points, refs, metric="sqeuclidean")
+        assert got.dtype == np.float64 and got.shape == (m, c)
+        assert got.tobytes() == want.tobytes()
+        for row in got:
+            assert np.argmin(row) == np.flatnonzero(row == row.min())[0]
+
+    def test_ieee_specials_pass_silently(self):
+        big = 1e200  # its square overflows
+        refs = np.array([[0.0, 1.0], [np.inf, 0.0], [big, -big]])
+        points = np.array([[np.inf, 1.0], [np.nan, 0.0], [-big, big], [1.0, 2.0]])
+        got = _sequential_sqdist(points, refs)  # RuntimeWarnings are errors here
+        np.testing.assert_array_equal(got, cdist(points, refs, metric="sqeuclidean"))
+
+    def test_blocks_bound_the_memory(self):
+        # One row against a large codebook: no (C, D) temporary at once.
+        rng = np.random.default_rng(20)
+        refs = rng.normal(0, 1, size=(1 << 16, 8))
+        x = rng.normal(0, 1, size=(1, 8))
+        tracemalloc.start()
+        try:
+            got = _sequential_sqdist(x, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < refs.nbytes // 2
+        assert got.tobytes() == cdist(x, refs, metric="sqeuclidean").tobytes()
 
 
 class TestTrainingOracle:
