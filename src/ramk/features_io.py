@@ -71,6 +71,15 @@ class RegionBox:
     score: float
 
     def validate(self) -> None:
+        # One chain passes every valid box: ``-inf < lo < hi < inf`` holds
+        # only for finite ``lo < hi``, and no comparison holds for NaN.
+        inf = math.inf
+        if (
+            -inf < self.xmin < self.xmax < inf
+            and -inf < self.ymin < self.ymax < inf
+            and 0.0 <= self.score <= 1.0
+        ):
+            return
         vals = (self.xmin, self.ymin, self.xmax, self.ymax, self.score)
         if not all(math.isfinite(v) for v in vals):
             raise DataError(f"box has non-finite coordinates: {vals}")

@@ -12,7 +12,18 @@ RANSAC works on coordinate columns: each hypothesis's entries come from
 element-wise formulas over 1-D arrays of all samples, and a block of
 hypotheses is scored by one ``(n, 2) @ (2, 2k)`` product followed by
 element-wise steps on ``(n, k)`` error columns, with no per-iteration
-Python loop.
+Python loop.  Its models and inliers are those of a loop that calls
+``choice`` and solves and scores one sample at a time, bit for bit:
+
+- the bounded draws of the samples are one multiply-shift pass over raw
+  PCG64 words, the arithmetic of Lemire's method that ``choice`` runs on
+  the same stream, with ``Generator.integers`` taking over where that
+  method would reject a draw and draw again;
+- a sample's translation is read off the scoring product at the row of
+  its first point, the same two-term dot product that a per-sample
+  product computes (OpenBLAS rounds them alike; the tests pin it);
+- dropped samples keep their place with a count of -1, so the first
+  kept sample with the most inliers wins.
 """
 
 from __future__ import annotations
@@ -93,21 +104,26 @@ def _solve_affine(src: np.ndarray, dst: np.ndarray) -> AffineModel | None:
 
 def _sample_models(
     src: np.ndarray, dst: np.ndarray, picks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact affine maps through the 3-point samples ``picks`` (k, 3).
 
-    Samples whose query triangle is collinear, and maps that are not
-    finite or whose linear part has ``|det| <= _MIN_DET``, are dropped.
-    Returns the kept samples, their transposed linear parts (k', 2, 2),
-    so that ``src @ At + t`` applies them, and their translations (k', 2).
+    Returns the transposed linear parts ``A^T`` (k, 2, 2) of all k
+    samples in sample order, so that ``src @ At + t`` applies them, and a
+    (k,) mask that is False for the samples to drop: those whose query
+    triangle is collinear and those whose ``|det A| <= _MIN_DET`` (or is
+    NaN).  ``ransac_affine`` also drops a sample whose translation, which
+    ``_inlier_masks`` reads off its scoring product, is not finite.  That
+    drops every sample whose ``A^T`` is not finite, which the mask does
+    not test: each entry of ``A^T`` feeds one component of
+    ``t = d - x A^T``, and a non-finite factor gives a non-finite product
+    and sum.
 
     Column layout: each coordinate (x, y, x', y') of each pick column is
     gathered into a 1-D array over all k samples, and each entry of
     ``A^T`` comes from the element-wise formula a single sample would use,
-    so every kept model has the bits of a one-sample solve; ``t`` is the
-    stacked ``(1, 2) @ (2, 2)`` product per sample.  Samples are dropped by
-    one compress at the end, so a collinear sample may divide by a zero
-    determinant first; those floating-point warnings are silenced.
+    so every kept model has the bits of a one-sample solve.  Nothing is
+    compressed, so a collinear sample may divide by a zero determinant;
+    those floating-point warnings are silenced.
     """
     sx, sy = src.T
     dx, dy = dst.T
@@ -125,32 +141,50 @@ def _sample_models(
         np.divide(v1y * u2y - v2y * u1y, det, out=at[:, 0, 1])
         np.divide(v2x * u1x - v1x * u2x, det, out=at[:, 1, 0])
         np.divide(v2y * u1x - v1y * u2x, det, out=at[:, 1, 1])
-        t = dst.take(p0, axis=0) - np.matmul(src.take(p0, axis=0)[:, None], at)[:, 0]
         det_a = at[:, 0, 0] * at[:, 1, 1] - at[:, 0, 1] * at[:, 1, 0]
     keep = 0.5 * np.abs(det) > _COLLINEAR_FRAC * (np.ptp(sx) * np.ptp(sy))
-    keep &= np.isfinite(at.reshape(-1, 4)).all(axis=1) & np.isfinite(t).all(axis=1)
     keep &= np.abs(det_a) > _MIN_DET
-    return picks[keep], at[keep], t[keep]
+    return at, keep
 
 
 def _sample_picks(n: int, iterations: int, seed: int) -> np.ndarray:
     """The ``(iterations, 3)`` int64 picks of one ``choice(n, 3,
     replace=False)`` call per iteration on a fresh PCG64 generator, bit
-    for bit, from one ``integers`` call and array operations.
+    for bit, from one block of raw generator words and array operations.
 
     ``choice(n, 3, replace=False)`` runs Floyd's algorithm: draws in
     [0, j] for j = n-3, n-2, n-1, where a draw equal to an earlier pick
     takes j instead.  A 2-step shuffle follows: draws in [0, 2] and then
-    [0, 1] swap into positions 2 and 1.  ``integers`` with the array of
-    the five bounds makes the same bounded draws on the same stream, one
-    row per iteration: Lemire's method, its redraws on rejection, 64-bit
-    draws for bounds beyond 32 bits, and no draw for a bound of 1.  The
+    [0, 1] swap into positions 2 and 1.  These are five bounded draws per
+    iteration, with exclusive bounds e = n-2, n-1, n, 3, 2, made by
+    Lemire's method (Lemire, "Fast random integer generation in an
+    interval", ACM TOMACS 2019) as NumPy implements it: for bounds of 32
+    bits or fewer, each draw takes the next uint32 w of the stream and
+    returns ``(w * e) >> 32``, unless the low 32 bits of ``w * e`` fall
+    below ``2^32 mod e``, when it draws again.  PCG64 makes its uint32s
+    by splitting each 64-bit word, low half first.  So for 4 <= n <= 2^31
+    the draws are one multiply-shift over the halves of
+    ``ceil(5 * iterations / 2)`` raw words, as long as none of them is
+    rejected.  Otherwise (a rejection; n = 3, whose bound of 1 draws
+    nothing; or n > 2^31, where ``w * e`` may not fit int64) one
+    ``integers`` call with the array of the five bounds makes the same
+    draws on a fresh generator of the same seed, redraws included.  The
     fix-ups and the swaps are ``np.where`` selections on the five draw
     columns.
     """
     iterations = max(iterations, 0)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    draws = rng.integers(0, np.array([n - 2, n - 1, n, 3, 2]), size=(iterations, 5))
+    bounds = np.array([n - 2, n - 1, n, 3, 2])
+    draws = None
+    if 4 <= n <= 1 << 31:
+        bitgen = np.random.PCG64(np.random.SeedSequence(seed))
+        words = bitgen.random_raw((5 * iterations + 1) // 2).astype("<u8", copy=False)
+        # w * e < 2^32 * 2^31 fits int64.
+        m = words.view("<u4")[: 5 * iterations].reshape(iterations, 5) * bounds
+        if not ((m & 0xFFFFFFFF) < (1 << 32) % bounds).any():
+            draws = m >> 32
+    if draws is None:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        draws = rng.integers(0, bounds, size=(iterations, 5))
     p0, p1, p2, c2, c1 = draws.T
     p1 = np.where(p1 == p0, n - 2, p1)
     p2 = np.where((p2 == p0) | (p2 == p1), n - 1, p2)
@@ -165,11 +199,14 @@ def _sample_picks(n: int, iterations: int, seed: int) -> np.ndarray:
 
 
 def _inlier_masks(
-    src: np.ndarray, dst: np.ndarray, at: np.ndarray, t: np.ndarray, inlier_tol: float
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(lo, masks)`` per block of hypotheses ``at``/``t`` (as
-    ``_sample_models`` returns them), where ``masks[i, h]`` tells whether
-    correspondence i lies within ``inlier_tol`` of hypothesis ``lo + h``.
+    src: np.ndarray, dst: np.ndarray, at: np.ndarray, p0: np.ndarray, inlier_tol: float
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(lo, masks, t)`` per block of hypotheses ``at`` (as
+    ``_sample_models`` returns them), where ``t`` (k, 2) holds the
+    translations of hypotheses ``lo`` to ``lo + k``, each mapping its
+    sample's first correspondence ``p0`` onto its target, and
+    ``masks[i, h]`` tells whether correspondence i lies within
+    ``inlier_tol`` of hypothesis ``lo + h``.
 
     One product ``src @ F`` maps every correspondence under every
     hypothesis of a block: column ``c * k + h`` of the (2, 2k) factor F is
@@ -177,23 +214,31 @@ def _inlier_masks(
     dot product ``x a_0c + y a_1c`` that one ``(n, 2) @ (2, 2)`` product
     per hypothesis computes, and OpenBLAS's kernels give it the same bits
     on every shape tried (``tests/test_rerank.py`` pins it against that
-    stacked form).  The rest is element-wise in the stacked form's order,
+    stacked form).  So ``t = d - x A^T`` is read at row ``p0`` of the
+    product rather than computed by one more product per sample.  The
+    rest is element-wise in the stacked form's order,
     ``sqrt((m_x + t_x - x')^2 + (m_y + t_y - y')^2)``, done in place: a
     block allocates only its product, its error and its masks, where more
     large temporaries made glibc hand memory back to the OS on every call
-    and fault it in again (~150 page faults per call at n = 16).
+    and fault it in again (~150 page faults per call at n = 16).  Dropped
+    samples are scored too; their infinities and NaNs are silenced.
     """
     n = src.shape[0]
     block = max(1, _SCORE_CELLS // n)
     for lo in range(0, at.shape[0], block):
         k = min(block, at.shape[0] - lo)
-        diff = src @ at[lo : lo + k].transpose(1, 2, 0).reshape(2, 2 * k)
-        diff = diff.reshape(n, 2, k)  # [i, c, h]: coordinate c of hypothesis h's error
-        diff += t[lo : lo + k].T
-        diff -= dst[:, :, None]
-        diff *= diff
-        err = diff[:, 0] + diff[:, 1]
-        yield lo, np.sqrt(err, out=err) <= inlier_tol
+        first = p0[lo : lo + k]
+        # Flat index of row first[h], column h, in the (n, 2k) product.
+        flat = first * (2 * k) + np.arange(k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = src @ at[lo : lo + k].transpose(1, 2, 0).reshape(2, 2 * k)
+            t = dst[first] - diff.take(np.stack([flat, flat + k], axis=1))
+            diff = diff.reshape(n, 2, k)  # [i, c, h]: coordinate c of hypothesis h's error
+            diff += t.T
+            diff -= dst[:, :, None]
+            diff *= diff
+            err = diff[:, 0] + diff[:, 1]
+        yield lo, np.sqrt(err, out=err) <= inlier_tol, t
 
 
 def ransac_affine(
@@ -207,15 +252,15 @@ def ransac_affine(
     points, given as two ``(k, 2)`` float64 arrays with row i of each
     forming one correspondence.
 
-    All ``iterations`` samples of 3 correspondences are drawn first, in
-    one ``integers`` call whose bounded draws give the picks of one
-    ``choice(n, 3, replace=False)`` call per iteration, bit for bit
-    (``_sample_picks``).  Samples with collinear query points are dropped
-    and the rest are solved exactly on coordinate columns
-    (``_sample_models``) and scored against every correspondence, one
-    matrix product per block of hypotheses (``_inlier_masks``).  The
-    first sample with the most reprojection inliers wins and its model is
-    refit by least squares on its inliers.
+    All ``iterations`` samples of 3 correspondences are drawn first, from
+    one block of raw generator words whose bounded draws give the picks
+    of one ``choice(n, 3, replace=False)`` call per iteration, bit for bit
+    (``_sample_picks``).  Every sample is solved exactly on coordinate
+    columns (``_sample_models``) and scored against every correspondence,
+    one matrix product per block of hypotheses (``_inlier_masks``).  Samples with collinear query points or a
+    degenerate model count -1 inliers, so the first kept sample with the
+    most reprojection inliers wins, and its model is refit by least
+    squares on its inliers.
     Returns (None, empty) when fewer than 3 correspondences exist or no
     model reaches 3 inliers.  Deterministic for a fixed seed.
     """
@@ -224,13 +269,15 @@ def ransac_affine(
     if n < 3:
         return None, empty
 
-    picks, at, t = _sample_models(src, dst, _sample_picks(n, iterations, seed))
+    picks = _sample_picks(n, iterations, seed)
+    at, keep = _sample_models(src, dst, picks)
 
     best_count = 0
     best = -1
     best_mask: np.ndarray | None = None
-    for lo, masks in _inlier_masks(src, dst, at, t, inlier_tol):
+    for lo, masks, t in _inlier_masks(src, dst, at, picks[:, 0], inlier_tol):
         counts = masks.sum(axis=0)
+        counts[~(keep[lo : lo + counts.size] & np.isfinite(t).all(axis=1))] = -1
         j = int(np.argmax(counts))
         if counts[j] > best_count:
             best_count = int(counts[j])

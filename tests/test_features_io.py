@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import re
 import struct
@@ -148,6 +149,87 @@ class TestBoxParse:
         with pytest.raises(FormatError) as exc:
             parse_image_features(bytes(payload), image_id="x", source="s.dtrf")
         assert str(exc.value) == f"s.dtrf: {message}"
+
+
+def with_boxes(rows) -> bytes:
+    """A DTRF payload whose box records hold ``rows`` as float32, bad
+    values included (``serialize_image_features`` would reject them)."""
+    f = make_features(np.random.default_rng(10), 3, 4, boxes=[RegionBox(1.0, 2.0, 3.0, 4.0, 0.5)] * len(rows))
+    payload = bytearray(serialize_image_features(f))
+    payload[len(payload) - 20 * len(rows) :] = np.array(rows, dtype="<f4").tobytes()
+    return bytes(payload)
+
+
+def per_box_error(rows) -> str | None:
+    """The message of the first box that fails one of the three checks of
+    ``RegionBox.validate`` (finite, not degenerate, score in [0, 1]), each
+    made on its own as ``validate`` made them before its one-chain pass."""
+    for vals in np.array(rows, dtype="<f4").reshape(-1, 5).tolist():
+        xmin, ymin, xmax, ymax, score = vals = tuple(vals)
+        if not all(math.isfinite(v) for v in vals):
+            return f"box has non-finite coordinates: {vals}"
+        if not (xmin < xmax and ymin < ymax):
+            return f"degenerate box (xmin < xmax, ymin < ymax required): {vals}"
+        if not 0.0 <= score <= 1.0:
+            return f"box score {score} outside [0, 1]"
+    return None
+
+
+BAD_BOXES = [
+    ((5.0, 1.0, 3.0, 4.0, 0.5), "degenerate box (xmin < xmax, ymin < ymax required): (5.0, 1.0, 3.0, 4.0, 0.5)"),
+    ((1.0, 4.0, 3.0, 4.0, 0.5), "degenerate box (xmin < xmax, ymin < ymax required): (1.0, 4.0, 3.0, 4.0, 0.5)"),
+    ((1.0, 2.0, 3.0, 4.0, -0.5), "box score -0.5 outside [0, 1]"),
+    ((1.0, 2.0, 3.0, 4.0, np.inf), "box has non-finite coordinates: (1.0, 2.0, 3.0, 4.0, inf)"),
+    ((1.0, 2.0, 3.0, 4.0, np.nan), "box has non-finite coordinates: (1.0, 2.0, 3.0, 4.0, nan)"),
+    ((-np.inf, 2.0, 3.0, 4.0, 0.5), "box has non-finite coordinates: (-inf, 2.0, 3.0, 4.0, 0.5)"),
+    ((1.0, 2.0, np.inf, 4.0, 0.5), "box has non-finite coordinates: (1.0, 2.0, inf, 4.0, 0.5)"),
+    ((1.0, np.nan, 3.0, 4.0, 0.5), "box has non-finite coordinates: (1.0, nan, 3.0, 4.0, 0.5)"),
+    ((1.0, -np.inf, 3.0, 4.0, 0.5), "box has non-finite coordinates: (1.0, -inf, 3.0, 4.0, 0.5)"),
+    ((1.0, 2.0, 3.0, np.inf, 0.5), "box has non-finite coordinates: (1.0, 2.0, 3.0, inf, 0.5)"),
+]
+
+
+class TestBoxRows:
+    """``RegionBox.validate`` passes a valid box by one chained comparison
+    and runs its three checks only on a failing one: a parsed file must
+    raise the error of the first box that fails one of those checks."""
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    @pytest.mark.parametrize("bad, message", BAD_BOXES)
+    def test_bad_box_first_or_last_keeps_its_message(self, position, bad, message):
+        rows = [(0.0, 0.0, 64.0, 48.0, 1.0), (1.0, 2.0, 3.0, 4.0, 0.0), (-3e38, -3e38, 3e38, 3e38, 0.5)] * 2
+        if position == "first":
+            rows = [bad] + rows + [(9.0, 9.0, 1.0, 1.0, 2.0)]  # a later bad box is not the one named
+        else:
+            rows = rows + [bad]
+        assert per_box_error(rows) == message
+        with pytest.raises(FormatError) as exc:
+            parse_image_features(with_boxes(rows), image_id="x", source="s.dtrf")
+        assert str(exc.value) == f"s.dtrf: {message}"
+
+    def test_extreme_valid_boxes_pass(self):
+        big = float(np.finfo(np.float32).max)
+        tiny = float(np.finfo(np.float32).smallest_subnormal)
+        rows = [(-big, -big, big, big, 0.0), (0.0, -tiny, tiny, 0.0, 1.0), (-0.0, 0.0, 1.0, 1.0, -0.0)]
+        loaded = parse_image_features(with_boxes(rows), image_id="x")
+        assert [dataclasses.astuple(b) for b in loaded.boxes] == [tuple(map(float, r)) for r in rows]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.floats(width=32) | st.sampled_from([0.0, 1.0, -0.0, 0.5])] * 5),
+            min_size=0,
+            max_size=6,
+        )
+    )
+    def test_same_error_as_validating_each_box(self, rows):
+        message = per_box_error(rows)
+        if message is None:
+            assert len(parse_image_features(with_boxes(rows), image_id="x").boxes) == len(rows)
+        else:
+            with pytest.raises(FormatError) as exc:
+                parse_image_features(with_boxes(rows), image_id="x", source="s.dtrf")
+            assert str(exc.value) == f"s.dtrf: {message}"
 
 
 class TestAttentionFilter:

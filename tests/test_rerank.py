@@ -8,9 +8,11 @@ inliers and byte-equal models.
 
 ``oracle_sample_models`` and ``oracle_score_masks`` are the earlier batched
 pass: models built on ``(k, 3, 2)`` point stacks, compressed after the
-collinearity test, and scored with one ``(n, 2) @ (2, 2)`` product per
-hypothesis.  The column form must give their picks, models, masks and
-final result bit for bit.
+collinearity test, with translations from one ``(1, 2) @ (2, 2)`` product
+per sample, and scored with one ``(n, 2) @ (2, 2)`` product and a square
+root per hypothesis.  The column form keeps every sample in place and
+reads translations off its block product; on the samples it keeps it must give their picks, models, translations, masks
+and final result bit for bit.
 """
 
 from __future__ import annotations
@@ -336,6 +338,59 @@ class TestRansacAffine:
         err = np.linalg.norm(exact.apply(src) - dst, axis=1)
         np.testing.assert_array_equal(inliers, np.flatnonzero(err <= 2.0))
 
+    def test_dropped_near_collinear_samples_never_win(self):
+        # Forty points on a line with 1e-3 of jitter, mapped exactly, and
+        # three far points mapped at random: a near-collinear sample of line
+        # points passes through them all but is dropped, while every kept
+        # sample takes a far point, tilts the map across the line and fits
+        # a handful.  The dropped samples keep their place in the scoring,
+        # so only their -1 counts keep them from winning.
+        rng = np.random.default_rng(21)
+        src = np.empty((43, 2))
+        src[:40] = np.stack([rng.uniform(0, 1000, 40), 500 + rng.uniform(-1e-3, 1e-3, 40)], axis=1)
+        src[40:] = [[0.0, 0.0], [1000.0, 1000.0], [300.0, 900.0]]
+        dst = src @ np.array([[1.2, 0.3], [-0.2, 0.9]]).T + [40.0, -25.0]
+        dst[40:] = rng.uniform(0, 1000, (3, 2))
+        corr, tol, spread = (src, dst), 1e-5, 1000.0 * 1000.0
+        best = {True: 0, False: 0}  # most inliers of a kept / dropped sample
+        for pick in choice_loop(43, 1000, 4):
+            p = src[pick]
+            area = 0.5 * abs(
+                (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
+            )
+            model = oracle_solve(p, dst[pick])
+            if model is not None:
+                count = int((np.linalg.norm(model.apply(src) - dst, axis=1) <= tol).sum())
+                kept = bool(area > _COLLINEAR_FRAC * spread)
+                best[kept] = max(best[kept], count)
+        assert best[False] == 40 and best[True] < 10
+        got = ransac_affine(*corr, iterations=1000, inlier_tol=tol, seed=4)
+        assert 3 <= got[1].size < 10
+        assert_same_result(got, oracle_batched_ransac(corr, 1000, tol, 4))
+        assert_same_result(got, oracle_ransac(corr, 1000, tol, 4))
+
+    def test_samples_with_infinite_translations_never_win(self):
+        # dst = A (src - 5) with entries of A near 1e307: the exact t of a
+        # sample can lie beyond the float64 range while its A is finite.
+        # At inlier_tol = inf an infinite error still counts, so such a
+        # sample can top the count; it must be dropped as the oracle drops
+        # it.  Overflow is the point here, so its warnings are silenced.
+        would_win = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seed in range(40):
+                rng = np.random.default_rng(seed)
+                src = rng.uniform(0, 10, (10, 2))
+                dst = (src - 5) @ (rng.uniform(-1, 1, (2, 2)) * 10.0 ** rng.uniform(306, 308)).T
+                if not np.isfinite(dst).all():
+                    continue
+                _, keep, _, t, masks = column_form(src, dst, choice_loop(10, 20, seed), math.inf)
+                counts = np.where(keep, masks.sum(axis=0), -1)
+                top = int(np.argmax(counts))
+                would_win += counts[top] >= 3 and not np.isfinite(t[top]).all()
+                got = ransac_affine(src, dst, iterations=20, inlier_tol=math.inf, seed=seed)
+                assert_same_result(got, oracle_batched_ransac((src, dst), 20, math.inf, seed))
+        assert would_win > 0
+
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(6)
         corr, _, _ = planted_correspondences(rng, 50, 30)
@@ -343,6 +398,13 @@ class TestRansacAffine:
         b = ransac_affine(*corr, iterations=300, inlier_tol=3.0, seed=9)
         np.testing.assert_array_equal(a[1], b[1])
         np.testing.assert_array_equal(a[0].matrix, b[0].matrix)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tolerance_finds_no_model(self, tol):
+        rng = np.random.default_rng(3)
+        corr, _, _ = planted_correspondences(rng, 40, 0, noise=0.0)
+        model, inliers = ransac_affine(*corr, iterations=50, inlier_tol=tol, seed=0)
+        assert model is None and inliers.size == 0
 
 
 def column_case(kind: str, n: int, rng: np.random.Generator):
@@ -381,6 +443,17 @@ def column_case(kind: str, n: int, rng: np.random.Generator):
 COLUMN_KINDS = ("uniform", "grid", "collinear", "duplicated", "near 1e6", "near 1e-3")
 
 
+def column_form(src, dst, picks, tol):
+    """The column form's pieces for ``picks``: ``A^T`` and the keep mask of
+    every sample, and the blocks of ``_inlier_masks`` as (block starts,
+    translations, masks) over all samples."""
+    at, keep = rerank._sample_models(src, dst, picks)
+    blocks = list(rerank._inlier_masks(src, dst, at, picks[:, 0], tol))
+    t = np.concatenate([np.zeros((0, 2))] + [t for _, _, t in blocks])
+    masks = np.concatenate([np.zeros((src.shape[0], 0), dtype=bool)] + [m for _, m, _ in blocks], axis=1)
+    return at, keep, [lo for lo, _, _ in blocks], t, masks
+
+
 class TestColumnForm:
     """The column form of ``_sample_models`` and ``_inlier_masks`` against
     the stacked-point oracles, on every shape that could split them."""
@@ -397,31 +470,35 @@ class TestColumnForm:
         src, dst, tol = column_case(kind, n, np.random.default_rng(seed))
         picks = rerank._sample_picks(n, iterations, seed)
         np.testing.assert_array_equal(picks, choice_loop(n, iterations, seed))
-        got = rerank._sample_models(src, dst, picks)
-        want = oracle_sample_models(src, dst, picks)
-        for g, w in zip(got, want):
-            assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes()
-        _, at, t = want
         with mock.patch.object(rerank, "_SCORE_CELLS", cells):
-            blocks = list(rerank._inlier_masks(src, dst, at, t, tol))
+            at, keep, starts, t, got_masks = column_form(src, dst, picks, tol)
             result = ransac_affine(src, dst, iterations=iterations, inlier_tol=tol, seed=seed)
-        assert [lo for lo, _ in blocks] == list(range(0, at.shape[0], max(1, cells // n)))
-        got_masks = np.concatenate([np.zeros((n, 0), dtype=bool)] + [m for _, m in blocks], axis=1)
-        want_masks = oracle_score_masks(src, dst, at, t, tol, cells)
-        np.testing.assert_array_equal(got_masks.T, want_masks)
-        np.testing.assert_array_equal(got_masks.sum(axis=0), want_masks.sum(axis=1))
+        assert starts == list(range(0, iterations, max(1, cells // n)))
+        assert (at.shape, keep.shape, t.shape, got_masks.shape) == (
+            (iterations, 2, 2), (iterations,), (iterations, 2), (n, iterations)
+        )
+        # The oracle's kept samples, with t from one (1, 2) @ (2, 2) product
+        # per sample: the block product must give the same bits.
+        kept = keep & np.isfinite(t).all(axis=1)
+        want = oracle_sample_models(src, dst, picks)
+        for g, w in zip((picks[kept], at[kept], t[kept]), want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes()
+        want_masks = oracle_score_masks(src, dst, *want[1:], tol, cells)
+        np.testing.assert_array_equal(got_masks[:, kept].T, want_masks)
+        np.testing.assert_array_equal(got_masks[:, kept].sum(axis=0), want_masks.sum(axis=1))
         assert_same_result(result, oracle_batched_ransac((src, dst), iterations, tol, seed, cells))
 
     def test_grid_errors_meet_the_tolerance_exactly(self):
         # The boundary case the grid shape is there for: errors equal to
         # inlier_tol must count as inliers in both forms.
         src, dst, tol = column_case("grid", 120, np.random.default_rng(5))
-        _, at, t = oracle_sample_models(src, dst, rerank._sample_picks(120, 1000, 5))
+        picks = rerank._sample_picks(120, 1000, 5)
+        _, at, t = oracle_sample_models(src, dst, picks)
         diff = np.matmul(src, at) + t[:, None] - dst
         err = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
         assert (err == tol).any()
-        masks = np.concatenate([m for _, m in rerank._inlier_masks(src, dst, at, t, tol)], axis=1)
-        np.testing.assert_array_equal(masks.T, err <= tol)
+        _, keep, _, got_t, masks = column_form(src, dst, picks, tol)
+        np.testing.assert_array_equal(masks[:, keep & np.isfinite(got_t).all(axis=1)].T, err <= tol)
 
 
 def choice_loop(n: int, iterations: int, seed: int) -> np.ndarray:
@@ -452,6 +529,59 @@ class TestSamplePicks:
             got = rerank._sample_picks(n, 1000, seed)
             assert got.dtype == np.int64 and got.shape == (1000, 3)
             np.testing.assert_array_equal(got, choice_loop(n, 1000, seed))
+
+
+class TestRawWordDraws:
+    """``_sample_picks`` reads raw PCG64 words and takes the ``integers``
+    path only where a draw is rejected or the bounds are out of range."""
+
+    @staticmethod
+    def picks_and_calls(n: int, iterations: int, seed: int):
+        """The picks, and the bounds of each ``Generator.integers`` call made."""
+        calls = []
+
+        class Spy(np.random.Generator):
+            def integers(self, low, high=None, *args, **kwargs):
+                calls.append(np.asarray(high).tolist())
+                return super().integers(low, high, *args, **kwargs)
+
+        with mock.patch.object(np.random, "Generator", Spy):
+            picks = rerank._sample_picks(n, iterations, seed)
+        return picks, calls
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 300, 1 << 20, 1 << 31])
+    def test_draws_with_no_rejection_never_call_integers(self, n):
+        for seed in (n, 7):
+            # 2^32 mod e is below 2^13 for every bound here, so a draw is
+            # rejected with odds below 2e-6, and these seeds meet none.
+            picks, calls = self.picks_and_calls(n, 1000, seed)
+            assert calls == []
+            np.testing.assert_array_equal(picks, choice_loop(n, 1000, seed))
+
+    # 2^32 mod e over 2^32 is ~0.4% per draw near 2^24 and 25% at 3 * 2^29.
+    @pytest.mark.parametrize("n", [(1 << 24) + 3, 3 << 29])
+    def test_rejected_draws_fall_back_to_integers(self, n):
+        for seed in (n, 11):
+            picks, calls = self.picks_and_calls(n, 1000, seed)
+            assert calls == [[n - 2, n - 1, n, 3, 2]]
+            assert picks.dtype == np.int64 and picks.shape == (1000, 3)
+            np.testing.assert_array_equal(picks, choice_loop(n, 1000, seed))
+
+    # Beyond 2^31, w * e may pass 2^63; near 2^32 Lemire rejects almost nothing.
+    @pytest.mark.parametrize("n", [3, (1 << 31) + 1, (1 << 32) - 5])
+    def test_bounds_outside_the_fast_path_call_integers(self, n):
+        picks, calls = self.picks_and_calls(n, 1000, 5)
+        assert calls == [[n - 2, n - 1, n, 3, 2]]
+        np.testing.assert_array_equal(picks, choice_loop(n, 1000, 5))
+
+    def test_an_odd_draw_count_leaves_a_half_word_unread(self):
+        # 5 draws per iteration: an odd iteration count reads half of its
+        # last word, and shorter runs stay prefixes of longer ones.
+        want = choice_loop(16, 8, 3)
+        for iterations in range(9):
+            picks, calls = self.picks_and_calls(16, iterations, 3)
+            assert calls == [] and picks.shape == (iterations, 3)
+            np.testing.assert_array_equal(picks, want[:iterations])
 
 
 class TestSpatialRerank:
