@@ -138,7 +138,7 @@ _OPTIONS: dict[str, list[_Opt]] = {
         _Opt("sp", _bool, False, "spatially verify and re-rank the head", flag=True),
         _Opt("sp-depth", int, 100, "re-rank depth"),
         _Opt("sp-iters", int, 1000, "RANSAC iterations"),
-        _Opt("sp-tol", float, None, "RANSAC inlier tolerance in pixels (default: 5% of query size)"),
+        _Opt("sp-tol", float, None, "RANSAC inlier tolerance in pixels (default: 5%% of query size)"),
         _Opt("sp-seed", int, 0, "RANSAC seed"),
         _Opt("sp-max-dist", float, math.inf, "descriptor match distance threshold"),
         _Opt("threads", int, 0, "worker threads (0 = all cores)"),
@@ -158,7 +158,7 @@ _OPTIONS: dict[str, list[_Opt]] = {
         _Opt("pairs", str, None, "text file with two image ids per line", required=True),
         _Opt("bins", str, "0,50,100,200,300", "comma-separated attention bin edges"),
         _Opt("sp-iters", int, 1000, "RANSAC iterations"),
-        _Opt("sp-tol", float, None, "RANSAC inlier tolerance in pixels (default: 5% of image size)"),
+        _Opt("sp-tol", float, None, "RANSAC inlier tolerance in pixels (default: 5%% of image size)"),
         _Opt("sp-seed", int, 0, "RANSAC seed"),
         _Opt("sp-max-dist", float, math.inf, "descriptor match distance threshold"),
         _Opt("out", str, None, "output CSV file", required=True),

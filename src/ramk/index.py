@@ -309,7 +309,8 @@ def query(
     Regional-search entries of an image are pooled by ``max`` or ``avg``
     (average divides by that image's own region count).  Scores
     accumulate in float64 and are reported as float32; ties order by
-    image id ascending.
+    image id ascending.  A score that is not finite as float32 (an index
+    that loads but holds out-of-range data) is a DataError.
     """
     if pooling not in (POOL_MAX, POOL_AVG):
         raise ConfigError(f"pooling must be '{POOL_MAX}' or '{POOL_AVG}', got {pooling!r}")
@@ -329,7 +330,11 @@ def query(
         # bincount adds in entry order, as a running sum per image would.
         sizes = np.diff(index._image_starts, append=index.entry_count)
         pooled = np.bincount(index.entry_image, weights=scores, minlength=len(sizes)) / sizes
-    final32 = pooled.astype(np.float32)
+    with np.errstate(over="ignore"):
+        final32 = pooled.astype(np.float32)
+    if not (finite := np.isfinite(final32)).all():
+        bad = int(np.argmin(finite))
+        raise DataError(f"query {qid}: image {index.images[bad]} scores {pooled[bad]:.6g}, past float32")
     by_id = index._images_by_id
     order = by_id[np.argsort(-final32[by_id], kind="stable")][: max(0, top_n)]
     ranking = list(zip([index.images[i] for i in order], final32[order].tolist()))

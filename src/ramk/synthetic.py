@@ -13,7 +13,10 @@ region of interest.
 All randomness flows through NumPy's PCG64 bit generator seeded via
 ``SeedSequence(seed)``; per-image substreams are spawned children of the
 root sequence, so outputs are reproducible bit-for-bit for a fixed
-(config, seed) pair regardless of how the work is scheduled.
+(config, seed) pair regardless of how the work is scheduled.  Clutter
+positions are rejection samples taken from blocks of (x, y) pairs, one
+``uniform`` call each; the stream is then rewound and advanced past just
+the pairs a per-point loop draws, so later draws and bytes are that loop's.
 """
 
 from __future__ import annotations
@@ -133,11 +136,33 @@ def _image_id(landmark: int, index: int) -> str:
 
 
 def _clip_box(x0: float, y0: float, x1: float, y1: float, w: float, h: float, score: float) -> RegionBox:
-    x0 = float(np.clip(x0, 0.0, w - 2.0))
-    y0 = float(np.clip(y0, 0.0, h - 2.0))
-    x1 = float(np.clip(x1, x0 + 2.0, w))
-    y1 = float(np.clip(y1, y0 + 2.0, h))
-    return RegionBox(x0, y0, x1, y1, float(np.clip(score, 0.0, 1.0)))
+    # min(max(v, lo), hi) is np.clip's pick for finite values, signed zeros included.
+    x0 = float(min(max(x0, 0.0), w - 2.0))
+    y0 = float(min(max(y0, 0.0), h - 2.0))
+    x1 = float(min(max(x1, x0 + 2.0), w))
+    y1 = float(min(max(y1, y0 + 2.0), h))
+    return RegionBox(x0, y0, x1, y1, float(min(max(score, 0.0), 1.0)))
+
+
+def _clutter_positions(rng: np.random.Generator, box: RegionBox, w: float, h: float, k: int) -> np.ndarray:
+    """``k`` points uniform over the image and outside ``box``: bit for bit
+    the pairs ``(rng.uniform(0, w), rng.uniform(0, h))`` that a per-point
+    rejection loop keeps, with ``rng`` left where that loop leaves it."""
+    bitgen = rng.bit_generator
+    out = np.empty((k, 2))
+    filled = 0
+    while filled < k:
+        state = bitgen.state
+        pairs = rng.uniform(0.0, (w, h), size=(2 * (k - filled) + 16, 2))
+        x, y = pairs[:, 0], pairs[:, 1]
+        inside = (box.xmin <= x) & (x < box.xmax) & (box.ymin <= y) & (y < box.ymax)
+        kept = np.flatnonzero(~inside)[: k - filled]
+        out[filled : filled + len(kept)] = pairs[kept]
+        filled += len(kept)
+        if filled == k:  # rewind, then skip only the pairs the loop drew
+            bitgen.state = state
+            bitgen.random_raw(2 * (int(kept[-1]) + 1), output=False)
+    return out
 
 
 def _random_box(rng: np.random.Generator, w: float, h: float, lo: float, hi: float, score: float) -> RegionBox:
@@ -257,15 +282,9 @@ def generate_synthetic_dataset(
             clutter_vecs = bg_anchors[clutter_choice] + rng.normal(
                 0.0, cfg.instance_noise, size=(k, cfg.dim)
             )
-            clutter_pos = np.empty((k, 2))
-            for j in range(k):
-                # Clutter never lands inside the true planted region, so the
-                # planted-descriptor count per image is exact by construction.
-                while True:
-                    cx, cy = rng.uniform(0.0, w), rng.uniform(0.0, h)
-                    if not true_box.contains(cx, cy):
-                        clutter_pos[j] = (cx, cy)
-                        break
+            # Clutter never lands inside the true planted region, so the
+            # planted-descriptor count per image is exact by construction.
+            clutter_pos = _clutter_positions(rng, true_box, w, h, k)
             clutter_att = rng.uniform(*CLUTTER_ATTENTION, size=k)
             clutter_scale = rng.uniform(1.0, 8.0, size=k)
 

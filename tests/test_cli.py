@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,24 @@ class TestExitCodes:
             load_index(tmp_path / "v1.dtri")
         assert self.search(pipeline, tmp_path, bytes(payload)) == 3
 
+    def test_payload_overflowing_float32_scores_is_data_error(self, pipeline, tmp_path):
+        # The payload rows end the file; a finite 1e38 in the first component
+        # of every r-asmk row loads, but pushes pooled scores past float32.
+        root, data, cb = pipeline
+        path = tmp_path / "r-asmk.dtri"
+        assert run("build-index", "--manifest", str(data / "manifest.txt"), "--codebook", str(cb),
+                   "--mode", "r-asmk", "--out", str(path)) == 0
+        rows, dim = load_index(path).payload.shape
+        payload = bytearray(path.read_bytes())
+        start = len(payload) - rows * dim * 4
+        for row in range(rows):
+            at = start + row * dim * 4
+            payload[at : at + 4] = struct.pack("<f", 1e38)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.search(pipeline, tmp_path, bytes(payload)) == 3
+        assert not (tmp_path / "r.txt").exists()
+
     @pytest.mark.parametrize("what", ["manifest", "ground truth", "results", "config", "pairs"])
     def test_non_utf8_text_input_is_format_error(self, pipeline, tmp_path, caplog, what):
         root, data, cb = pipeline
@@ -270,6 +289,23 @@ class TestExitCodes:
         assert run("train-codebook", "--config", str(cfg),
                    "--manifest", str(data / "manifest.txt"),
                    "--out", str(tmp_path / "cb.dtrc")) == 2
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(_OPTIONS))
+    def test_every_subcommand_help_names_every_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for opt in _OPTIONS[command]:
+            assert f"--{opt.name}" in text
+
+    @pytest.mark.parametrize("command", ["search", "analyze-relevance"])
+    def test_percent_in_help_is_literal(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "5% of" in capsys.readouterr().out
 
 
 class TestCodebookCli:
