@@ -301,11 +301,11 @@ def _cmd_train_codebook(cfg: dict) -> None:
     if not blocks:
         raise DataError("manifest contains no descriptors to train on")
     stacked = np.concatenate(blocks)
+    del blocks  # the per-image arrays would stay resident next to the sample during training
     cap = cfg["sample-cap"]
     if stacked.shape[0] > cap:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg["seed"])))
-        pick = rng.choice(stacked.shape[0], size=cap, replace=False)
-        stacked = stacked[np.sort(pick)]
+        stacked = stacked[np.sort(rng.choice(stacked.shape[0], size=cap, replace=False))]
         logger.info("subsampled training descriptors to %d", cap)
     codebook = train_codebook(stacked, cfg["c"], max_iters=cfg["max-iters"], seed=cfg["seed"])
     for i, value in enumerate(codebook.history, start=1):

@@ -112,6 +112,14 @@ bound above gives when ``kappa sqrt(1 - g) - 1 >= sqrt((1 + g) / (1 - g))``
 ``g < 2^-24`` and ``sqrt(E) <= 2^-523``; a codebook file holds
 ``D <= 65535``.
 
+Training holds the caller's sample once: float32 is read as given (other
+dtypes become float64) and widened, exactly, a chunk of rows at a time into
+per-chunk buffers (``np.take(..., mode="clip")`` fills one with no temporary).
+Cluster sums are np.add.reduceat over rows sorted by label, which adds a
+cluster's first row to the sum of the rest (pairwise from 9 rows on in NumPy
+2.4) and each column on its own: summed in blocks of whole clusters or slabs
+of columns, every cluster keeps the sum of the whole sorted sample.
+
 Codebook files ("DTRC", little-endian)::
 
     magic 4 bytes b"DTRC" | version u16 | C u32 | D u16 | C*D float32
@@ -254,14 +262,6 @@ class _Refs:
         return self._lift_refs(self.rows)
 
 
-def _lift(x: np.ndarray, dtype: type) -> np.ndarray:
-    """``[x, 1]``: rows of ``x`` with a trailing 1, so that one product
-    with a lifted reference matrix gives ``|r|^2 - 2 x.r``."""
-    out = np.ones((x.shape[0], x.shape[1] + 1), dtype=dtype)
-    out[:, :-1] = x
-    return out
-
-
 def _rank(xl: np.ndarray, lifted: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the smallest ``g = xl @ lifted`` per row, and the rows
     (as positions) whose gap to the second smallest is not above
@@ -298,30 +298,36 @@ def _nearest(
     c = refs.rows.shape[0]
     cells = _F32_CHUNK_BYTES // 4 if single else _CHUNK_CELLS
     step = max(1, min(max(_MIN_ROWS, cells // c), _MAX_CELLS // c))
+    # Chunk buffers: [x, 1] rows in float64 (x64 is its first d columns) and float32; winners' rows.
+    xl64 = np.ones((min(step, m), d + 1))
+    xl32 = np.ones(xl64.shape, dtype=np.float32) if single else None
+    winners = np.empty((xl64.shape[0], d)) if distances else None
     for lo in range(0, m, step):
         x = points[lo:lo + step]
-        x64 = x.astype(np.float64, copy=False)
+        xl = xl64[:x.shape[0]]
+        x64 = xl[:, :d]
+        x64[...] = x
         x_norm = np.sqrt(np.vecdot(x64, x64))
         s2 = (x_norm + refs.max_norm) ** 2
         if single and x_norm.max() <= refs.norm_limit:
-            best, unsure = _rank(_lift(x, np.float32), refs.lifted32, refs.coef32 * s2)
+            xl32[:x.shape[0], :d] = x
+            best, unsure = _rank(xl32[:x.shape[0]], refs.lifted32, refs.coef32 * s2)
             if unsure.size:
                 # The float64 product for the rows float32 cannot certify.
-                best64, still = _rank(
-                    _lift(x64[unsure], np.float64), refs.lifted, refs.coef64 * s2[unsure] + refs.floor64
-                )
+                best64, still = _rank(xl[unsure], refs.lifted, refs.coef64 * s2[unsure] + refs.floor64)
                 best[unsure] = best64
                 unsure = unsure[still]
         else:
-            best, unsure = _rank(_lift(x64, np.float64), refs.lifted, refs.coef64 * s2 + refs.floor64)
+            best, unsure = _rank(xl, refs.lifted, refs.coef64 * s2 + refs.floor64)
         if unsure.size:
             best[unsure] = np.argmin(_sequential_sqdist(x64[unsure], refs.rows), axis=1)
         labels[lo:lo + step] = best
         if distances:
             # A sequential sum of squares in the order of the dimensions, as in _sequential_sqdist.
-            diff = x64 - refs.rows.take(best, axis=0)
+            diff = np.take(refs.rows, best, axis=0, out=winners[:x.shape[0]], mode="clip")
+            np.subtract(x64, diff, out=diff)
             diff *= diff
-            d2[lo:lo + step] = np.cumsum(diff, axis=1)[:, -1]
+            d2[lo:lo + step] = np.cumsum(diff, axis=1, out=diff)[:, -1]
     return labels, d2
 
 
@@ -347,14 +353,19 @@ def _sequential_sqdist(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(points: np.ndarray, rows: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """``np.sum((points[rows] - seed) ** 2, axis=1)``, the same sums, in
-    row chunks of about _CHUNK_CELLS cells that stay in cache (the
+    """``np.sum((points[rows] - seed) ** 2, axis=1)`` in float64, the same
+    sums, in row chunks of about _CHUNK_CELLS cells that stay in cache (the
     unchunked expression made seeding 1.3-1.45x slower at 10k x 64,
     C=1024, on a 2-core x86-64 VM)."""
     out = np.empty(rows.size, dtype=np.float64)
     step = max(1, _CHUNK_CELLS // points.shape[1])
+    raw = np.empty((min(step, rows.size), points.shape[1]), dtype=points.dtype)
+    wide = np.empty(raw.shape)
     for lo in range(0, rows.size, step):
-        diff = points.take(rows[lo:lo + step], axis=0)
+        pick = rows[lo:lo + step]
+        diff = wide[:pick.size]
+        # Widened before the subtraction: a mixed float32 - float64 subtract is slower.
+        diff[...] = np.take(points, pick, axis=0, out=raw[:pick.size], mode="clip")
         diff -= seed
         diff *= diff
         np.sum(diff, axis=1, out=out[lo:lo + step])
@@ -373,7 +384,7 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
     centroids[0] = points[first]
     closest = _squared_distances(points, np.arange(n), centroids[0])
     # The seed each point's closest was computed against, and its reach.
-    owner = np.zeros(n, dtype=np.int64)
+    owner = np.zeros(n, dtype=np.int32)
     reach = (np.sqrt(closest) + _REACH_FLOOR) * _REACH_SCALE
     for i in range(1, c):
         total = closest.sum()
@@ -392,7 +403,54 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
         closest[moved] = d2[nearer]
         owner[moved] = i
         reach[moved] = (np.sqrt(d2[nearer]) + _REACH_FLOOR) * _REACH_SCALE
+        del cand, d2, nearer, moved  # up to N each: not held through the next draw
     return centroids
+
+
+def _cluster_means(
+    points: np.ndarray, labels: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each nonempty cluster's row of ``centroids`` set, in place, to its mean, and
+    the mask of nonempty clusters: np.add.reduceat (a left-to-right loop, as in
+    kernels, made training ~20% slower) over blocks of whole clusters of about
+    _CHUNK_CELLS cells, a larger cluster alone and a slab of columns at a time."""
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels, minlength=centroids.shape[0])
+    words = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[words]
+    starts = ends - counts[words]
+    d = points.shape[1]
+    wide = np.empty(max(_CHUNK_CELLS, int(counts.max())))
+    first = 0
+    while first < words.size:
+        last = max(first + 1, int(np.searchsorted(ends, starts[first] + _CHUNK_CELLS // d, side="right")))
+        lo, hi = starts[first], ends[last - 1]
+        at, group = starts[first:last] - lo, words[first:last]
+        step = max(1, min(d, _CHUNK_CELLS // (hi - lo)))
+        for j in range(0, d, step):
+            block = wide[:(hi - lo) * min(step, d - j)].reshape(hi - lo, -1)
+            block[...] = points[order[lo:hi], j:j + step]
+            centroids[group, j:j + step] = np.add.reduceat(block, at, axis=0) / counts[group, None]
+        first = last
+    return centroids, counts > 0
+
+
+def _distinct_hashes(points: np.ndarray) -> int:
+    """The number of distinct 64-bit hashes of the rows of ``points``, -0.0
+    read as 0.0 as ``np.unique`` compares them: at most the number of distinct
+    rows.  Each column's bits are xored into one (N,) hash, then mixed by the
+    two multiply steps of splitmix64's finalizer (Steele, Lea and Flood, 2014)."""
+    h = np.zeros(points.shape[0], dtype=np.uint64)
+    shifted = np.empty_like(h)
+    column = np.empty(points.shape[0], dtype=points.dtype)
+    for j in range(points.shape[1]):
+        np.add(points[:, j], 0.0, out=column)  # -0.0 + 0.0 is 0.0
+        h ^= column.view(f"u{points.itemsize}")
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            h ^= np.right_shift(h, shift, out=shifted)
+            h *= np.uint64(mult)
+    h.sort()
+    return 1 + int(np.count_nonzero(h[1:] != h[:-1]))
 
 
 def train_codebook(
@@ -403,12 +461,14 @@ def train_codebook(
     Stops at ``max_iters`` or when the relative distortion improvement
     drops below 1e-6.  Deterministic for a fixed seed.
     """
-    points = np.ascontiguousarray(descriptors, dtype=np.float64)
+    points = np.asarray(descriptors)
+    points = np.ascontiguousarray(points, dtype=np.float32 if points.dtype == np.float32 else np.float64)
     if points.ndim != 2 or points.size == 0:
         raise TrainingError("training descriptors must be a non-empty (M, D) array")
-    if not np.isfinite(points).all():
+    top, bottom = points.max(), points.min()  # both NaN when any value is
+    if not (np.isfinite(top) and np.isfinite(bottom)):
         raise TrainingError("training descriptors contain non-finite values")
-    if np.abs(points).max() > _F32_MAX:
+    if max(top, -bottom) > _F32_MAX:
         # Centroids are stored as float32, and the seeding's pruning
         # bound assumes no squared distance overflows.
         raise TrainingError(f"training descriptors exceed the float32 range (|x| > {_F32_MAX:.7g})")
@@ -416,9 +476,10 @@ def train_codebook(
         raise TrainingError("codebook size must be >= 1")
     if max_iters < 1:
         raise TrainingError("max_iters must be >= 1")
-    distinct = np.unique(points, axis=0).shape[0]
-    if distinct < c:
-        raise TrainingError(f"need at least {c} distinct descriptors, found {distinct}")
+    if _distinct_hashes(points) < c:
+        distinct = np.unique(points, axis=0).shape[0]
+        if distinct < c:
+            raise TrainingError(f"need at least {c} distinct descriptors, found {distinct}")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     centroids = _kmeanspp_init(points, c, rng)
@@ -431,18 +492,7 @@ def train_codebook(
         history.append(distortion)
         logger.debug("k-means iteration %d distortion %.6g", iteration, distortion)
 
-        # Per-cluster sums: stable sort by label, then np.add.reduceat.  It adds a cluster's
-        # first row to the sum of the rest, which NumPy 2.4 adds pairwise from 9 rows on.
-        # A left-to-right loop, as in kernels, made training ~20% slower.
-        order = np.argsort(labels, kind="stable")
-        counts = np.bincount(labels, minlength=c)
-        starts = np.zeros(c, dtype=np.int64)
-        starts[1:] = np.cumsum(counts)[:-1]
-        nonempty = counts > 0
-        sums = np.add.reduceat(points[order], starts[nonempty], axis=0)
-        new_centroids = centroids.copy()
-        new_centroids[nonempty] = sums / counts[nonempty, None]
-
+        new_centroids, nonempty = _cluster_means(points, labels, centroids.copy())
         if not nonempty.all():
             # Reseed each empty centroid at the point farthest from its
             # assigned centroid, removing it from further consideration.

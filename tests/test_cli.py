@@ -7,8 +7,10 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,6 +322,33 @@ class TestCodebookCli:
         c = int.from_bytes(payload[6:10], "little")
         assert c == 32
         assert (root / "cb.dtrc.provenance").exists()
+
+    @pytest.mark.parametrize("cap", [None, 2000])
+    def test_sample_is_held_once_during_training(self, tmp_path, cap):
+        # The per-image descriptor arrays are released before training, so
+        # the memory traced at the call is the sample and little else.
+        data = tmp_path / "data"
+        assert run("gen-synthetic", "--out", str(data), "--seed", "4",
+                   "--landmarks", "6", "--images-per-landmark", "5",
+                   "--planted", "24", "--clutter", "96", "--dim", "128") == 0
+        seen = []
+        train = cli.train_codebook
+
+        def spy(descriptors, *args, **kwargs):
+            seen.append((tracemalloc.get_traced_memory()[0], descriptors.shape[0], descriptors.nbytes))
+            return train(descriptors, *args, **kwargs)
+
+        flags = () if cap is None else ("--sample-cap", str(cap))
+        tracemalloc.start()
+        try:
+            with mock.patch.object(cli, "train_codebook", spy):
+                assert run("train-codebook", "--manifest", str(data / "manifest.txt"), "--c", "16",
+                           "--max-iters", "2", *flags, "--out", str(tmp_path / "cb.dtrc")) == 0
+        finally:
+            tracemalloc.stop()
+        ((traced, rows, sample_bytes),) = seen
+        assert rows == (cap or 30 * 120)  # 30 database images of 120 descriptors
+        assert traced < 1.2 * sample_bytes
 
 
 class TestIndexAndSearchCli:

@@ -626,6 +626,251 @@ class TestTrainingOracle:
         assert got.iterations == want.iterations
 
 
+def full_copy_train_codebook(descriptors: np.ndarray, c: int, max_iters: int = 50, seed: int = 0) -> Codebook:
+    """The training of a float64 copy of the sample: ``np.unique`` for the
+    distinct count and one ``np.add.reduceat`` over the whole sorted copy
+    per update; the oracle of training in the memory of the sample."""
+    points = np.ascontiguousarray(descriptors, dtype=np.float64)
+    if points.ndim != 2 or points.size == 0:
+        raise TrainingError("training descriptors must be a non-empty (M, D) array")
+    if not np.isfinite(points).all():
+        raise TrainingError("training descriptors contain non-finite values")
+    if np.abs(points).max() > np.finfo(np.float32).max:
+        raise TrainingError("training descriptors exceed the float32 range")
+    distinct = np.unique(points, axis=0).shape[0]
+    if distinct < c:
+        raise TrainingError(f"need at least {c} distinct descriptors, found {distinct}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    centroids = codebook_module._kmeanspp_init(points, c, rng)
+    history: list[float] = []
+    iterations = 0
+    for iteration in range(1, max_iters + 1):
+        iterations = iteration
+        labels, dists = codebook_module._nearest(points, centroids)
+        history.append(float(dists.sum()))
+        order = np.argsort(labels, kind="stable")
+        counts = np.bincount(labels, minlength=c)
+        starts = np.zeros(c, dtype=np.int64)
+        starts[1:] = np.cumsum(counts)[:-1]
+        nonempty = counts > 0
+        sums = np.add.reduceat(points[order], starts[nonempty], axis=0)
+        new_centroids = centroids.copy()
+        new_centroids[nonempty] = sums / counts[nonempty, None]
+        if not nonempty.all():
+            avail = dists.copy()
+            for dead in np.flatnonzero(~nonempty):
+                far = int(np.argmax(avail))
+                new_centroids[dead] = points[far]
+                avail[far] = -np.inf
+        centroids = new_centroids
+        if len(history) >= 2:
+            prev, cur = history[-2], history[-1]
+            if prev <= 0 or (prev - cur) < codebook_module.CONVERGENCE_TOL * prev:
+                break
+    return Codebook(centroids=centroids.astype(np.float32), iterations=iterations,
+                    distortion=history[-1], history=history)
+
+
+def assert_trains_like_full_copy(points: np.ndarray, c: int, max_iters: int, seed: int) -> Codebook:
+    # A read-only view: training must not write to the caller's sample.
+    view = points.view()
+    view.flags.writeable = False
+    got = train_codebook(view, c, max_iters=max_iters, seed=seed)
+    want = full_copy_train_codebook(points, c, max_iters=max_iters, seed=seed)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.history == want.history
+    assert got.iterations == want.iterations
+    return got
+
+
+def seeded_init(pts: np.ndarray, c: int, rng) -> np.ndarray:
+    """A start that leaves words empty: the first c points, with words 3
+    and 7 duplicating word 1."""
+    cents = pts[:c].astype(np.float64)
+    cents[3] = cents[1]
+    cents[7] = cents[1]
+    return cents
+
+
+class TestTrainingInPlaceOracle:
+    """Training reads the caller's sample without a float64 copy, counts
+    distinct rows by hashes and sums clusters in blocks; centroids,
+    ``history`` and ``iterations`` equal those of the full-copy training."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m,c,d,seed", [(400, 8, 6, 42), (3000, 64, 16, 1), (500, 32, 65, 3)])
+    def test_equals_full_copy_training(self, dtype, m, c, d, seed):
+        points = np.random.default_rng(seed).normal(0, 1, size=(m, d)).astype(dtype)
+        assert_trains_like_full_copy(points, c, 20, seed)
+
+    def test_non_contiguous_sample(self):
+        rng = np.random.default_rng(60)
+        for points in (rng.normal(0, 1, size=(800, 24)).astype(np.float32)[:, ::2],
+                       rng.normal(0, 1, size=(12, 700)).T, rng.normal(0, 1, size=(1600, 8))[::2]):
+            assert not points.flags.c_contiguous
+            assert_trains_like_full_copy(points, 16, 10, 3)
+
+    def test_integer_sample(self):
+        points = np.random.default_rng(61).integers(-3, 4, size=(900, 5))
+        assert_trains_like_full_copy(points, 40, 10, 5)
+
+    def test_search_sp_shape(self):
+        points = blobs(np.random.default_rng(62), 9600, 32, 48, 0.5).astype(np.float32)
+        assert_trains_like_full_copy(points, 48, 20, 8)
+
+    def test_build_shape(self):
+        points = blobs(np.random.default_rng(63), 10_000, 64, 300, 0.3).astype(np.float32)
+        assert_trains_like_full_copy(points, 1024, 3, 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_clusters(self, dtype):
+        points = np.random.default_rng(16).normal(0, 1, size=(300, 4)).astype(dtype)
+        with mock.patch.object(codebook_module, "_kmeanspp_init", seeded_init):
+            got = assert_trains_like_full_copy(points, 12, 15, 0)
+        assert got.iterations > 1
+
+    @pytest.mark.parametrize("cells", [1, 64, 1024])
+    def test_clusters_larger_than_a_block(self, cells):
+        # One dense cloud holds most rows: with small blocks it, and many
+        # others, exceed a block and are widened on their own.
+        rng = np.random.default_rng(64)
+        points = np.concatenate([rng.normal(0, 1e-3, size=(3000, 8)), rng.normal(0, 5, size=(300, 8))])
+        points = points[rng.permutation(points.shape[0])].astype(np.float32)
+        with mock.patch.object(codebook_module, "_CHUNK_CELLS", cells):
+            assert_trains_like_full_copy(points, 24, 10, 1)
+
+    def test_float32_seeding_equals_float64_seeding(self):
+        points = blobs(np.random.default_rng(65), 2000, 32, 20, 0.2).astype(np.float32)
+        got_rng, want_rng = RecordingRng(4), RecordingRng(4)
+        got = codebook_module._kmeanspp_init(points, 64, got_rng)
+        want = oracle_kmeanspp_init(points.astype(np.float64), 64, want_rng)
+        assert got_rng.calls == want_rng.calls
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4000),
+        d=st.sampled_from([1, 8, 32, 64, 65, 128]),
+        c=st.integers(1, 60),
+        skew=st.booleans(),
+        exponent=st.integers(-8, 8),
+        cells=st.sampled_from([1, 7, 64, 4096, codebook_module._CHUNK_CELLS]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_sums_equal_one_reduceat(self, n, d, c, skew, exponent, cells, dtype, seed):
+        rng = np.random.default_rng(seed)
+        points = (rng.normal(0, 1, size=(n, d)) * 10.0 ** exponent).astype(dtype)
+        # Skewed labels make a few clusters far larger than the rest.
+        weights = rng.pareto(0.5, size=c) + 1e-3 if skew else np.ones(c)
+        labels = rng.choice(c, size=n, p=weights / weights.sum())
+        centroids = rng.normal(0, 1, size=(c, d))
+        with mock.patch.object(codebook_module, "_CHUNK_CELLS", cells):
+            got, nonempty = codebook_module._cluster_means(points, labels, centroids)
+        counts = np.bincount(labels, minlength=c)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        order = np.argsort(labels, kind="stable")
+        want = centroids.copy()
+        want[counts > 0] = (np.add.reduceat(points.astype(np.float64)[order], starts[counts > 0], axis=0)
+                            / counts[counts > 0, None])
+        assert nonempty.tolist() == (counts > 0).tolist()
+        assert got.tobytes() == want.tobytes()
+
+
+class TestDistinctCount:
+    @staticmethod
+    def assert_hash_count(points: np.ndarray) -> None:
+        # Equal rows hash alike, so the hash count never exceeds the true
+        # count; on these samples no two distinct rows collide.
+        assert codebook_module._distinct_hashes(points) == np.unique(points, axis=0).shape[0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_rows(self, dtype):
+        self.assert_hash_count(np.random.default_rng(70).normal(0, 1, size=(5000, 16)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_duplicated_rows(self, dtype):
+        rng = np.random.default_rng(71)
+        distinct = rng.normal(0, 1, size=(300, 7)).astype(dtype)
+        self.assert_hash_count(distinct[rng.integers(0, 300, size=2000)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zeros_count_as_one(self, dtype):
+        points = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -0.0]], dtype=dtype)
+        assert np.unique(points, axis=0).shape[0] == 3
+        self.assert_hash_count(points)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_integer_grid(self, d):
+        self.assert_hash_count(np.random.default_rng(72 + d).integers(-3, 4, size=(3000, d)).astype(np.float64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 9),
+        values=st.sampled_from([(0.0, -0.0, 1.0), (0.0, 1.0, 2.0, -1.0), (1e-45, -1e-45, 0.0, 3e38)]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_above_the_true_count(self, n, d, values, dtype, seed):
+        points = np.random.default_rng(seed).choice(np.array(values, dtype=dtype), size=(n, d))
+        assert codebook_module._distinct_hashes(points) <= np.unique(points, axis=0).shape[0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exactly_c_distinct_rows_train_without_unique(self, dtype):
+        rng = np.random.default_rng(73)
+        distinct = rng.normal(0, 1, size=(20, 4)).astype(dtype)
+        points = distinct[rng.integers(0, 20, size=400)]
+        points[:20] = distinct  # every row appears
+        unique_shapes = []
+        unique = np.unique
+
+        def spy(ar, *args, **kwargs):
+            unique_shapes.append(np.shape(ar))
+            return unique(ar, *args, **kwargs)
+
+        with mock.patch.object(np, "unique", spy):
+            cb = train_codebook(points, 20, max_iters=5, seed=0)
+        assert cb.size == 20
+        assert points.shape not in unique_shapes  # only the codebook's own check ran
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_distinct_row_short_raises_the_count(self, dtype):
+        rng = np.random.default_rng(74)
+        distinct = rng.normal(0, 1, size=(19, 4)).astype(dtype)
+        points = distinct[rng.integers(0, 19, size=400)]
+        points[:19] = distinct
+        with pytest.raises(TrainingError) as err:
+            train_codebook(points, 20)
+        assert str(err.value) == "need at least 20 distinct descriptors, found 19"
+        with pytest.raises(TrainingError) as want:
+            full_copy_train_codebook(points, 20)
+        assert str(err.value) == str(want.value)
+
+    def test_signed_zero_rows_fall_short_by_one(self):
+        points = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 0.0], [2.0, -0.0], [5.0, 5.0]])
+        with pytest.raises(TrainingError, match="need at least 4 distinct descriptors, found 3"):
+            train_codebook(points, 4)
+        assert train_codebook(points, 3, max_iters=3).size == 3
+
+
+class TestTrainingMemory:
+    def test_sample_is_not_copied(self):
+        # A float64 copy, np.unique's copies and a sorted copy per update
+        # (full_copy_train_codebook) take about 6x the sample; training reads
+        # it in place, beside O(N) vectors and chunk buffers of about
+        # _CHUNK_CELLS cells.
+        points = blobs(np.random.default_rng(75), 20_000, 32, 64, 0.5).astype(np.float32)
+        allowance = 3 * codebook_module._CHUNK_CELLS * 8
+        tracemalloc.start()
+        try:
+            train_codebook(points, 64, max_iters=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < points.nbytes // 2 + allowance
+
+
 class TestPartition:
     def test_empty_feature_set(self):
         rng = np.random.default_rng(9)
