@@ -300,14 +300,22 @@ def _cmd_train_codebook(cfg: dict) -> None:
             blocks.append(features.vectors)
     if not blocks:
         raise DataError("manifest contains no descriptors to train on")
-    stacked = np.concatenate(blocks)
-    del blocks  # the per-image arrays would stay resident next to the sample during training
+    ends = np.cumsum([block.shape[0] for block in blocks])
     cap = cfg["sample-cap"]
-    if stacked.shape[0] > cap:
+    if ends[-1] > cap:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg["seed"])))
-        stacked = stacked[np.sort(rng.choice(stacked.shape[0], size=cap, replace=False))]
+        rows = np.sort(rng.choice(ends[-1], size=cap, replace=False))
+        # Each block's sampled rows, copied straight into the sample: the blocks are never stacked.
+        sample = np.empty((cap, blocks[0].shape[1]), dtype=blocks[0].dtype)
+        lo = 0
+        for block, end, hi in zip(blocks, ends, np.searchsorted(rows, ends)):
+            np.take(block, rows[lo:hi] - (end - block.shape[0]), axis=0, out=sample[lo:hi], mode="clip")
+            lo = hi
         logger.info("subsampled training descriptors to %d", cap)
-    codebook = train_codebook(stacked, cfg["c"], max_iters=cfg["max-iters"], seed=cfg["seed"])
+    else:
+        sample = np.concatenate(blocks)
+    del blocks  # the per-image arrays would stay resident next to the sample during training
+    codebook = train_codebook(sample, cfg["c"], max_iters=cfg["max-iters"], seed=cfg["seed"])
     for i, value in enumerate(codebook.history, start=1):
         logger.info("distortion[%d] = %.6g", i, value)
     save_codebook(codebook, cfg["out"])

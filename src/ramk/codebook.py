@@ -15,14 +15,15 @@ the winner.  A reference set is prepared once (``_Refs``; a ``Codebook``
 keeps its own): the float64 rows, their computed squared norms ``s``,
 ``R = max |r|`` and the lifted (D+1, C) matrix ``L = [-2 R^T; s]``.  A
 chunk of points lifted by a trailing 1 gives every ``g`` in one matrix
-product with ``L``.  When both sides are float32, that product runs in
-float32 first; rows it cannot certify take the float64 product, and rows
-that fail there are recomputed with ``_sequential_sqdist``.  That routine
-and the returned squared distances are the sequential float64 sum of
-squared differences, which equals scipy's ``cdist(..., "sqeuclidean")``
-bit for bit (the tests pin it).  So labels and distances do not depend
-on the BLAS library, its thread count or the stage that certified a
-row.
+product with ``L``.  When the points are float32, and the references are
+float32 too or (k-means's float64 centroids) at least _F32_MIN_REFS,
+that product runs in float32 first, against ``L`` rounded to float32;
+rows it cannot certify take the float64 product, and rows that fail
+there are recomputed with ``_sequential_sqdist``.  That routine and the
+returned squared distances are the sequential float64 sum of squared
+differences, which equals scipy's ``cdist(..., "sqeuclidean")`` bit for
+bit (the tests pin it).  So labels and distances do not depend on the
+BLAS library, its thread count or the stage that certified a row.
 
 The certificate uses Higham's bound ("Accuracy and Stability of
 Numerical Algorithms", section 3.1): with unit roundoff u and
@@ -48,9 +49,13 @@ square and addition once, so ``e' <= gamma_(D+2) S + D 2^-1075``
   <= gamma_(a+b)``, ``e <= gamma_(2D+1) S + (2D+1) 2^-1075``.  The
   certificate is ``gap > 4 gamma_(2D+4) S + 4 (2D+4) 2^-1074``: the three
   spare units absorb the rounding of the gap, of ``|x|`` and of the bound.
-- float32 (u = 2^-24; ``gamma_n[2^-53]`` is float64's gamma).  ``-2 r``
-  is exact and the stored ``s`` is the float64 sum rounded once to
-  float32, within ``(u + gamma_D[2^-53] (1 + u)) |r|^2`` of ``|r|^2``, so
+- float32 (u = 2^-24; ``gamma_n[2^-53]`` is float64's gamma).  The stored
+  ``-2 r~`` is ``-2 r`` rounded once to float32 (exact for float32
+  references), so ``|r~ - r| <= u |r|`` and ``|r~| <= (1 + u) |r|``, and the
+  stored ``s`` is the float64 sum rounded once to float32, within
+  ``(u + gamma_D[2^-53] (1 + u)) |r|^2`` of ``|r|^2``.  The product of the
+  D+1 terms adds ``gamma_(D+1) (1 + u) (1 + gamma_D[2^-53]) S``, and the two
+  float32 roundings together ``u (|r|^2 + 2 |x||r|) <= u S``, so
   ``e <= gamma_(D+2) S + 2 gamma_D[2^-53] S`` plus what underflows.  The
   certificate is ``gap > 2 (gamma_(D+4) + gamma_(D+4)[2^-53]) S``: the
   second term covers ``e'``, and the two spare float32 units (about
@@ -62,14 +67,29 @@ square and addition once, so ``e' <= gamma_(D+2) S + D 2^-1075``
   exceeds ``(1 + gamma_(D+1)) S < 2^101``, and ``|2 r| <= 2^51``, far
   below the float32 maximum (~2^128): nothing overflows.  Even when
   subnormal inputs and results are flushed to zero, each of the D+1
-  products and D additions, and the stored ``s``, loses at most
+  products and D additions, and each stored entry of ``L``, loses at most
   ``2^-126 (1 + 2 sqrt(S)) <= 2^-124 max(1, S)``; in total at most
-  ``(2D+2) 2^-124 max(1, S) <= (2D+2) 2^-64 S < 2^-46 S``, below
+  ``(3D+2) 2^-124 max(1, S) <= (3D+2) 2^-64 S < 2^-46 S``, below
   ``2^-22 u S``.
+- The reference count.  float64 references (k-means centroids) are
+  rounded to float32 only from _F32_MIN_REFS = 256 on; below that every
+  row of a k-means pass takes the float64 product: with few columns the
+  float32 product saves little, and NumPy's argmin over short float32
+  rows is slower than over float64 ones (103 against 25 us for a
+  1365 x 48 block).  One assignment pass of a 9,600 x 32 float32 sample
+  took 7.1 ms float32-first against 3.6 ms in float64 at C=48, 5.5
+  against 6.6 ms at C=256 and 13.9 against 28.7 ms at C=1024; of a
+  10,000 x 64 one, 10.6 against 5.6 ms at C=48, 8.6 against 11.2 ms at
+  C=256 and 21.2 against 33.3 ms at C=1024 (distances included, one BLAS
+  thread, 2-core x86-64 VM).  Quantization and descriptor matching,
+  whose references are float32, rank float32-first at any C.
 
 On the 120k descriptors of the benchmark's LARGE reference corpus
 against its trained codebook (D=64, C=1024), 1.13% of rows fail the
-float32 certificate and none fail the float64 one.
+float32 certificate and none fail the float64 one.  In the five Lloyd
+passes over the benchmark's 10,000 x 64 training sample (C=1024), against
+float64 centroids rounded to float32, 125 of 50,000 rows (0.25%) fail it,
+and none fail the float64 one.
 
 k-means++ seeding skips the points that a new seed provably cannot bring
 nearer (Elkan, "Using the triangle inequality to accelerate k-means",
@@ -84,7 +104,10 @@ sum (x - b)^2)`` bit for bit at every step, and with it every
 ``rng.choice`` probability, as long as no skipped point's computed
 ``sum (x - b)^2`` falls below its ``closest``.  (NumPy reduces each row
 of a contiguous array on its own, so row sums over a subset or a chunk
-of rows equal those over the full array.)
+of rows equal those over the full array.)  Each pick is
+``_kmeanspp_pick``'s: the cumulative sum, normalisation and search that
+``rng.choice(n, p=closest / total)`` runs, on the same draw, without the
+checks of ``p`` that took about half of each call.
 
 Why none does: let ``d_a = |x - a|``, ``d_b = |x - b|``, ``s = |a - b|``
 (exact), ``g = gamma_(D+2)`` and ``E = D 2^-1074``.  Training rejects
@@ -94,8 +117,11 @@ exact when the result is subnormal; a square rounds by (1 +- u) or, when
 it underflows, by at most 2^-1075.  So every computed squared sum of an
 exact ``S`` lies in ``[(1 - g) S - E, (1 + g) S + E]``, whatever the
 summation order, and the square root, the ``+ t`` and the product by the
-exact ``2(1 + delta)`` each round by (1 +- u).  A skipped point has
-computed ``s >= r``, so with
+exact ``2(1 + delta)`` each round by (1 +- u).  The separation the
+seeding compares is ``sqrt(q)`` for a computed ``q <= s^2`` (below), so it
+is at most ``(1 + u) s``, within the bound ``(1 + u) (sqrt(1 + g) s +
+sqrt(E))`` that a computed ``sqrt(sum (a - b)^2)`` meets.  A skipped point
+has computed ``s >= r``, so with
 ``kappa = 2(1 + delta)(1 - u)^3 / ((1 + u) sqrt(1 + g))``::
 
     s   >= kappa (sqrt(closest) + t) - sqrt(E)
@@ -111,6 +137,21 @@ bound above gives when ``kappa sqrt(1 - g) - 1 >= sqrt((1 + g) / (1 - g))``
 (true when ``t >= 3 sqrt(E)``).  Both hold for any ``D <= 2^28``, where
 ``g < 2^-24`` and ``sqrt(E) <= 2^-523``; a codebook file holds
 ``D <= 65535``.
+
+The separations of a new seed ``b`` from the ``i`` earlier seeds ``a``
+come from one (i, D) x (D,) product instead of three passes over
+``a - b``: with ``n_a``, ``n_b`` the computed squared norms and ``p`` the
+computed ``a.b``, ``v = (n_a + n_b) - 2p`` and
+``q = v - (4 gamma_(D+3) (n_a + n_b) + 8 D 2^-1074)``, floored at 0.  Let
+``N = |a|^2 + |b|^2`` and ``T = 2^-1074``.  Each of the three dot
+products is within ``gamma_D`` times its sum of product magnitudes (at
+most ``N``, ``N`` and ``|a||b| <= N / 2``) plus ``D T`` for the products
+that underflow; scaling by 2 is exact, and the sum and the difference
+round by (1 +- u).  So ``|v - s^2| <= 2 gamma_(D+2) N + 6 D T``, using
+``s^2 <= 2N``.  The subtracted bound, rounded three times, is at least
+``2 gamma_(D+3) N + 6 D T``, and a positive ``v`` minus it rounds up by
+at most (1 + u), which the spare ``2uN`` covers: ``q <= s^2``.  A wider
+bound only makes more points candidates, so ``closest`` stays exact.
 
 Training holds the caller's sample once: float32 is read as given (other
 dtypes become float64) and widened, exactly, a chunk of rows at a time into
@@ -194,7 +235,9 @@ class Codebook:
 # 0.70 ms per image at 512 KB chunks, 0.59 ms at 2 MB, and the same from
 # 2 MB up on 8192 rows).  A chunk keeps at least _MIN_ROWS rows, so the
 # matrix product reuses each reference across rows (single rows ran 5.7x
-# slower at C=65536), and never more than _MAX_CELLS cells.
+# slower at C=65536), and never more than _MAX_CELLS cells, nor more rows
+# than fit the chunk's cells as [x, 1] rows (at C < D, C-sized rows alone
+# made 4096-row chunks at C=16, D=128).
 _CHUNK_CELLS = 1 << 16
 _F32_CHUNK_BYTES = 1 << 21
 _MIN_ROWS = 64
@@ -205,12 +248,14 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _F32_UNIT_ROUNDOFF = 2.0 ** -24
 _TINY = 2.0 ** -1074
 # A row is ranked in float32 only when (|x| + max|r|)^2 lies in
-# [_F32_LO, _F32_HI] and D <= _F32_MAX_DIM: there nothing in the float32
-# product overflows, and what underflows stays below 2^-22 of its rounding
-# bound (module docstring).
+# [_F32_LO, _F32_HI], D <= _F32_MAX_DIM, and the references are float32
+# or at least _F32_MIN_REFS: there nothing in the float32 product
+# overflows, what underflows stays below 2^-22 of its rounding bound, and
+# rounding float64 references pays for itself (module docstring).
 _F32_LO = 2.0 ** -60
 _F32_HI = 2.0 ** 100
 _F32_MAX_DIM = 1 << 16
+_F32_MIN_REFS = 256
 # k-means++ pruning: a point is recomputed against a new seed only when
 # the seed is nearer its owner than (sqrt(closest) + _REACH_FLOOR) *
 # _REACH_SCALE, the margin delta = 2^-20 and the absolute term 2^-520
@@ -229,8 +274,8 @@ class _Refs:
     """A reference set (C, D) prepared for ``_nearest``: its float64 rows,
     their squared norms and the largest norm; the lifted (D+1, C) matrix
     ``[-2 R^T; |r|^2]`` in float64, built on first use; and its float32
-    copy, kept when the references are float32 and within the float32
-    guard (None otherwise)."""
+    rounding, kept when the references are float32 or at least
+    _F32_MIN_REFS, and lie within the float32 guard (None otherwise)."""
 
     def __init__(self, refs: np.ndarray):
         self.rows = np.ascontiguousarray(refs, dtype=np.float64)
@@ -239,27 +284,29 @@ class _Refs:
         self.max_norm = math.sqrt(max_sq)
         # Rounding bounds per unit (|x| + max|r|)^2: n = 2D + 4 for the
         # float64 product, n = D + 4 for the float32 one (module docstring).
-        d = refs.shape[1]
+        c, d = refs.shape
         self.coef64 = 4.0 * _gamma(2 * d + 4, _UNIT_ROUNDOFF)
         self.floor64 = 4.0 * (2 * d + 4) * _TINY
         self.lifted32 = None
-        if refs.dtype == np.float32 and d <= _F32_MAX_DIM and _F32_LO <= max_sq <= _F32_HI:
-            self.lifted32 = self._lift_refs(refs)
+        wanted = refs.dtype == np.float32 or c >= _F32_MIN_REFS
+        if wanted and d <= _F32_MAX_DIM and _F32_LO <= max_sq <= _F32_HI:
+            self.lifted32 = self._lift(np.float32)
             self.coef32 = 2.0 * (_gamma(d + 4, _F32_UNIT_ROUNDOFF) + _gamma(d + 4, _UNIT_ROUNDOFF))
             # Rows with |x| <= norm_limit have (|x| + max|r|)^2 <= _F32_HI.
             self.norm_limit = math.sqrt(_F32_HI) - self.max_norm
 
-    def _lift_refs(self, refs: np.ndarray) -> np.ndarray:
-        d = refs.shape[1]
-        lifted = np.empty((d + 1, refs.shape[0]), dtype=refs.dtype)
-        # Scaling by -2 is exact, so x . (-2 r) has the error bound of -2 (x . r).
-        np.multiply(refs.T, -2.0, out=lifted[:d])
+    def _lift(self, dtype) -> np.ndarray:
+        c, d = self.rows.shape
+        lifted = np.empty((d + 1, c), dtype=dtype)
+        # Scaling by -2 is exact, so x . (-2 r) has the error bound of -2 (x . r);
+        # a float32 lift rounds -2 r and the float64 |r|^2 once each.
+        np.multiply(self.rows.T, -2.0, out=lifted[:d])
         lifted[d] = self.sq
         return lifted
 
     @cached_property
     def lifted(self) -> np.ndarray:
-        return self._lift_refs(self.rows)
+        return self._lift(np.float64)
 
 
 def _rank(xl: np.ndarray, lifted: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +344,7 @@ def _nearest(
     single = points.dtype == np.float32 and refs.lifted32 is not None
     c = refs.rows.shape[0]
     cells = _F32_CHUNK_BYTES // 4 if single else _CHUNK_CELLS
-    step = max(1, min(max(_MIN_ROWS, cells // c), _MAX_CELLS // c))
+    step = max(1, min(max(_MIN_ROWS, cells // c), _MAX_CELLS // c, cells // (d + 1)))
     # Chunk buffers: [x, 1] rows in float64 (x64 is its first d columns) and float32; winners' rows.
     xl64 = np.ones((min(step, m), d + 1))
     xl32 = np.ones(xl64.shape, dtype=np.float32) if single else None
@@ -372,31 +419,48 @@ def _squared_distances(points: np.ndarray, rows: np.ndarray, seed: np.ndarray) -
     return out
 
 
+def _kmeanspp_pick(closest: np.ndarray, rng: np.random.Generator) -> int:
+    """A point drawn with probability ``closest / closest.sum()``: the pick
+    and generator state of ``rng.choice(n, p=closest / total)``, by the
+    arithmetic choice runs after its checks of ``p`` (a sum, a sign and a
+    NaN scan, about half of each call), which ``closest`` always passes.
+    Uniform when every point is at distance zero."""
+    total = closest.sum()
+    if total <= 0:
+        return int(rng.integers(0, closest.size))
+    cdf = np.cumsum(closest / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeds (Arthur and Vassilvitskii, 2007), skipping each
     point whose ``closest`` the triangle inequality proves unchanged (see
     the module docstring); ``closest`` equals the unpruned update
     ``np.minimum(closest, np.sum((points - seed) ** 2, axis=1))`` bit for
-    bit at every step."""
-    n = points.shape[0]
-    centroids = np.empty((c, points.shape[1]), dtype=np.float64)
+    bit at every step, and each pick is ``rng.choice(n, p=closest / total)``'s."""
+    n, d = points.shape
+    centroids = np.empty((c, d), dtype=np.float64)
+    # Each seed's computed squared norm, and the rounding bound of a
+    # separation per unit of |a|^2 + |b|^2 plus its absolute term (module docstring).
+    norms = np.empty(c)
+    coef = 4.0 * _gamma(d + 3, _UNIT_ROUNDOFF)
+    floor = 8.0 * d * _TINY
     first = int(rng.integers(0, n))
     centroids[0] = points[first]
+    norms[0] = centroids[0] @ centroids[0]
     closest = _squared_distances(points, np.arange(n), centroids[0])
     # The seed each point's closest was computed against, and its reach.
     owner = np.zeros(n, dtype=np.int32)
     reach = (np.sqrt(closest) + _REACH_FLOOR) * _REACH_SCALE
     for i in range(1, c):
-        total = closest.sum()
-        if total <= 0:
-            # All remaining mass at distance zero: fall back to uniform choice.
-            pick = int(rng.integers(0, n))
-        else:
-            pick = int(rng.choice(n, p=closest / total))
-        centroids[i] = points[pick]
+        centroids[i] = points[_kmeanspp_pick(closest, rng)]
         seed = centroids[i]
-        sep = np.sqrt(np.sum((centroids[:i] - seed) ** 2, axis=1))
-        cand = np.flatnonzero(sep[owner] < reach)
+        norms[i] = seed @ seed
+        # |a|^2 + |b|^2 - 2 a.b less its rounding bound, at most |a - b|^2.
+        both = norms[:i] + norms[i]
+        sep = np.sqrt(np.maximum(both - 2.0 * (centroids[:i] @ seed) - (coef * both + floor), 0.0))
+        cand = np.flatnonzero(np.take(sep, owner) < reach)  # np.take: half the time of sep[owner] with int32 owners
         d2 = _squared_distances(points, cand, seed)
         nearer = d2 < closest[cand]
         moved = cand[nearer]

@@ -17,6 +17,7 @@ import pytest
 
 from ramk import cli
 from ramk.cli import _OPTIONS, _synthetic_flag, load_results, main
+from ramk.codebook import serialize_codebook
 from ramk.errors import ConfigError, DataError, DimensionError, FormatError, TrainingError
 from ramk.features_io import load_manifest
 from ramk.index import load_index
@@ -124,6 +125,9 @@ class TestExitCodes:
             ("search", ("--sp", "--sp-seed", "-1")),
             ("search", ("--sp", "--sp-iters", "-5")),
             ("search", ("--sp", "--sp-tol", "nan")),
+            ("search", ("--sp", "--sp-max-dist", "nan")),
+            ("analyze-relevance", ("--sp-tol", "nan")),
+            ("analyze-relevance", ("--sp-max-dist", "nan")),
             ("analyze-relevance", ("--sp-seed", "-1")),
             ("analyze-relevance", ("--bins", "0,nan,100")),
             ("search", ("--sp", "--sp-max-dist", "-1")),
@@ -335,20 +339,31 @@ class TestCodebookCli:
         train = cli.train_codebook
 
         def spy(descriptors, *args, **kwargs):
-            seen.append((tracemalloc.get_traced_memory()[0], descriptors.shape[0], descriptors.nbytes))
+            seen.append((*tracemalloc.get_traced_memory(), descriptors.shape[0], descriptors.nbytes))
             return train(descriptors, *args, **kwargs)
 
         flags = () if cap is None else ("--sample-cap", str(cap))
+        out = tmp_path / "cb.dtrc"
         tracemalloc.start()
         try:
             with mock.patch.object(cli, "train_codebook", spy):
                 assert run("train-codebook", "--manifest", str(data / "manifest.txt"), "--c", "16",
-                           "--max-iters", "2", *flags, "--out", str(tmp_path / "cb.dtrc")) == 0
+                           "--max-iters", "2", *flags, "--out", str(out)) == 0
         finally:
             tracemalloc.stop()
-        ((traced, rows, sample_bytes),) = seen
+        ((traced, peak, rows, sample_bytes),) = seen
         assert rows == (cap or 30 * 120)  # 30 database images of 120 descriptors
         assert traced < 1.2 * sample_bytes
+        # The codebook of the stacked descriptors, subsampled by the same draw.
+        manifest = load_manifest(data / "manifest.txt")
+        stacked = np.concatenate([manifest.load_features(img).vectors for img in manifest.images])
+        if cap is not None:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
+            stacked = stacked[np.sort(rng.choice(stacked.shape[0], size=cap, replace=False))]
+            # The per-image arrays and the sample, without a stacked copy of the pre-cap set.
+            assert peak < 30 * 120 * 128 * 4 + 1.2 * sample_bytes
+        want = train(stacked, 16, max_iters=2, seed=0)
+        assert out.read_bytes() == serialize_codebook(want)
 
 
 class TestIndexAndSearchCli:
@@ -401,6 +416,20 @@ class TestIndexAndSearchCli:
                    "--codebook", str(cb), "--mode", "asmk", "--out", str(ix)) == 0
         assert run("search", "--index", str(ix), "--queries", str(data / "queries.txt"),
                    "--sp", "--out", str(tmp_path / "r.txt")) == 2
+
+    def test_sp_max_dist_inf_is_the_default(self, pipeline, tmp_path):
+        root, data, cb = pipeline
+        ix = tmp_path / "ix.dtri"
+        assert run("build-index", "--manifest", str(data / "manifest.txt"),
+                   "--codebook", str(cb), "--mode", "asmk", "--out", str(ix)) == 0
+        rankings = []
+        for flags in ((), ("--sp-max-dist", "inf")):
+            out = tmp_path / f"r{len(rankings)}.txt"
+            assert run("search", "--index", str(ix), "--queries", str(data / "queries.txt"),
+                       "--manifest", str(data / "manifest.txt"), "--sp", "--sp-depth", "3",
+                       *flags, "--out", str(out)) == 0
+            rankings.append([line for line in out.read_text().splitlines() if not line.startswith("#")])
+        assert rankings[0] == rankings[1] and rankings[0]
 
     def test_full_pipeline_with_sp_and_evaluate(self, pipeline, tmp_path):
         root, data, cb = pipeline

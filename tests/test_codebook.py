@@ -10,6 +10,7 @@ reproduce draw for draw.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -123,21 +124,35 @@ class TestTraining:
 
 
 class RecordingRng:
-    """A PCG64 generator that records what the seeding asks of it: the
-    bounds of each ``integers`` call and the bytes of each ``p`` given to
-    ``choice``, so two seedings compare step by step."""
+    """A PCG64 generator that records each draw a seeding makes, so two
+    seedings compare step by step: its kind ("integers" with its bounds, or
+    "weighted" for ``choice(n, p=...)`` and for the ``random()`` that
+    ``_kmeanspp_pick`` draws in its place), the drawing function's
+    ``closest`` (None before the first seed) and the generator state after
+    the draw."""
 
     def __init__(self, seed: int):
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         self.calls: list[tuple] = []
 
-    def integers(self, *args, **kwargs):
-        self.calls.append(("integers", args, kwargs))
-        return self._rng.integers(*args, **kwargs)
+    def _record(self, *draw) -> None:
+        closest = sys._getframe(2).f_locals.get("closest")  # the frame that called the generator
+        self.calls.append((*draw, None if closest is None else closest.tobytes(), self._rng.bit_generator.state))
 
-    def choice(self, a, *args, p=None, **kwargs):
-        self.calls.append(("choice", a, args, kwargs, None if p is None else p.tobytes()))
-        return self._rng.choice(a, *args, p=p, **kwargs)
+    def integers(self, *args, **kwargs):
+        value = self._rng.integers(*args, **kwargs)
+        self._record("integers", args, kwargs)
+        return value
+
+    def choice(self, a, p):
+        value = self._rng.choice(a, p=p)
+        self._record("weighted")
+        return value
+
+    def random(self):
+        value = self._rng.random()
+        self._record("weighted")
+        return value
 
 
 def blobs(rng: np.random.Generator, n: int, d: int, centres: int, spread: float) -> np.ndarray:
@@ -147,17 +162,21 @@ def blobs(rng: np.random.Generator, n: int, d: int, centres: int, spread: float)
 
 
 def assert_seeding_matches_oracle(points: np.ndarray, c: int, seed: int = 0) -> list[tuple]:
-    """Run the pruned and the unpruned seeding on the same stream; every
-    draw, each ``closest / total`` included, and the seeds must be
-    byte-equal.  Returns the oracle's draws."""
+    """Run the pruned and the unpruned seeding on the same stream; at every
+    draw the kind, ``closest`` and the generator state after it, and every
+    seed, the row each step picked, must be byte-equal.  Returns the
+    oracle's draws."""
     got_rng, want_rng = RecordingRng(seed), RecordingRng(seed)
     got = codebook_module._kmeanspp_init(points, c, got_rng)
     want = oracle_kmeanspp_init(points, c, want_rng)
-    # One draw per seed: the first pick, then one choice (or uniform fallback) each.
+    # One draw per seed: the first pick, then one weighted (or uniform fallback) draw each.
     assert len(want_rng.calls) == c
     for step, (g, w) in enumerate(zip(got_rng.calls, want_rng.calls)):
         assert g == w, f"draw {step} differs"
     assert len(got_rng.calls) == len(want_rng.calls)
+    assert all(call[-2] is not None for call in want_rng.calls[1:])  # each draw after the first saw closest
+    for step, (g, w) in enumerate(zip(got, want)):
+        assert g.tobytes() == w.tobytes(), f"seed {step} differs"
     assert got.tobytes() == want.tobytes()
     return want_rng.calls
 
@@ -165,6 +184,51 @@ def assert_seeding_matches_oracle(points: np.ndarray, c: int, seed: int = 0) -> 
 def fallbacks(calls: list[tuple]) -> int:
     """Uniform picks after the first: steps whose remaining mass was zero."""
     return sum(call[0] == "integers" for call in calls[1:])
+
+
+def pick_masses(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """Squared distances of a k-means++ step, as ``_kmeanspp_pick`` sees them."""
+    n = int(rng.integers(1, 3000))
+    if kind == "zeros":
+        # Points on a seed: many weights are exactly 0, some runs of them.
+        w = rng.random(n) ** 4
+        w[rng.random(n) < 0.6] = 0.0
+        w[: n // 4] = 0.0
+        w[rng.integers(0, n)] = rng.random() + 1e-3
+    elif kind == "single":
+        w = np.zeros(n)
+        w[rng.integers(0, n)] = rng.random() * 10.0 ** rng.integers(-300, 300)
+    elif kind == "near-uniform":
+        w = 1.0 + rng.normal(0, 1e-12, size=n)
+    else:
+        # Weights across 600 decades: most of the mass in a few points.
+        w = rng.random(n) * 10.0 ** rng.integers(-300, 300, size=n).astype(np.float64)
+    return w
+
+
+class TestKmeansppPick:
+    """``_kmeanspp_pick`` draws as ``Generator.choice(n, p=closest / total)``:
+    the same pick and the same generator state after it, draw after draw."""
+
+    @pytest.mark.parametrize("kind", ["zeros", "single", "near-uniform", "wide"])
+    def test_equals_choice(self, kind):
+        for seed in range(250):
+            closest = pick_masses(kind, np.random.default_rng([seed, 1]))
+            got_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            want_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            for _ in range(5):
+                got = codebook_module._kmeanspp_pick(closest, got_rng)
+                want = int(want_rng.choice(closest.size, p=closest / closest.sum()))
+                assert got == want and closest[got] > 0, f"seed {seed}"
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state, f"seed {seed}"
+
+    def test_no_mass_falls_back_to_integers(self):
+        for n in (1, 2, 7, 1000):
+            got_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n)))
+            want_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n)))
+            for _ in range(5):
+                assert codebook_module._kmeanspp_pick(np.zeros(n), got_rng) == int(want_rng.integers(0, n))
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestSeedingOracle:
@@ -240,6 +304,14 @@ class TestSeedingOracle:
     @pytest.mark.parametrize("d", [1, 9, 128])
     def test_large_scale(self, d):
         points = blobs(np.random.default_rng(50 + d), 500, d, 10, 0.05) * 1e18
+        assert_seeding_matches_oracle(points, 40, seed=d)
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_far_from_the_origin(self, d):
+        # |a|^2 + |b|^2 - 2 a.b cancels: near 1e8 its rounding error (~1e3
+        # at D=8) dwarfs the squared separations (~1e-2 to 10), so only the
+        # subtracted bound keeps the separations from overshooting.
+        points = blobs(np.random.default_rng(60 + d), 500, d, 10, 0.05) + 1e8
         assert_seeding_matches_oracle(points, 40, seed=d)
 
     @settings(max_examples=60, deadline=None)
@@ -471,6 +543,113 @@ class TestNearest:
         with mock.patch.object(codebook_module, "_rank", spy):
             labels, d2 = _nearest(points, refs)
         assert dtypes == [np.float64]
+        want_labels, want_d2 = cdist_nearest(points.astype(np.float64), refs)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert d2.tobytes() == want_d2.tobytes()
+
+    def test_many_float64_refs_are_ranked_float32_first(self):
+        # From _F32_MIN_REFS float64 references on, as k-means's centroids
+        # at C=1024, the float32 rounding ranks first; below, float64 alone.
+        rng = np.random.default_rng(22)
+        limit = codebook_module._F32_MIN_REFS
+        points = rng.normal(0, 1, size=(30, 8)).astype(np.float32)
+        rank = codebook_module._rank
+        for c, first in ((limit - 1, np.float64), (limit, np.float32)):
+            refs = rng.normal(0, 1, size=(c, 8))
+            dtypes = []
+
+            def spy(xl, lifted, bound):
+                dtypes.append(lifted.dtype)
+                return rank(xl, lifted, bound)
+
+            with mock.patch.object(codebook_module, "_rank", spy):
+                labels, d2 = _nearest(points, refs)
+            assert dtypes[0] == first
+            want_labels, want_d2 = cdist_nearest(points.astype(np.float64), refs)
+            np.testing.assert_array_equal(labels, want_labels)
+            assert d2.tobytes() == want_d2.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 8, 64, 65]),
+        c=st.integers(2, 40),
+        m=st.integers(1, 60),
+        scale=st.sampled_from([1.0, 1e-30, 1e25]),
+        gap=st.sampled_from([0.0, 2.0**-30, 2.0**-26, 2.0**-24, 2.0**-22]),
+        cells=st.sampled_from([1, 7, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_float64_refs_ranked_float32_first(self, d, c, m, scale, gap, cells, seed):
+        # Training's case: float32 rows against float64 references.  Pairs
+        # of references a relative ``gap`` apart round to one float32 row
+        # or swap their order when rounded, and rows on a pair's midpoint
+        # or on a reference make near-ties that float32 cannot resolve.
+        rng = np.random.default_rng(seed)
+        refs = rng.normal(0, 1, size=(c, d))
+        k = c // 2
+        first, second = refs[0:2 * k:2], refs[1:2 * k:2]
+        second[...] = first * (1.0 + gap * rng.normal(0, 1, size=first.shape))
+        points = rng.normal(0, 1, size=(m, d))
+        points[::3] = ((first + second) / 2)[rng.integers(0, k, size=points[::3].shape[0])]
+        points[1::4] = refs[rng.integers(0, c, size=points[1::4].shape[0])]
+        refs *= scale
+        points = (points * scale).astype(np.float32)
+        stages = []
+        rank = codebook_module._rank
+
+        def spy(xl, lifted, bound):
+            best, unsure = rank(xl, lifted, bound)
+            stages.append((lifted.dtype, xl.shape[0], unsure.size))
+            return best, unsure
+
+        patches = {"_rank": spy, "_MIN_ROWS": 1, "_F32_MIN_REFS": 1}
+        if cells is not None:
+            patches.update(_CHUNK_CELLS=cells, _F32_CHUNK_BYTES=4 * cells)
+        with mock.patch.multiple(codebook_module, **patches):
+            labels, d2 = _nearest(points, refs)
+        want_labels, want_d2 = cdist_nearest(points.astype(np.float64), refs)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert d2.dtype == np.float64 and d2.tobytes() == want_d2.tobytes()
+        if scale == 1.0:
+            assert stages[0][0] == np.float32  # within the guard the float32 product runs first
+
+    def test_float32_rounding_that_swaps_two_references(self):
+        # b is nearer x than a (|x - b|^2 = 3.5e-15 < 1.7e-14 = |x - a|^2),
+        # but with a and b rounded to float32 the product ranks a first: no
+        # rounding bound lets that rank stand.
+        x = 1.835411548614502
+        a, b = 1.8354114185131043, 1.83541160735471
+        refs = np.array([[a], [b], [-5.0]])
+        points = np.array([[x], [-4.9]], dtype=np.float32)
+        stages = []
+        rank = codebook_module._rank
+
+        def spy(xl, lifted, bound):
+            best, unsure = rank(xl, lifted, bound)
+            stages.append((lifted.dtype, best.tolist(), unsure.tolist()))
+            return best, unsure
+
+        with mock.patch.multiple(codebook_module, _rank=spy, _F32_MIN_REFS=1):
+            labels, d2 = _nearest(points, refs)
+        assert stages[0] == (np.float32, [0, 2], [0])  # a ranked first, and not certified
+        assert labels.tolist() == [1, 2]
+        want_labels, want_d2 = cdist_nearest(points.astype(np.float64), refs)
+        assert want_labels.tolist() == [1, 2] and d2.tobytes() == want_d2.tobytes()
+
+    def test_chunk_rows_stay_within_the_cell_budget(self):
+        # C < D: a chunk of C-sized rows would hold far more than
+        # _CHUNK_CELLS cells of [x, 1] rows (4096 rows at C=16, D=128).
+        rng = np.random.default_rng(21)
+        points = rng.normal(0, 1, size=(3600, 128)).astype(np.float32)
+        refs = rng.normal(0, 1, size=(16, 128))
+        tracemalloc.start()
+        try:
+            labels, d2 = _nearest(points, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Outputs, the [x, 1] and winners' buffers and the product of one chunk.
+        assert peak < 6 * codebook_module._CHUNK_CELLS * 8
         want_labels, want_d2 = cdist_nearest(points.astype(np.float64), refs)
         np.testing.assert_array_equal(labels, want_labels)
         assert d2.tobytes() == want_d2.tobytes()
