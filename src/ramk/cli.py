@@ -291,30 +291,30 @@ def _cmd_gen_synthetic(cfg: dict) -> None:
 
 def _cmd_train_codebook(cfg: dict) -> None:
     manifest = load_manifest(cfg["manifest"])
-    blocks = []
+    # Feature files of S bytes in all hold at most S // (4 (4 + D)) descriptors, so
+    # every image's descriptors go straight into one array: they are never stacked.
+    try:
+        size = sum(os.path.getsize(manifest.root / img.path) for img in manifest.images)
+    except OSError as exc:
+        raise DataError(f"cannot read feature file: {exc}") from exc
+    pool = np.empty((size // (16 + 4 * manifest.dim), manifest.dim), dtype=np.float32)
+    n = 0
     for img in manifest.images:
         features = manifest.load_features(img)
         if cfg["attention-min"] is not None:
             features = filter_by_attention(features, cfg["attention-min"])
-        if features.count:
-            blocks.append(features.vectors)
-    if not blocks:
+        pool[n:n + features.count] = features.vectors
+        n += features.count
+    if not n:
         raise DataError("manifest contains no descriptors to train on")
-    ends = np.cumsum([block.shape[0] for block in blocks])
     cap = cfg["sample-cap"]
-    if ends[-1] > cap:
+    if n > cap:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg["seed"])))
-        rows = np.sort(rng.choice(ends[-1], size=cap, replace=False))
-        # Each block's sampled rows, copied straight into the sample: the blocks are never stacked.
-        sample = np.empty((cap, blocks[0].shape[1]), dtype=blocks[0].dtype)
-        lo = 0
-        for block, end, hi in zip(blocks, ends, np.searchsorted(rows, ends)):
-            np.take(block, rows[lo:hi] - (end - block.shape[0]), axis=0, out=sample[lo:hi], mode="clip")
-            lo = hi
+        sample = pool[np.sort(rng.choice(n, size=cap, replace=False))]
+        del pool  # the full set would stay resident next to the sample during training
         logger.info("subsampled training descriptors to %d", cap)
     else:
-        sample = np.concatenate(blocks)
-    del blocks  # the per-image arrays would stay resident next to the sample during training
+        sample = pool[:n]
     codebook = train_codebook(sample, cfg["c"], max_iters=cfg["max-iters"], seed=cfg["seed"])
     for i, value in enumerate(codebook.history, start=1):
         logger.info("distortion[%d] = %.6g", i, value)

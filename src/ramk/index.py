@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import logging
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook, codebook_digest, partition
+from .codebook import _CHUNK_CELLS, Codebook, codebook_digest, partition
 from .errors import ConfigError, DataError, DimensionError, FormatError
 from .features_io import (
     DatasetManifest,
@@ -77,9 +78,9 @@ from .kernels import (
 )
 from .regional import (
     RegionStrategy,
-    aggregate_regional,
+    _fold_images,
+    aggregate_regional,  # not called here; perfbench/spans.py wraps this name
     as_regional_query,
-    region_aggregates,
     select_regions,
 )
 
@@ -194,8 +195,12 @@ def build_index(
 ) -> RetrievalIndex:
     """Aggregate every manifest image and assemble the inverted file.
 
-    Entry numbering follows manifest order, then region order, so the
-    result is independent of the thread count.
+    Images are aggregated a block of consecutive images at a time
+    (``regional._fold_images``), blocks of at most _CHUNK_CELLS cells of
+    residual rows unless one image folds more; with ``threads`` > 1 a pool
+    of that many threads folds blocks while the next ones load.  Entry numbering follows manifest order, then
+    region order, and an image's entries do not depend on its block, so the
+    result is independent of the block cuts and the thread count.
     """
     check_mode(mode)
     if codebook.dim != manifest.dim:
@@ -203,31 +208,51 @@ def build_index(
             f"codebook dimension {codebook.dim} != manifest dimension {manifest.dim}"
         )
     manifest.validate(check_files=True)
+    regional = is_regional_mode(mode)
 
-    def work(img) -> list[AggregatedRepresentation]:
-        """The image's entries, in region order."""
-        features = manifest.load_features(img)
-        if attention_min is not None:
-            features = filter_by_attention(features, attention_min)
-        regions = select_regions(features, strategy)
-        if is_regional_mode(mode):
-            return [aggregate_regional(features, regions, codebook, mode, params)]
-        return region_aggregates(features, regions, codebook, mode, params)
+    def blocks():
+        """Consecutive images with their regions, cut where the next image
+        would take a block past _CHUNK_CELLS cells of residual rows: an
+        image folds at most (descriptors x regions) rows of D cells."""
+        block, cells = [], 0
+        for img in manifest.images:
+            features = manifest.load_features(img)
+            if attention_min is not None:
+                features = filter_by_attention(features, attention_min)
+            regions = select_regions(features, strategy)
+            size = features.count * regions.count * codebook.dim
+            if block and cells + size > _CHUNK_CELLS:
+                yield block
+                block, cells = [], 0
+            block.append((features, regions))
+            cells += size
+        if block:
+            yield block
+
+    def fold(block) -> tuple:
+        """The block's entries (``_fold_images``) and each image's entry count."""
+        return *_fold_images(block, codebook, mode, params), [1 if regional else r.count for _, r in block]
 
     if threads > 1:
+        # The pool folds blocks while the next ones load; at most `threads` wait
+        # unfolded, so memory holds a bounded number of blocks.
+        folded, pending = [], deque()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_image = list(pool.map(work, manifest.images))
+            for block in blocks():
+                pending.append(pool.submit(fold, block))
+                if len(pending) > threads:
+                    folded.append(pending.popleft().result())
+            folded += [future.result() for future in pending]
     else:
-        per_image = [work(img) for img in manifest.images]
+        folded = [fold(block) for block in blocks()]
 
-    sizes = np.array([len(reps) for reps in per_image], dtype=np.intp)
-    flat = [rep for reps in per_image for rep in reps]
-
-    # Owners ascend, so a stable sort by word orders postings by (word, entry).
-    all_words = np.concatenate([np.empty(0, dtype=np.int64), *(rep.words for rep in flat)])
-    order = np.argsort(all_words, kind="stable")
-    counts = [rep.word_count for rep in flat]
     dtype, columns = _payload_layout(mode, codebook.dim)
+    # Each column starts from an empty array of its dtype, so an empty manifest builds too.
+    empty = (np.empty(0, np.intp), np.empty(0, np.int64), np.empty((0, columns), dtype), np.empty(0),
+             np.empty(0, np.intp))
+    counts, all_words, rows, gammas, sizes = (np.concatenate(column) for column in zip(empty, *folded))
+    # Entries ascend, so a stable sort by word orders postings by (word, entry).
+    order = np.argsort(all_words, kind="stable")
     word_ptr = np.append(0, np.cumsum(np.bincount(all_words, minlength=codebook.size)))
 
     index = RetrievalIndex(
@@ -239,11 +264,11 @@ def build_index(
         strategy=str(strategy),
         images=[img.image_id for img in manifest.images],
         entry_image=np.repeat(np.arange(len(sizes)), sizes),
-        region_index=np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
-        gammas=np.array([rep.gamma for rep in flat], dtype=np.float64),
+        region_index=np.arange(len(gammas)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+        gammas=gammas,
         word_ptr=word_ptr,
-        entry_ids=np.repeat(np.arange(len(flat), dtype=np.uint32), counts)[order],
-        payload=np.concatenate([np.empty((0, columns), dtype), *(rep.rows for rep in flat)])[order],
+        entry_ids=np.repeat(np.arange(len(gammas), dtype=np.uint32), counts)[order],
+        payload=rows[order],
     )
     logger.info(
         "built %s index: %d images, %d entries, %d populated words",

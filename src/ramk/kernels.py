@@ -27,8 +27,11 @@ normalization would be undefined for them.
 
 ``_fold_residuals`` is the one place that knows this storage rule and the
 summation order, left to right per key: ``aggregate`` keys one descriptor
-set by word, ``ramk.regional`` all regions of an image by ``region * C +
-word`` and then the gamma-weighted region rows by word.
+set by word, ``ramk.regional`` every region of a block of images by
+``region * C + word`` and then the gamma-weighted region rows by ``image *
+C + word``, each image's sums divided by its own region count.  A key's sum
+reads only that key's rows, in input order, so a block folds each image
+exactly as a block of that image alone would.
 
 ``_match_totals`` is the one match rule: the selectivity applies to
 each raw match of ``word_match_rows`` (none for the vlad family), and
@@ -226,14 +229,15 @@ def _gammas(
 
 
 def _fold_residuals(
-    mode: str, keys: np.ndarray, rows: np.ndarray, region_count: int = 1
+    mode: str, keys: np.ndarray, rows: np.ndarray, divisors: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum float64 residual ``rows`` per key in input order, left to right:
     ((r0 + r1) + r2) + ..., one vectorized add per position in a key's run.
-    Average over ``region_count``, store as ``mode`` does (float32 rows for vlad,
-    r-vlad and naive-r-asmk, unit float32 rows for asmk and r-asmk, their
-    packed signs for the star modes), drop all-zero rows and return the rest
-    with their keys, ascending (int64)."""
+    Divide each sum by its key's region count (``divisors``, given per row and
+    equal across a key's rows; none divides by nothing), store as ``mode`` does
+    (float32 rows for vlad, r-vlad and naive-r-asmk, unit float32 rows for asmk
+    and r-asmk, their packed signs for the star modes), drop all-zero rows and
+    return the rest with their keys, ascending (int64)."""
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     counts = np.diff(starts, append=len(keys))
@@ -241,7 +245,8 @@ def _fold_residuals(
     for k in range(1, counts.max(initial=0)):
         live = np.flatnonzero(counts > k)
         sums[live] += rows[order[starts[live] + k]]
-    sums /= region_count
+    if divisors is not None:
+        sums /= divisors[order[starts], None]
     keys = keys[order[starts]]
     if mode in (MODE_VLAD, MODE_R_VLAD, MODE_NAIVE_R_ASMK):
         stored = sums.astype(np.float32)

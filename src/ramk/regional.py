@@ -26,9 +26,16 @@ self-similarity rule as the plain kernel) is applied to both sides by
 default so scores are comparable across images, and can be disabled to
 study the raw kernel.
 
-``_region_fold`` sums every (region, word) pair of an image left to right in one
-fold keyed ``region * C + word``; ``region_aggregates`` (regional search) slices
-it by region and ``aggregate_regional`` folds its gamma-weighted rows by word.
+``_fold_images`` aggregates a block of consecutive images at once: one
+quantization, one residual pass, one fold of every (region, word) pair of
+the block, left to right per pair, keyed ``block region * C + word``, and one
+``_gammas`` grouped by region.  Regional search stores each region's rows as
+an entry; a regional mode folds their gamma-weighted rows by ``image * C +
+word``, divided by each image's own region count, with one ``_gammas``
+grouped by image.  A key's sum reads only its own rows, in input order, and
+each gamma only its own group's, so an image's entries are the same bytes in
+a block of any size; ``aggregate_regional`` and ``region_aggregates`` are
+the block of one image.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codebook import Codebook, partition
+from . import codebook as _codebook
+from .codebook import Codebook, WordPartition
 from .errors import ConfigError, DataError
 from .features_io import ImageFeatures, RegionBox, whole_image_box
 from .kernels import (
@@ -192,18 +200,41 @@ def region_descriptor_indices(
     return assign_to_region(features, regions.boxes[region_index])
 
 
-def _region_fold(
-    features: ImageFeatures, regions: RegionSet, codebook: Codebook, mode: str, params: SelectivityParams
+def _fold_images(
+    images: list[tuple[ImageFeatures, RegionSet]], codebook: Codebook, mode: str, params: SelectivityParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """Words, stored rows and regions of the plain ``mode`` entries of every region, ascending by
-    region then word, from one fold keyed ``region * C + word``, and each region's gamma."""
-    part, c = partition(codebook, features), codebook.size
-    members = [region_descriptor_indices(features, regions, r) for r in range(regions.count)]
+    """The ``mode`` entries of a block of images, each given with its regions:
+    one entry per image for a regional mode, else one per region, numbered in
+    image then region order.  Returns each entry's row count, the words and
+    stored rows of all entries, ascending by entry then word, and each
+    entry's gamma.  A region holds the descriptors ``region_descriptor_indices``
+    gives; the folds and gamma passes are those of the module docstring."""
+    c, n = codebook.size, len(images)
+    regional = is_regional_mode(mode)
+    # r-asmk-star binarizes after regional averaging, so its regions stay dense.
+    base_mode = (MODE_ASMK if mode == MODE_R_ASMK_STAR else PLAIN_COUNTERPART[mode]) if regional else mode
+    vectors = np.concatenate([features.vectors for features, _ in images])
+    part = WordPartition(_codebook.quantize_batch(codebook, vectors), vectors)
+    # The block's descriptors of each region, region by region.
+    members, offset = [], 0
+    for features, regions in images:
+        members += [region_descriptor_indices(features, regions, r) + offset for r in range(regions.count)]
+        offset += features.count
     desc = np.concatenate(members)
-    region = np.repeat(np.arange(regions.count), [len(m) for m in members])
-    keys, stored = _fold_residuals(mode, region * c + part.labels[desc], _residuals(part, codebook)[desc])
-    gammas = _gammas(mode, stored, codebook.dim, params, keys // c, regions.count)
-    return keys % c, stored, keys // c, gammas
+    keys = np.repeat(np.arange(len(members)) * c, [len(m) for m in members]) + part.labels[desc]
+    keys, stored = _fold_residuals(base_mode, keys, _residuals(part, codebook)[desc])
+    region, words = np.divmod(keys, c)
+    gammas = _gammas(base_mode, stored, codebook.dim, params, region, len(members))
+    if not regional:
+        return np.bincount(region, minlength=len(members)), words, stored, gammas
+    weights = np.asarray(gammas)[region]
+    kept = weights != 0.0
+    regions_per_image = np.array([regions.count for _, regions in images], dtype=np.int64)
+    image = np.repeat(np.arange(n), regions_per_image)[region[kept]]
+    rows = np.multiply(weights[kept, None], stored[kept], dtype=np.float64)
+    keys, stored = _fold_residuals(mode, image * c + words[kept], rows, regions_per_image[image])
+    image, words = np.divmod(keys, c)
+    return np.bincount(image, minlength=n), words, stored, _gammas(mode, stored, codebook.dim, params, image, n)
 
 
 def region_aggregates(
@@ -213,9 +244,12 @@ def region_aggregates(
     mode: str,
     params: SelectivityParams = DEFAULT_SELECTIVITY,
 ) -> list[AggregatedRepresentation]:
-    """Plain ``mode`` aggregate of every region, in region order: slices of one fold."""
-    words, stored, region, gammas = _region_fold(features, regions, codebook, mode, params)
-    cuts = np.searchsorted(region, np.arange(1, regions.count))
+    """Plain ``mode`` aggregate of every region, in region order: the entries
+    of the image's block of one."""
+    if is_regional_mode(check_mode(mode)):
+        raise ConfigError(f"region_aggregates() handles plain modes only, got {mode!r}")
+    counts, words, stored, gammas = _fold_images([(features, regions)], codebook, mode, params)
+    cuts = np.cumsum(counts)[:-1]
     parts = zip(np.split(words, cuts), np.split(stored, cuts), gammas)
     return [AggregatedRepresentation(mode, codebook.dim, w, r, gamma) for w, r, gamma in parts]
 
@@ -228,7 +262,8 @@ def aggregate_regional(
     params: SelectivityParams = DEFAULT_SELECTIVITY,
 ) -> AggregatedRepresentation:
     """Fold all regions of an image into one per-word representation: the
-    rows of ``_region_fold`` weighted by their region's gamma, by word.
+    entry of the image's block of one, whose region rows are weighted by
+    their region's gamma, summed by word and averaged over R.
 
     Empty regions contribute nothing but still count toward the 1/R
     averaging factor.
@@ -238,15 +273,8 @@ def aggregate_regional(
         raise ConfigError(f"aggregate_regional() handles regional modes only, got {mode!r}")
     if regions.count < 1:
         raise DataError("region set must contain at least the whole image")
-    # r-asmk-star binarizes after regional averaging, so its regions stay dense.
-    base_mode = MODE_ASMK if mode == MODE_R_ASMK_STAR else PLAIN_COUNTERPART[mode]
-    words, stored, region, gammas = _region_fold(features, regions, codebook, base_mode, params)
-    weights = np.asarray(gammas)[region]
-    kept = weights != 0.0
-    rows = weights[kept, None] * stored[kept].astype(np.float64)
-    words, stored = _fold_residuals(mode, words[kept], rows, regions.count)
-    gamma = _gammas(mode, stored, codebook.dim, params)[0]
-    return AggregatedRepresentation(mode, codebook.dim, words, stored, gamma, regions.count)
+    _, words, stored, gammas = _fold_images([(features, regions)], codebook, mode, params)
+    return AggregatedRepresentation(mode, codebook.dim, words, stored, gammas[0], regions.count)
 
 
 def as_regional_query(

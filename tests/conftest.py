@@ -6,21 +6,27 @@ import struct
 import numpy as np
 import pytest
 
-from ramk.codebook import Codebook, quantize_batch
-from ramk.features_io import ImageFeatures, RegionBox
+from ramk.codebook import Codebook, codebook_digest, partition, quantize_batch
+from ramk.features_io import ImageFeatures, RegionBox, filter_by_attention
 from ramk.errors import DimensionError
+from ramk.index import RetrievalIndex, _payload_layout
 from ramk.kernels import (
     DEFAULT_SELECTIVITY,
+    MODE_ASMK,
+    MODE_R_ASMK_STAR,
+    PLAIN_COUNTERPART,
     AggregatedRepresentation,
     SelectivityParams,
+    _fold_residuals,
     _gammas,
     _match_totals,
+    _residuals,
     is_binary_mode,
     is_regional_mode,
     is_vlad_family,
     word_match_rows,
 )
-from ramk.regional import as_regional_query
+from ramk.regional import as_regional_query, region_descriptor_indices, select_regions
 
 
 def make_features(
@@ -225,6 +231,68 @@ def oracle_entry_scores(index, plain: AggregatedRepresentation) -> np.ndarray:
     if regional and not index.normalize_regional:
         return sums
     return q.gamma * index.gammas * sums
+
+
+def oracle_build_index(
+    manifest,
+    codebook: Codebook,
+    mode: str,
+    strategy,
+    params: SelectivityParams = DEFAULT_SELECTIVITY,
+    normalize_regional: bool = True,
+    attention_min: float | None = None,
+) -> RetrievalIndex:
+    """``index.build_index`` one image at a time.  Each image is quantized on
+    its own and its regions, each the descriptors ``region_descriptor_indices``
+    gives, are folded in one ``_fold_residuals`` keyed ``region * C + word``
+    with one ``_gammas`` grouped by region; a regional mode then folds the
+    gamma-weighted region rows by word, divided by the image's region count.
+    The postings are the entries' words stably sorted, entry by entry."""
+    c, dim = codebook.size, codebook.dim
+    regional = is_regional_mode(mode)
+    base = (MODE_ASMK if mode == MODE_R_ASMK_STAR else PLAIN_COUNTERPART[mode]) if regional else mode
+    entries, sizes = [], []
+    for img in manifest.images:
+        features = manifest.load_features(img)
+        if attention_min is not None:
+            features = filter_by_attention(features, attention_min)
+        regions = select_regions(features, strategy)
+        part = partition(codebook, features)
+        members = [region_descriptor_indices(features, regions, r) for r in range(regions.count)]
+        desc = np.concatenate(members)
+        region = np.repeat(np.arange(regions.count), [len(m) for m in members])
+        keys, stored = _fold_residuals(base, region * c + part.labels[desc], _residuals(part, codebook)[desc])
+        gammas = _gammas(base, stored, dim, params, keys // c, regions.count)
+        if regional:
+            weights = np.asarray(gammas)[keys // c]
+            kept = weights != 0.0
+            rows = weights[kept, None] * stored[kept].astype(np.float64)
+            words, rows = _fold_residuals(mode, keys[kept] % c, rows, np.full(len(rows), regions.count))
+            entries.append((words, rows, _gammas(mode, rows, dim, params)[0]))
+            sizes.append(1)
+        else:
+            cuts = np.searchsorted(keys // c, np.arange(1, regions.count))
+            entries += zip(np.split(keys % c, cuts), np.split(stored, cuts), gammas)
+            sizes.append(regions.count)
+    dtype, columns = _payload_layout(mode, dim)
+    words = np.concatenate([np.empty(0, np.int64)] + [w for w, _, _ in entries])
+    order = np.argsort(words, kind="stable")
+    counts = [len(w) for w, _, _ in entries]
+    return RetrievalIndex(
+        mode=mode,
+        params=params,
+        normalize_regional=normalize_regional,
+        codebook=codebook,
+        codebook_hash=codebook_digest(codebook),
+        strategy=str(strategy),
+        images=[img.image_id for img in manifest.images],
+        entry_image=np.repeat(np.arange(len(sizes)), sizes),
+        region_index=np.concatenate([np.empty(0, np.int64)] + [np.arange(size) for size in sizes]),
+        gammas=np.array([gamma for _, _, gamma in entries], dtype=np.float64),
+        word_ptr=np.append(0, np.cumsum(np.bincount(words, minlength=c))),
+        entry_ids=np.repeat(np.arange(len(entries), dtype=np.uint32), counts)[order],
+        payload=np.concatenate([np.empty((0, columns), dtype)] + [r for _, r, _ in entries])[order],
+    )
 
 
 def random_packed_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

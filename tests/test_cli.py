@@ -354,6 +354,9 @@ class TestCodebookCli:
         ((traced, peak, rows, sample_bytes),) = seen
         assert rows == (cap or 30 * 120)  # 30 database images of 120 descriptors
         assert traced < 1.2 * sample_bytes
+        if cap is None:
+            # Each image's descriptors are copied into the sample as they load: no stacked copy.
+            assert peak < 1.2 * sample_bytes
         # The codebook of the stacked descriptors, subsampled by the same draw.
         manifest = load_manifest(data / "manifest.txt")
         stacked = np.concatenate([manifest.load_features(img).vectors for img in manifest.images])

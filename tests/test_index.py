@@ -16,12 +16,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ramk import index as index_module
 from ramk.codebook import Codebook, WordPartition, partition, train_codebook
 from ramk.errors import ConfigError, DataError, DimensionError, FormatError
 from ramk.features_io import (
     DatasetManifest,
     ManifestImage,
     RegionBox,
+    filter_by_attention,
     load_manifest,
     save_image_features,
 )
@@ -62,6 +64,7 @@ from conftest import (
     complement_packed,
     make_codebook,
     make_features,
+    oracle_build_index,
     oracle_entry_scores,
     random_packed_rows,
     with_first_image_id,
@@ -216,6 +219,112 @@ class TestBuildShape:
         a = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"), threads=1)
         b = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"), threads=4)
         assert serialize_index(a) == serialize_index(b)
+
+
+@pytest.fixture(scope="module")
+def edge_corpus(corpus, tmp_path_factory):
+    """The corpus with three edge-case images among its own: one with no
+    descriptors, one that an attention floor of 100 empties, and one whose
+    top-scoring box holds no descriptor (an empty region).  The last has no
+    declared size, so its whole-image box ends at its rightmost descriptor,
+    which region 0 holds all the same."""
+    manifest, _, codebook = corpus
+    out = tmp_path_factory.mktemp("edges")
+    rng = np.random.default_rng(27)
+    blank = make_features(rng, 0, 8, boxes=[RegionBox(8.0, 6.0, 40.0, 30.0, 0.9)], image_id="blank")
+    dim = make_features(rng, 20, 8, boxes=[RegionBox(4.0, 4.0, 30.0, 30.0, 0.7)], image_id="dim")
+    dim.attentions[:] = 10.0
+    hole = make_features(rng, 30, 8, boxes=[RegionBox(0.0, 0.0, 10.0, 10.0, 0.95),
+                                            RegionBox(20.0, 20.0, 50.0, 40.0, 0.5)], image_id="hole")
+    hole.positions[:] = rng.uniform(20.0, 44.0, size=(30, 2)).astype(np.float32)
+    images = list(manifest.images)
+    for at, features, size in [(2, blank, (64, 48)), (9, dim, (64, 48)), (15, hole, (None, None))]:
+        save_image_features(features, out / f"{features.image_id}.dtrf")
+        images.insert(at, ManifestImage(features.image_id, str(out / f"{features.image_id}.dtrf"), *size))
+    edges = DatasetManifest(name="edges", dim=manifest.dim, images=images, root=manifest.root)
+    return edges, codebook
+
+
+class TestBlockBuild:
+    """``build_index`` folds blocks of consecutive images; its bytes equal
+    ``oracle_build_index``, which folds one image at a time, however the
+    blocks are cut and whatever the thread count."""
+
+    @staticmethod
+    def budgets(manifest, dim, strategy, attention_min) -> dict[str, int]:
+        """Cell budgets that cut after every image, after the first eight
+        images' cells (descriptors x regions x D each), and never."""
+        cells = 0
+        for img in manifest.images[:8]:
+            features = manifest.load_features(img)
+            if attention_min is not None:
+                features = filter_by_attention(features, attention_min)
+            cells += features.count * select_regions(features, strategy).count * dim
+        return {"one": 1, "mid": cells, "whole": 1 << 40}
+
+    def build_blocks(self, monkeypatch, budget, *args, **kwargs):
+        """The index and the image count of each block it folded."""
+        fold, blocks = index_module._fold_images, []
+
+        def spy(block, *rest):
+            blocks.append(len(block))
+            return fold(block, *rest)
+
+        monkeypatch.setattr(index_module, "_CHUNK_CELLS", budget)
+        monkeypatch.setattr(index_module, "_fold_images", spy)
+        try:
+            return build_index(*args, **kwargs), blocks
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("strategy_text", ["whole", "detector:0.4", "rmac:2", "topk:2"])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_bytes_equal_the_per_image_oracle(self, edge_corpus, monkeypatch, mode, strategy_text):
+        manifest, codebook = edge_corpus
+        strategy = RegionStrategy.parse(strategy_text)
+        n = len(manifest.images)
+        for attention_min, normalize in [(None, True), (None, False), (100.0, True)]:
+            options = dict(normalize_regional=normalize, attention_min=attention_min)
+            want = serialize_index(oracle_build_index(manifest, codebook, mode, strategy, **options))
+            for name, budget in self.budgets(manifest, codebook.dim, strategy, attention_min).items():
+                # One block leaves the pool nothing to share out.
+                for threads in (1,) if name == "whole" else (1, 2):
+                    index, blocks = self.build_blocks(
+                        monkeypatch, budget, manifest, codebook, mode, strategy, threads=threads, **options
+                    )
+                    assert sum(blocks) == n
+                    if name == "one":
+                        assert blocks == [1] * n
+                    elif name == "mid":
+                        assert 1 < len(blocks) < n and max(blocks) > 1
+                    else:
+                        assert blocks == [n]
+                    assert serialize_index(index) == want, (attention_min, normalize, name, threads)
+
+    def test_edge_images_keep_their_entries(self, edge_corpus):
+        manifest, codebook = edge_corpus
+        strategy = RegionStrategy.parse("detector:0.4")
+        index = build_index(manifest, codebook, "asmk", strategy, attention_min=100.0)
+        at = {ident: i for i, ident in enumerate(index.images)}
+        blank, dim, hole = (index.entry_image == at[ident] for ident in ("blank", "dim", "hole"))
+        # Every region keeps its entry; with no descriptor in it, its gamma is 0.
+        assert index.gammas[blank].tolist() == [0.0, 0.0]
+        assert index.gammas[dim].tolist() == [0.0, 0.0]
+        assert index.gammas[hole][0] > 0.0 and index.gammas[hole][1] == 0.0
+        assert not np.isin(np.flatnonzero(blank | dim), index.entry_ids).any()
+        regional = build_index(manifest, codebook, "r-asmk", strategy, attention_min=100.0)
+        assert regional.entry_count == len(manifest.images)
+        assert regional.gammas[[at["blank"], at["dim"]]].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_empty_manifest(self, corpus, mode, threads):
+        manifest, _, codebook = corpus
+        empty = DatasetManifest(name="empty", dim=manifest.dim, images=[], root=manifest.root)
+        strategy = RegionStrategy.parse("detector:0.4")
+        index = build_index(empty, codebook, mode, strategy, threads=threads)
+        assert index.entry_count == 0 and index.word_ptr[-1] == 0
+        assert serialize_index(index) == serialize_index(oracle_build_index(empty, codebook, mode, strategy))
 
 
 class TestQuery:

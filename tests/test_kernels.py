@@ -21,6 +21,7 @@ from ramk.kernels import (
     PLAIN_COUNTERPART,
     AggregatedRepresentation,
     SelectivityParams,
+    _fold_residuals,
     _selectivity_rows,
     aggregate,
     kernel_similarity,
@@ -286,6 +287,27 @@ class TestAggregate:
         regions = select_regions(f, RegionStrategy.parse("whole"))
         for rep in [aggregate(partition(cb, f), cb, "vlad"), *region_aggregates(f, regions, cb, "vlad")]:
             assert rep.words.tolist() == [0] and rep.rows.tolist() == [left_to_right.tolist()]
+
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_fold_keeps_two_images_of_a_block_apart(self, mode):
+        # Images 0 and 1 of one block both populate word 3.  Keyed image * C +
+        # word, each image sums only its own rows and divides by its own
+        # region count (2 and 3): the rows a fold of that image alone stores.
+        c, rng = 8, np.random.default_rng(27)
+        rows = rng.normal(size=(5, 16))
+        words = np.array([3, 1, 3, 3, 3])
+        image = np.array([0, 0, 1, 0, 1])
+        divisors = np.array([2, 3])[image]
+        keys, stored = _fold_residuals(mode, image * c + words, rows, divisors)
+        assert keys.tolist() == [1, 3, c + 3]
+        for i in (0, 1):
+            own_words, own = _fold_residuals(mode, words[image == i], rows[image == i], divisors[image == i])
+            assert own_words.tolist() == (keys[keys // c == i] % c).tolist()
+            assert own.tobytes() == stored[keys // c == i].tobytes()
+        if mode == "r-vlad":
+            want = [rows[1] / 2, (rows[0] + rows[3]) / 2, (rows[2] + rows[4]) / 3]
+            assert stored.tobytes() == np.array(want).astype(np.float32).tobytes()
 
 
 class TestKernelSimilarity:

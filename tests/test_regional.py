@@ -398,6 +398,16 @@ class TestRegionalSimilarity:
         with pytest.raises(ConfigError):
             as_regional_query(vlad, "r-asmk")
 
+    def test_aggregation_entry_points_check_their_modes(self):
+        rng = np.random.default_rng(35)
+        cb = make_codebook(rng, 8, 4)
+        f = make_features(rng, 10, 4)
+        regions = random_regions(rng, f, 2)
+        with pytest.raises(ConfigError):
+            region_aggregates(f, regions, cb, "r-asmk")
+        with pytest.raises(ConfigError):
+            aggregate_regional(f, regions, cb, "asmk")
+
     def test_naive_query_side_uses_normalized_residuals(self):
         rng = np.random.default_rng(34)
         cb = make_codebook(rng, 12, 5)
