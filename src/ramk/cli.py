@@ -141,7 +141,7 @@ _OPTIONS: dict[str, list[_Opt]] = {
         _Opt("sp-tol", float, None, "RANSAC inlier tolerance in pixels (default: 5%% of query size)"),
         _Opt("sp-seed", int, 0, "RANSAC seed"),
         _Opt("sp-max-dist", float, math.inf, "descriptor match distance threshold"),
-        _Opt("threads", int, 0, "worker threads (0 = all cores)"),
+        _Opt("threads", int, 0, "no effect on search (accepted for compatibility)"),
         _Opt("out", str, None, "output ranking file", required=True),
     ],
     "evaluate": _COMMON
@@ -431,7 +431,6 @@ def _cmd_search(cfg: dict) -> None:
                 inlier_tol=cfg["sp-tol"],
                 seed=cfg["sp-seed"],
                 max_distance=cfg["sp-max-dist"],
-                threads=_threads(cfg["threads"]),
             )
             if result.flagged:
                 logger.warning(

@@ -239,15 +239,19 @@ def _fold_residuals(
     and r-asmk, their packed signs for the star modes), drop all-zero rows and
     return the rest with their keys, ascending (int64)."""
     order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    counts = np.diff(starts, append=len(keys))
+    sk = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(sk[1:], sk[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.append(starts[1:], len(keys)) - starts
     sums = rows[order[starts]]
     for k in range(1, counts.max(initial=0)):
         live = np.flatnonzero(counts > k)
         sums[live] += rows[order[starts[live] + k]]
     if divisors is not None:
         sums /= divisors[order[starts], None]
-    keys = keys[order[starts]]
+    keys = sk[starts]
     if mode in (MODE_VLAD, MODE_R_VLAD, MODE_NAIVE_R_ASMK):
         stored = sums.astype(np.float32)
         keep = stored.any(axis=1)

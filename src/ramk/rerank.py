@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -337,9 +336,12 @@ def spatial_rerank(
     score)`` with ``squash`` order-preserving into (0, 1), so the output
     scores stay non-increasing while realizing the lexicographic order;
     the tail beyond ``depth`` keeps its original order with zero
-    verified inliers.  Candidates whose features cannot be loaded keep a
-    zero inlier count and are reported in ``flagged``.  ``depth`` of 0
-    returns the input untouched.
+    verified inliers.  Candidates are verified in ranking order on the
+    calling thread: RANSAC is many small NumPy calls that hold the GIL, so
+    threads would not run them in parallel.  ``threads`` has no effect and
+    stays only for callers that still pass it.  Candidates whose features
+    cannot be loaded keep a zero inlier count and are reported in
+    ``flagged``.  ``depth`` of 0 returns the input untouched.
     """
     if depth <= 0:
         return ranked
@@ -349,12 +351,13 @@ def spatial_rerank(
     tol = inlier_tol if inlier_tol is not None else default_inlier_tol(query_features)
     seeds = np.random.SeedSequence(seed).spawn(depth)
     flagged: list[str] = []
-
-    def verify(item: tuple[int, tuple[str, float]]) -> tuple[int, bool]:
-        pos, (image_id, _) = item
+    scored = []
+    for pos, (image_id, score) in enumerate(head):
         candidate = corpus(image_id)
         if candidate is None:
-            return 0, True
+            flagged.append(image_id)
+            scored.append((image_id, 0, score))
+            continue
         pairs = match_features(query_features, candidate, max_distance)
         _, inliers = ransac_affine(
             query_features.positions[pairs[:, 0]].astype(np.float64),
@@ -363,20 +366,7 @@ def spatial_rerank(
             inlier_tol=tol,
             seed=int(seeds[pos].generate_state(1)[0]),
         )
-        return int(inliers.size), False
-
-    items = list(enumerate(head))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verified = list(pool.map(verify, items))
-    else:
-        verified = [verify(it) for it in items]
-
-    scored = []
-    for (pos, (image_id, score)), (inliers, missing) in zip(items, verified):
-        if missing:
-            flagged.append(image_id)
-        scored.append((image_id, inliers, score))
+        scored.append((image_id, int(inliers.size), score))
     # Stable sort by inlier count keeps the original (score desc, id asc)
     # order among equal counts: exactly the lexicographic rule.
     scored.sort(key=lambda t: -t[1])

@@ -134,6 +134,8 @@ class TestExitCodes:
             ("search", ("--sp", "--sp-tol", "-1")),
             ("analyze-relevance", ("--sp-max-dist", "-1")),
             ("analyze-relevance", ("--sp-tol", "-1")),
+            ("build-index", ("--threads", "-1")),
+            ("search", ("--threads", "-1")),
         ],
     )
     def test_negative_int_or_nan_value_is_config_error(

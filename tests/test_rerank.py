@@ -18,6 +18,7 @@ and final result bit for bit.
 from __future__ import annotations
 
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -659,13 +660,20 @@ class TestSpatialRerank:
         assert out.flagged == ("missing",)
         assert "missing" in [i for i, _ in out.ranking]
 
-    def test_thread_count_invariant(self):
+    def test_thread_count_invariant(self, monkeypatch):
+        # Candidates are verified on the calling thread whatever `threads`
+        # asks for: starting a thread fails the test.
+        def no_threads(self):
+            raise AssertionError("spatial_rerank started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
         rng = np.random.default_rng(13)
         db = self._setup(rng)
-        ranked = RankedResult("q", [("a", 0.9), ("b", 0.8), ("c", 0.7)])
-        one = spatial_rerank(ranked, db["b"], lambda i: db.get(i), depth=3, threads=1)
-        four = spatial_rerank(ranked, db["b"], lambda i: db.get(i), depth=3, threads=4)
+        ranked = RankedResult("q", [("a", 0.9), ("missing", 0.85), ("b", 0.8), ("c", 0.7)])
+        one = spatial_rerank(ranked, db["b"], lambda i: db.get(i), depth=4, threads=1)
+        four = spatial_rerank(ranked, db["b"], lambda i: db.get(i), depth=4, threads=4)
         assert one.ranking == four.ranking
+        assert one.flagged == four.flagged == ("missing",)
 
     def test_default_tolerance_from_dimensions(self):
         f = make_features(np.random.default_rng(14), 5, 4, width=200, height=100)
