@@ -123,7 +123,7 @@ _OPTIONS: dict[str, list[_Opt]] = {
         _Opt("tau", float, 0.0, "selectivity threshold"),
         _Opt("raw-regional", _bool, False, "disable regional score normalization", flag=True),
         _Opt("attention-min", float, None, "drop descriptors below this attention score"),
-        _Opt("threads", int, 0, "worker threads (0 = all cores)"),
+        _Opt("threads", int, 0, "no effect (accepted for compatibility)"),
         _Opt("out", str, None, "output index file (DTRI)", required=True),
     ],
     "search": _COMMON
@@ -241,7 +241,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 def _provenance(command: str, cfg: dict) -> list[str]:
     lines = [f"# ramk {__version__}", f"# command:{command}"]
     for key in sorted(cfg):
-        if key == "config":
+        if key in ("config", "threads"):  # --threads changes no output
             continue
         value = cfg[key]
         if value is not None:
@@ -255,10 +255,6 @@ def _write_text(path: str | Path, header: list[str], body: str) -> None:
 
 def _write_sidecar(binary_path: str, header: list[str]) -> None:
     _write_text(str(binary_path) + ".provenance", header, "")
-
-
-def _threads(value: int) -> int:
-    return value or os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +338,6 @@ def _cmd_build_index(cfg: dict) -> None:
         strategy,
         params=params,
         normalize_regional=not cfg["raw-regional"],
-        threads=_threads(cfg["threads"]),
         attention_min=cfg["attention-min"],
     )
     save_index(index, cfg["out"])

@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import logging
 import struct
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -195,12 +193,13 @@ def build_index(
 ) -> RetrievalIndex:
     """Aggregate every manifest image and assemble the inverted file.
 
-    Images are aggregated a block of consecutive images at a time
-    (``regional._fold_images``), blocks of at most _CHUNK_CELLS cells of
-    residual rows unless one image folds more; with ``threads`` > 1 a pool
-    of that many threads folds blocks while the next ones load.  Entry numbering follows manifest order, then
-    region order, and an image's entries do not depend on its block, so the
-    result is independent of the block cuts and the thread count.
+    Images are aggregated on the calling thread a block of consecutive
+    images at a time (``regional._fold_images``), blocks of at most
+    _CHUNK_CELLS cells of residual rows unless one image folds more.  Entry
+    numbering follows manifest order, then region order, and an image's
+    entries do not depend on its block, so the result is independent of the
+    block cuts.  ``threads`` has no effect and stays only for callers that
+    still pass it.
     """
     check_mode(mode)
     if codebook.dim != manifest.dim:
@@ -229,22 +228,9 @@ def build_index(
         if block:
             yield block
 
-    def fold(block) -> tuple:
-        """The block's entries (``_fold_images``) and each image's entry count."""
-        return *_fold_images(block, codebook, mode, params), [1 if regional else r.count for _, r in block]
-
-    if threads > 1:
-        # The pool folds blocks while the next ones load; at most `threads` wait
-        # unfolded, so memory holds a bounded number of blocks.
-        folded, pending = [], deque()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for block in blocks():
-                pending.append(pool.submit(fold, block))
-                if len(pending) > threads:
-                    folded.append(pending.popleft().result())
-            folded += [future.result() for future in pending]
-    else:
-        folded = [fold(block) for block in blocks()]
+    # Each block gives its entries (``_fold_images``) and each image's entry count.
+    folded = [(*_fold_images(block, codebook, mode, params), [1 if regional else r.count for _, r in block])
+              for block in blocks()]
 
     dtype, columns = _payload_layout(mode, codebook.dim)
     # Each column starts from an empty array of its dtype, so an empty manifest builds too.

@@ -463,9 +463,10 @@ class TestIndexAndSearchCli:
         assert run("build-index", "--manifest", str(data / "manifest.txt"),
                    "--codebook", str(cb), "--mode", "asmk", "--out", str(ix)) == 0
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        for out in (a, b):
+        # --threads changes no output, so the provenance header leaves it out too.
+        for out, threads in ((a, ()), (b, ("--threads", "2"))):
             assert run("search", "--index", str(ix), "--queries", str(data / "queries.txt"),
-                       "--top-n", "12", "--out", str(out)) == 0
+                       "--top-n", "12", *threads, "--out", str(out)) == 0
         assert a.read_text().replace(str(a), "") == b.read_text().replace(str(b), "")
 
     def test_empty_query_file_warns_and_emits_empty_ranking(self, pipeline, tmp_path):
@@ -580,7 +581,8 @@ class TestGenSyntheticCli:
 
 def test_runtime_imports_no_scipy():
     """scipy is a test dependency only: a fresh interpreter that imports
-    ``ramk``, ``ramk.cli`` and every ``ramk`` submodule loads none of it."""
+    ``ramk``, ``ramk.cli`` and every ``ramk`` submodule loads none of it.
+    Nor does it load ``concurrent.futures``: no ``ramk`` module uses a pool."""
     code = (
         "import importlib, pkgutil, sys\n"
         "import ramk, ramk.cli\n"
@@ -589,10 +591,12 @@ def test_runtime_imports_no_scipy():
         "    importlib.import_module(name)\n"
         "print(len(names))\n"
         "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+        "print(sorted(k for k in sys.modules if k.startswith('concurrent')))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    count, loaded = done.stdout.splitlines()
+    count, loaded, pools = done.stdout.splitlines()
     assert int(count) >= 10
     assert loaded == "[]"
+    assert pools == "[]"

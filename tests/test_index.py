@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -214,7 +215,13 @@ class TestBuildShape:
         with pytest.raises(DimensionError):
             build_index(manifest, bad, "asmk", RegionStrategy.parse("whole"))
 
-    def test_thread_count_does_not_change_index(self, corpus):
+    def test_thread_count_does_not_change_index(self, corpus, monkeypatch):
+        # The index is built on the calling thread whatever `threads` asks
+        # for: starting a thread fails the test.
+        def no_threads(self):
+            raise AssertionError("build_index started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
         manifest, _, codebook = corpus
         a = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"), threads=1)
         b = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"), threads=4)
@@ -248,7 +255,7 @@ def edge_corpus(corpus, tmp_path_factory):
 class TestBlockBuild:
     """``build_index`` folds blocks of consecutive images; its bytes equal
     ``oracle_build_index``, which folds one image at a time, however the
-    blocks are cut and whatever the thread count."""
+    blocks are cut and whatever ``threads`` says."""
 
     @staticmethod
     def budgets(manifest, dim, strategy, attention_min) -> dict[str, int]:
@@ -287,7 +294,7 @@ class TestBlockBuild:
             options = dict(normalize_regional=normalize, attention_min=attention_min)
             want = serialize_index(oracle_build_index(manifest, codebook, mode, strategy, **options))
             for name, budget in self.budgets(manifest, codebook.dim, strategy, attention_min).items():
-                # One block leaves the pool nothing to share out.
+                # `threads` has no effect; 2 checks that it still changes no byte.
                 for threads in (1,) if name == "whole" else (1, 2):
                     index, blocks = self.build_blocks(
                         monkeypatch, budget, manifest, codebook, mode, strategy, threads=threads, **options
