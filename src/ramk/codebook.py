@@ -313,7 +313,12 @@ def _rank(xl: np.ndarray, lifted: np.ndarray, bound: np.ndarray) -> tuple[np.nda
     """Index of the smallest ``g = xl @ lifted`` per row, and the rows
     (as positions) whose gap to the second smallest is not above
     ``bound``: exact ties, near-ties and non-finite rows."""
-    g = np.matmul(xl, lifted)
+    return _certify(np.matmul(xl, lifted), bound)
+
+
+def _certify(g: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_rank`` on computed rows ``g`` (overwritten): each row's argmin,
+    and the rows whose gap to their runner-up is not above ``bound``."""
     best = np.argmin(g, axis=1)
     # Flat positions of each row's start, then of its best and runner-up:
     # on short rows, np.min(axis=1) took 2.5x as long as argmin + gather.

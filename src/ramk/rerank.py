@@ -24,6 +24,83 @@ Python loop.  Its models and inliers are those of a loop that calls
   product computes (OpenBLAS rounds them alike; the tests pin it);
 - dropped samples keep their place with a count of -1, so the first
   kept sample with the most inliers wins.
+
+``spatial_rerank`` loads its head in ranking order and verifies it in
+blocks of candidates.  Each candidate's inliers are those of
+``match_features`` and then ``ransac_affine`` with its own seed, which
+are the blocks of one.
+
+Matching a block.  The candidates' rows are stacked, each candidate
+padded with zero rows to the longest, into one ``codebook._Refs``, and
+one lifted product per chunk of query rows gives every
+``g_j = |r_j|^2 - 2 x.r_j`` of every candidate, in float32 when the
+query rows are float32 and the stack's float32 lift lies within the
+guard, as in ``_nearest``.  The pad columns are set to +inf, and each
+candidate's segment takes ``_rank``'s argmin, runner-up and certificate
+(``codebook._certify``) against the bound of the stack, which uses
+``S = (|x| + R)^2`` with R the largest row norm of the whole stack.
+
+Why a pair certified in the stack is certified for its candidate alone.
+The derivation in ``codebook.py`` bounds the rounding error of each
+computed ``g_j``, and of each ``_sequential_sqdist`` value ``c_j``, by
+terms in ``|x|`` and ``|r_j|`` (plus an absolute term for underflow), and
+reaches ``S`` only through ``|r_j| <= R``.  Let ``R_k`` be the largest
+norm of candidate k's rows and ``S_k = (|x| + R_k)^2``.  As
+``R >= R_k``, ``S >= S_k``, so the bounds ``e`` and ``e'`` stated in
+``S`` hold for every row of the segment.  If the segment's best ``g_b``
+is below every other ``g_j`` of the segment by more than the bound, the
+chain::
+
+    c_j >= G_j + |x|^2 - e' >= g_j - e - e' + |x|^2
+        >  g_b + e + e' + |x|^2 >= G_b + e' + |x|^2 >= c_b
+
+runs over the segment's rows alone, so ``b`` is the argmin of the
+candidate's ``c_j``.  That is the label ``_nearest`` returns for the
+candidate alone: it certifies the same argmin or recomputes every
+``c_j`` and takes the lowest index among ties, and a tie is never
+certified.  The float32 guard holds for the stack as a whole: the lift
+is rounded to float32 only when ``2^-60 <= R^2 <= 2^100``, and rows are
+ranked in float32 only when ``|x| <= 2^50 - R``.  So every row has
+``2^-60 <= S <= 2^100``, which is all that the overflow and underflow
+arguments use.  The zero pad rows do not raise R.  Their ``g`` is
+replaced by +inf before the argmin, so a pad is never a winner, nor a
+runner-up in a segment of two or more rows.  A segment of one row has
+an infinite gap, so it is certified when its ``g`` is finite; a
+non-finite ``g`` gives a NaN gap and is not.  A larger R only widens the
+bound: the stack certifies fewer pairs than each candidate alone would,
+never a wrong one.  The pairs it does not certify take ``_nearest`` on
+their candidate alone.  Each pair's distance is the sequential float64
+sum of squared differences to its winner, the ``d2`` of ``_nearest``, so
+``max_distance`` keeps the same pairs.
+
+RANSAC on a block.  One ``_sample_picks`` call draws the samples of all
+of the block's (n, seed) pairs, each seed's raw words from its own
+generator.  One ``_sample_models`` call solves them on the stacked
+position columns, each pick offset to its candidate's rows and each
+collinearity test against its own candidate's spread.  Every entry is
+the element-wise formula of one candidate's call, so the picks and
+models equal per-candidate calls bit for bit.  Scoring, the argmax and
+the refit run per candidate: one scoring product over a whole head was
+measured slower than one per candidate.
+
+Block sizes.  A matching block holds about _MATCH_CELLS products: query
+rows, times candidates, times the rows of the longest candidate (or
+D + 1 if more).  At the benchmark's 16 query rows and 80-row candidates
+a head of 10 is one block; at about 1000 rows each, a block is one
+candidate.  A RANSAC block holds at most ``_SCORE_CELLS // (n *
+iterations)`` candidates, n the most matches among them, and at least
+one: four at n = 16 and 1000 iterations, one at n = 1000.  With the
+whole head of 10 in one RANSAC block, the benchmark's peak RSS rose by
+2.6 MB (+5.4%).  A block's sampling and solving also work in place
+where that keeps the bits (shifts, subtractions, the offset picks), and
+free the raw words before the fix-ups: a block of 4 candidates of 16
+matches peaks at 780 KB of temporaries, against 854 KB with separate
+arrays.  Whether glibc hands that memory back to the OS after a block,
+and faults it in again for the next, depends on the process's earlier
+allocations.  A fresh ``ramk search --sp --sp-depth 10`` over 122
+queries, started in four ways, took 7k-38k minor faults with separate
+arrays, 1.9k-7.3k in place, and 6.9k-86k verifying one candidate at a
+time (2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -31,11 +108,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .codebook import _nearest
+from .codebook import _F32_CHUNK_BYTES, _certify, _nearest, _Refs
 from .errors import DimensionError
 from .features_io import ImageFeatures
 from .index import RankedResult
@@ -48,6 +125,10 @@ _MIN_DET = 1e-9
 # Hypotheses are scored in blocks of at most this many (hypothesis,
 # correspondence) errors, which bounds the error matrix for large match sets.
 _SCORE_CELLS = 1 << 16
+# Matching blocks and their query-row chunks hold about this many
+# (row, candidate row) products, and as many float64 cells of winners'
+# rows: _nearest's float32 chunk budget.
+_MATCH_CELLS = _F32_CHUNK_BYTES // 4
 
 
 @dataclass(frozen=True)
@@ -73,17 +154,76 @@ def match_features(
 
     Returns a ``(k, 2)`` int64 array of (query index, candidate index)
     rows in ascending query order; several query descriptors may map to
-    the same candidate descriptor.
+    the same candidate descriptor.  This is ``_match_block`` on a block of
+    one candidate.
     """
-    if query.count == 0 or candidate.count == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if query.dim != candidate.dim:
-        raise DimensionError(f"descriptor dimensions differ: {query.dim} vs {candidate.dim}")
-    nearest, d2 = _nearest(query.vectors, candidate.vectors)
-    kept = np.flatnonzero(np.sqrt(d2) <= max_distance)
-    pairs = np.empty((kept.size, 2), dtype=np.int64)
-    pairs[:, 0] = kept
-    pairs[:, 1] = nearest[kept]
+    return _match_block(query, [candidate], max_distance)[0]
+
+
+def _match_block(
+    query: ImageFeatures, candidates: list[ImageFeatures], max_distance: float
+) -> list[np.ndarray]:
+    """``match_features(query, c, max_distance)`` for each candidate ``c``.
+
+    The candidates' rows are stacked into one ``_Refs``, each padded with
+    zero rows to the longest, and one lifted product per chunk of query
+    rows ranks every (row, candidate) pair: its pad columns are set to
+    +inf and ``_certify`` takes each segment's argmin and runner-up
+    against the stacked bound (module docstring).  The pairs it cannot
+    certify take ``_nearest`` on their candidate alone.  A chunk holds
+    about _MATCH_CELLS cells of products and of the float64 winners'
+    rows, whose sequential sums of squared differences are the distances
+    ``_nearest`` returns.
+    """
+    pairs = [np.empty((0, 2), dtype=np.int64) for _ in candidates]
+    live = [k for k, c in enumerate(candidates) if c.count]
+    if query.count == 0 or not live:
+        return pairs
+    for k in live:
+        if candidates[k].dim != query.dim:
+            raise DimensionError(f"descriptor dimensions differ: {query.dim} vs {candidates[k].dim}")
+    x = query.vectors
+    m, d = x.shape
+    counts = np.array([candidates[k].count for k in live])
+    segments, width = counts.size, int(counts.max())
+    stack = np.zeros((segments, width, d), dtype=np.result_type(*(candidates[k].vectors for k in live)))
+    for i, k in enumerate(live):
+        stack[i, : counts[i]] = candidates[k].vectors
+    refs = _Refs(stack.reshape(-1, d))
+    pad = np.flatnonzero(np.arange(width) >= counts[:, None])
+    # Offsets of each segment's first row in the stack.
+    first = np.arange(segments) * width
+    xl64 = np.ones((m, d + 1))
+    x64 = xl64[:, :d]
+    x64[...] = x
+    x_norm = np.sqrt(np.vecdot(x64, x64))
+    s2 = (x_norm + refs.max_norm) ** 2
+    if x.dtype == np.float32 and refs.lifted32 is not None and x_norm.max() <= refs.norm_limit:
+        xl, lifted, bound = xl64.astype(np.float32), refs.lifted32, refs.coef32 * s2
+    else:
+        xl, lifted, bound = xl64, refs.lifted, refs.coef64 * s2 + refs.floor64
+    labels = np.empty((m, segments), dtype=np.int64)
+    d2 = np.empty((m, segments))
+    step = max(1, _MATCH_CELLS // (segments * max(width, d + 1)))
+    for lo in range(0, m, step):
+        g = np.matmul(xl[lo : lo + step], lifted)
+        g[:, pad] = np.inf
+        best, unsure = _certify(g.reshape(-1, width), np.repeat(bound[lo : lo + step], segments))
+        best = best.reshape(-1, segments)
+        rows, segs = np.divmod(unsure, segments)
+        for i in np.unique(segs):
+            r = rows[segs == i]
+            best[r, i] = _nearest(x[lo : lo + step][r], candidates[live[i]].vectors, distances=False)[0]
+        labels[lo : lo + step] = best
+        # A sequential sum of squares in the order of the dimensions, as in _nearest.
+        diff = refs.rows[best + first]
+        np.subtract(x64[lo : lo + step, None], diff, out=diff)
+        diff *= diff
+        d2[lo : lo + step] = np.cumsum(diff, axis=2, out=diff)[..., -1]
+    kept = np.sqrt(d2) <= max_distance
+    for i, k in enumerate(live):
+        rows = np.flatnonzero(kept[:, i])
+        pairs[k] = np.stack([rows, labels[rows, i]], axis=1)
     return pairs
 
 
@@ -102,9 +242,11 @@ def _solve_affine(src: np.ndarray, dst: np.ndarray) -> AffineModel | None:
 
 
 def _sample_models(
-    src: np.ndarray, dst: np.ndarray, picks: np.ndarray
+    src: np.ndarray, dst: np.ndarray, picks: np.ndarray, spread: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact affine maps through the 3-point samples ``picks`` (k, 3).
+    """Exact affine maps through the 3-point samples ``picks`` (k, 3),
+    whose collinearity is judged against ``spread``: the point-spread area
+    ``ptp(x) * ptp(y)`` of each sample's own matches, one value or (k,).
 
     Returns the transposed linear parts ``A^T`` (k, 2, 2) of all k
     samples in sample order, so that ``src @ At + t`` applies them, and a
@@ -120,16 +262,22 @@ def _sample_models(
     Column layout: each coordinate (x, y, x', y') of each pick column is
     gathered into a 1-D array over all k samples, and each entry of
     ``A^T`` comes from the element-wise formula a single sample would use,
-    so every kept model has the bits of a one-sample solve.  Nothing is
-    compressed, so a collinear sample may divide by a zero determinant;
-    those floating-point warnings are silenced.
+    so every kept model has the bits of a one-sample solve.  So the rows
+    of several candidates' matches can share the columns: a block's picks
+    index the stacked rows, and each sample keeps its candidate's spread.
+    Nothing is compressed, so a collinear sample may divide by a zero
+    determinant; those floating-point warnings are silenced.
     """
-    sx, sy = src.T
-    dx, dy = dst.T
     p0, p1, p2 = picks.T
-    x0, y0, x0d, y0d = sx[p0], sy[p0], dx[p0], dy[p0]
-    u1x, u1y, u2x, u2y = sx[p1] - x0, sy[p1] - y0, sx[p2] - x0, sy[p2] - y0
-    v1x, v1y, v2x, v2y = dx[p1] - x0d, dy[p1] - y0d, dx[p2] - x0d, dy[p2] - y0d
+    # The second and third points minus the first, per coordinate, in
+    # place: a block's samples hold one first-point column at a time.
+    rel = []
+    for col in (*src.T, *dst.T):
+        first = col[p0]
+        for p in (p1, p2):
+            rel.append(col[p])
+            rel[-1] -= first
+    u1x, u2x, u1y, u2y, v1x, v2x, v1y, v2y = rel
     # Twice the signed triangle area: the collinearity test and the
     # solve's determinant.
     det = u1x * u2y - u2x * u1y
@@ -141,15 +289,18 @@ def _sample_models(
         np.divide(v2x * u1x - v1x * u2x, det, out=at[:, 1, 0])
         np.divide(v2y * u1x - v1y * u2x, det, out=at[:, 1, 1])
         det_a = at[:, 0, 0] * at[:, 1, 1] - at[:, 0, 1] * at[:, 1, 0]
-    keep = 0.5 * np.abs(det) > _COLLINEAR_FRAC * (np.ptp(sx) * np.ptp(sy))
+    keep = 0.5 * np.abs(det) > _COLLINEAR_FRAC * spread
     keep &= np.abs(det_a) > _MIN_DET
     return at, keep
 
 
-def _sample_picks(n: int, iterations: int, seed: int) -> np.ndarray:
-    """The ``(iterations, 3)`` int64 picks of one ``choice(n, 3,
-    replace=False)`` call per iteration on a fresh PCG64 generator, bit
-    for bit, from one block of raw generator words and array operations.
+def _sample_picks(ns: np.ndarray | list[int], iterations: int, seeds: list[int]) -> np.ndarray:
+    """The int64 picks of one ``choice(n, 3, replace=False)`` call per
+    iteration on a fresh PCG64 generator of ``seed``, bit for bit, for
+    each (n, seed) pair of ``ns`` and ``seeds`` in turn: ``(len(ns) *
+    iterations, 3)`` rows, each pair's ``iterations >= 0`` rows together,
+    from one block of raw generator words per seed and array operations
+    over all of them.
 
     ``choice(n, 3, replace=False)`` runs Floyd's algorithm: draws in
     [0, j] for j = n-3, n-2, n-1, where a draw equal to an earlier pick
@@ -162,29 +313,34 @@ def _sample_picks(n: int, iterations: int, seed: int) -> np.ndarray:
     returns ``(w * e) >> 32``, unless the low 32 bits of ``w * e`` fall
     below ``2^32 mod e``, when it draws again.  PCG64 makes its uint32s
     by splitting each 64-bit word, low half first.  So for 4 <= n <= 2^31
-    the draws are one multiply-shift over the halves of
+    a seed's draws are one multiply-shift over the halves of
     ``ceil(5 * iterations / 2)`` raw words, as long as none of them is
     rejected.  Otherwise (a rejection; n = 3, whose bound of 1 draws
     nothing; or n > 2^31, where ``w * e`` may not fit int64) one
-    ``integers`` call with the array of the five bounds makes the same
+    ``integers`` call with the array of the five bounds makes that seed's
     draws on a fresh generator of the same seed, redraws included.  The
     fix-ups and the swaps are ``np.where`` selections on the five draw
-    columns.
+    columns of all pairs at once.
     """
-    iterations = max(iterations, 0)
-    bounds = np.array([n - 2, n - 1, n, 3, 2])
-    draws = None
-    if 4 <= n <= 1 << 31:
-        bitgen = np.random.PCG64(np.random.SeedSequence(seed))
-        words = bitgen.random_raw((5 * iterations + 1) // 2).astype("<u8", copy=False)
-        # w * e < 2^32 * 2^31 fits int64.
-        m = words.view("<u4")[: 5 * iterations].reshape(iterations, 5) * bounds
-        if not ((m & 0xFFFFFFFF) < (1 << 32) % bounds).any():
-            draws = m >> 32
-    if draws is None:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        draws = rng.integers(0, bounds, size=(iterations, 5))
-    p0, p1, p2, c2, c1 = draws.T
+    ns = np.asarray(ns, dtype=np.int64)
+    bounds = np.array([[n - 2, n - 1, n, 3, 2] for n in ns.tolist()], dtype=np.int64).reshape(-1, 5)
+    words = np.stack([
+        np.random.PCG64(np.random.SeedSequence(seed)).random_raw((5 * iterations + 1) // 2) for seed in seeds
+    ]).astype("<u8", copy=False)
+    # w * e < 2^32 * 2^31 fits int64, and its low 32 bits are the wrapped
+    # uint32 product; the draws of larger bounds are redrawn.
+    e = np.minimum(bounds, 1 << 31)[:, None]
+    w = words.view("<u4")[:, : 5 * iterations].reshape(ns.size, iterations, 5)
+    low = w * e.astype(np.uint32)
+    redraw = (low < (1 << 32) % bounds[:, None]).any(axis=(1, 2)) | (ns < 4) | (ns > 1 << 31)
+    draws = w * e
+    draws >>= 32
+    del words, w, low  # before the fix-ups, to keep a block's peak low (module docstring)
+    for k in np.flatnonzero(redraw):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seeds[k])))
+        draws[k] = rng.integers(0, bounds[k], size=(iterations, 5))
+    n = np.repeat(ns, iterations)
+    p0, p1, p2, c2, c1 = draws.reshape(-1, 5).T
     p1 = np.where(p1 == p0, n - 2, p1)
     p2 = np.where((p2 == p0) | (p2 == p1), n - 1, p2)
     # Swap position c2 with position 2, then position c1 with position 1.
@@ -256,21 +412,52 @@ def ransac_affine(
     of one ``choice(n, 3, replace=False)`` call per iteration, bit for bit
     (``_sample_picks``).  Every sample is solved exactly on coordinate
     columns (``_sample_models``) and scored against every correspondence,
-    one matrix product per block of hypotheses (``_inlier_masks``).  Samples with collinear query points or a
-    degenerate model count -1 inliers, so the first kept sample with the
-    most reprojection inliers wins, and its model is refit by least
-    squares on its inliers.
+    one matrix product per block of hypotheses (``_inlier_masks``).
+    Samples with collinear query points or a degenerate model count -1
+    inliers, so the first kept sample with the most reprojection inliers
+    wins, and its model is refit by least squares on its inliers.
     Returns (None, empty) when fewer than 3 correspondences exist or no
-    model reaches 3 inliers.  Deterministic for a fixed seed.
+    model reaches 3 inliers.  Deterministic for a fixed seed.  This is
+    ``_ransac_block`` on a block of one.
     """
-    n = src.shape[0]
+    return _ransac_block([(src, dst)], iterations, inlier_tol, [seed])[0]
+
+
+def _ransac_block(
+    matched: list[tuple[np.ndarray, np.ndarray]], iterations: int, inlier_tol: float, seeds: list[int]
+) -> list[tuple[AffineModel | None, np.ndarray]]:
+    """``ransac_affine(src, dst, iterations, inlier_tol, seed)`` for each
+    ``(src, dst)`` of ``matched`` and seed of ``seeds``.  The samples of
+    every candidate with 3 or more correspondences are drawn in one
+    ``_sample_picks`` call and solved in one ``_sample_models`` call on the
+    stacked position columns; scoring, the argmax and the refit run per
+    candidate (``_fit_best``)."""
+    results = [(None, np.empty(0, dtype=np.int64)) for _ in matched]
+    live = [k for k, (src, _) in enumerate(matched) if src.shape[0] >= 3]
+    if not live:
+        return results
+    iterations = max(iterations, 0)
+    ns = np.array([matched[k][0].shape[0] for k in live])
+    starts = np.cumsum(ns) - ns
+    src = np.concatenate([matched[k][0] for k in live])
+    dst = np.concatenate([matched[k][1] for k in live])
+    # ptp(x) * ptp(y) of each candidate's matches.
+    extent = np.maximum.reduceat(src, starts) - np.minimum.reduceat(src, starts)
+    picks = _sample_picks(ns, iterations, [seeds[k] for k in live])
+    picks += np.repeat(starts, iterations)[:, None]  # rows of the stacked columns
+    at, keep = _sample_models(src, dst, picks, np.repeat(extent[:, 0] * extent[:, 1], iterations))
+    for i, k in enumerate(live):
+        own = slice(i * iterations, (i + 1) * iterations)
+        results[k] = _fit_best(*matched[k], picks[own] - starts[i], at[own], keep[own], inlier_tol)
+    return results
+
+
+def _fit_best(
+    src: np.ndarray, dst: np.ndarray, picks: np.ndarray, at: np.ndarray, keep: np.ndarray, inlier_tol: float
+) -> tuple[AffineModel | None, np.ndarray]:
+    """Score one candidate's solved samples, keep the first with the most
+    inliers and refit it by least squares: ``ransac_affine``'s result."""
     empty = np.empty(0, dtype=np.int64)
-    if n < 3:
-        return None, empty
-
-    picks = _sample_picks(n, iterations, seed)
-    at, keep = _sample_models(src, dst, picks)
-
     best_count = 0
     best = -1
     best_mask: np.ndarray | None = None
@@ -318,6 +505,23 @@ def _squash(score: float) -> float:
     return 0.5 + score / (2.0 * (1.0 + abs(score)))
 
 
+def _runs(items: Iterable, width: Callable[[object], int], budget: int) -> Iterator[list]:
+    """Consecutive runs of ``items`` whose length times their largest
+    ``width`` stays within ``budget``, each at least one item long;
+    ``items`` is read at most one item past the run it yields."""
+    run: list = []
+    widest = 0
+    for item in items:
+        w = width(item)
+        if run and (len(run) + 1) * max(widest, w) > budget:
+            yield run
+            run, widest = [], 0
+        run.append(item)
+        widest = max(widest, w)
+    if run:
+        yield run
+
+
 def spatial_rerank(
     ranked: RankedResult,
     query_features: ImageFeatures,
@@ -336,12 +540,15 @@ def spatial_rerank(
     score)`` with ``squash`` order-preserving into (0, 1), so the output
     scores stay non-increasing while realizing the lexicographic order;
     the tail beyond ``depth`` keeps its original order with zero
-    verified inliers.  Candidates are verified in ranking order on the
-    calling thread: RANSAC is many small NumPy calls that hold the GIL, so
-    threads would not run them in parallel.  ``threads`` has no effect and
-    stays only for callers that still pass it.  Candidates whose features
-    cannot be loaded keep a zero inlier count and are reported in
-    ``flagged``.  ``depth`` of 0 returns the input untouched.
+    verified inliers.  Candidates load in ranking order and are verified
+    in blocks (module docstring) on the calling thread: RANSAC is many
+    small NumPy calls that hold the GIL, so threads would not run them in
+    parallel.  ``threads`` has no effect and stays only for callers that
+    still pass it.  Each candidate's inliers are those of
+    ``match_features`` and then ``ransac_affine`` with its own seed.
+    Candidates whose features cannot be loaded keep a zero inlier count
+    and are reported in ``flagged``.  ``depth`` of 0 returns the input
+    untouched.
     """
     if depth <= 0:
         return ranked
@@ -349,27 +556,35 @@ def spatial_rerank(
     head = ranked.ranking[:depth]
     tail = ranked.ranking[depth:]
     tol = inlier_tol if inlier_tol is not None else default_inlier_tol(query_features)
-    seeds = np.random.SeedSequence(seed).spawn(depth)
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(depth)]
     flagged: list[str] = []
-    scored = []
-    for pos, (image_id, score) in enumerate(head):
-        candidate = corpus(image_id)
-        if candidate is None:
-            flagged.append(image_id)
-            scored.append((image_id, 0, score))
-            continue
-        pairs = match_features(query_features, candidate, max_distance)
-        _, inliers = ransac_affine(
-            query_features.positions[pairs[:, 0]].astype(np.float64),
-            candidate.positions[pairs[:, 1]].astype(np.float64),
-            iterations=iterations,
-            inlier_tol=tol,
-            seed=int(seeds[pos].generate_state(1)[0]),
-        )
-        scored.append((image_id, int(inliers.size), score))
+
+    def loaded() -> Iterator[tuple[int, ImageFeatures]]:
+        for pos, (image_id, _) in enumerate(head):
+            candidate = corpus(image_id)
+            if candidate is None:
+                flagged.append(image_id)
+            else:
+                yield pos, candidate
+
+    # A matching block spans one chunk of _match_block's query rows.
+    m, row = query_features.count, query_features.dim + 1
+    matched = []  # (head position, query points, candidate points)
+    for block in _runs(loaded(), lambda item: m * max(row, item[1].count), _MATCH_CELLS):
+        found = _match_block(query_features, [c for _, c in block], max_distance)
+        for (pos, candidate), pairs in zip(block, found):
+            src = query_features.positions[pairs[:, 0]].astype(np.float64)
+            matched.append((pos, src, candidate.positions[pairs[:, 1]].astype(np.float64)))
+    inliers = [0] * depth
+    for block in _runs(matched, lambda item: iterations * item[1].shape[0], _SCORE_CELLS):
+        found = _ransac_block([(src, dst) for _, src, dst in block], iterations, tol, [seeds[p] for p, _, _ in block])
+        for (pos, _, _), (_, verified) in zip(block, found):
+            inliers[pos] = verified.size
     # Stable sort by inlier count keeps the original (score desc, id asc)
     # order among equal counts: exactly the lexicographic rule.
-    scored.sort(key=lambda t: -t[1])
+    scored = sorted(
+        ((image_id, inliers[pos], score) for pos, (image_id, score) in enumerate(head)), key=lambda t: -t[1]
+    )
     new_ranking = [(iid, float(inl + _squash(s))) for iid, inl, s in scored]
     new_ranking.extend((iid, float(_squash(s))) for iid, s in tail)
     return RankedResult(query_id=ranked.query_id, ranking=new_ranking, flagged=tuple(flagged))

@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from ramk import rerank
+from ramk.codebook import _Refs
+from ramk.errors import DimensionError
 from ramk.features_io import ImageFeatures
 from ramk.index import RankedResult
 from ramk.rerank import (
@@ -448,7 +450,7 @@ def column_form(src, dst, picks, tol):
     """The column form's pieces for ``picks``: ``A^T`` and the keep mask of
     every sample, and the blocks of ``_inlier_masks`` as (block starts,
     translations, masks) over all samples."""
-    at, keep = rerank._sample_models(src, dst, picks)
+    at, keep = rerank._sample_models(src, dst, picks, np.ptp(src[:, 0]) * np.ptp(src[:, 1]))
     blocks = list(rerank._inlier_masks(src, dst, at, picks[:, 0], tol))
     t = np.concatenate([np.zeros((0, 2))] + [t for _, _, t in blocks])
     masks = np.concatenate([np.zeros((src.shape[0], 0), dtype=bool)] + [m for _, m, _ in blocks], axis=1)
@@ -469,7 +471,7 @@ class TestColumnForm:
     )
     def test_equals_stacked_oracle(self, kind, n, iterations, cells, seed):
         src, dst, tol = column_case(kind, n, np.random.default_rng(seed))
-        picks = rerank._sample_picks(n, iterations, seed)
+        picks = rerank._sample_picks([n], iterations, [seed])
         np.testing.assert_array_equal(picks, choice_loop(n, iterations, seed))
         with mock.patch.object(rerank, "_SCORE_CELLS", cells):
             at, keep, starts, t, got_masks = column_form(src, dst, picks, tol)
@@ -493,7 +495,7 @@ class TestColumnForm:
         # The boundary case the grid shape is there for: errors equal to
         # inlier_tol must count as inliers in both forms.
         src, dst, tol = column_case("grid", 120, np.random.default_rng(5))
-        picks = rerank._sample_picks(120, 1000, 5)
+        picks = rerank._sample_picks([120], 1000, [5])
         _, at, t = oracle_sample_models(src, dst, picks)
         diff = np.matmul(src, at) + t[:, None] - dst
         err = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
@@ -518,7 +520,7 @@ class TestSamplePicks:
             # stopped, so shorter runs are prefixes of the 7-iteration one.
             want = choice_loop(n, 7, seed)
             for iterations in (0, 1, 7):
-                got = rerank._sample_picks(n, iterations, seed)
+                got = rerank._sample_picks([n], iterations, [seed])
                 assert got.dtype == np.int64 and got.shape == (iterations, 3)
                 np.testing.assert_array_equal(got, want[:iterations], err_msg=f"n={n}")
 
@@ -527,7 +529,7 @@ class TestSamplePicks:
     @pytest.mark.parametrize("n", [3, 4, 16, 262, 300, 3 << 30, 1 << 33])
     def test_equals_choice_loop_over_1000_iterations(self, n):
         for seed in (n, 5):
-            got = rerank._sample_picks(n, 1000, seed)
+            got = rerank._sample_picks([n], 1000, [seed])
             assert got.dtype == np.int64 and got.shape == (1000, 3)
             np.testing.assert_array_equal(got, choice_loop(n, 1000, seed))
 
@@ -547,7 +549,7 @@ class TestRawWordDraws:
                 return super().integers(low, high, *args, **kwargs)
 
         with mock.patch.object(np.random, "Generator", Spy):
-            picks = rerank._sample_picks(n, iterations, seed)
+            picks = rerank._sample_picks([n], iterations, [seed])
         return picks, calls
 
     @pytest.mark.parametrize("n", [4, 5, 16, 300, 1 << 20, 1 << 31])
@@ -678,3 +680,295 @@ class TestSpatialRerank:
     def test_default_tolerance_from_dimensions(self):
         f = make_features(np.random.default_rng(14), 5, 4, width=200, height=100)
         assert default_inlier_tol(f) == pytest.approx(10.0)
+
+
+def per_candidate_rerank(ranked, query, corpus, depth, iterations, inlier_tol, seed, max_distance):
+    """The per-candidate loop that ``spatial_rerank``'s blocks replace:
+    ``match_features``, then ``ransac_affine`` with the candidate's own
+    seed, one candidate at a time, then the stable sort by inliers.
+    Returns (ranking, flagged)."""
+    depth = min(depth, len(ranked.ranking))
+    head, tail = ranked.ranking[:depth], ranked.ranking[depth:]
+    seeds = np.random.SeedSequence(seed).spawn(depth)
+    flagged, scored = [], []
+    for pos, (image_id, score) in enumerate(head):
+        candidate = corpus(image_id)
+        if candidate is None:
+            flagged.append(image_id)
+            scored.append((image_id, 0, score))
+            continue
+        pairs = match_features(query, candidate, max_distance)
+        _, inliers = ransac_affine(
+            query.positions[pairs[:, 0]].astype(np.float64),
+            candidate.positions[pairs[:, 1]].astype(np.float64),
+            iterations=iterations,
+            inlier_tol=inlier_tol,
+            seed=int(seeds[pos].generate_state(1)[0]),
+        )
+        scored.append((image_id, int(inliers.size), score))
+    scored.sort(key=lambda t: -t[1])
+    ranking = [(iid, float(inl + rerank._squash(s))) for iid, inl, s in scored]
+    ranking += [(iid, float(rerank._squash(s))) for iid, s in tail]
+    return ranking, tuple(flagged)
+
+
+def random_head(rng: np.random.Generator, d: int = 6):
+    """A query, a corpus and a ranking over it: candidates that hold a
+    moved, noisy subset of the query's features plus clutter (so unequal
+    row counts and, under a finite ``max_distance``, a different number
+    of matches each, some below 3), unrelated ones, one with no rows and
+    one the corpus cannot load."""
+    query = make_features(rng, int(rng.integers(4, 16)), d, width=200, height=200, image_id="q")
+    db = {}
+    for i in range(int(rng.integers(3, 12))):
+        kind = rng.choice(["moved", "moved", "random"])
+        if kind == "moved":
+            keep = rng.random(query.count) < rng.uniform(0.1, 1.0)
+            clutter = make_features(rng, int(rng.integers(0, 25)), d, width=200, height=200)
+            vectors = query.vectors[keep] + rng.normal(0, 0.05, (int(keep.sum()), d)).astype(np.float32)
+            positions = query.positions[keep] * 1.1 + rng.normal(3.0, 0.3, (int(keep.sum()), 2))
+            db[f"c{i}"] = features_from(
+                np.concatenate([vectors, clutter.vectors]),
+                np.concatenate([positions, clutter.positions]),
+                image_id=f"c{i}",
+            )
+        else:
+            db[f"c{i}"] = make_features(rng, int(rng.integers(1, 40)), d, width=200, height=200, image_id=f"c{i}")
+    db["empty"] = make_features(rng, 0, d, image_id="empty")
+    ids = list(db) + ["missing"]
+    ranking = [(ids[j], 1.0 - 0.01 * k) for k, j in enumerate(rng.permutation(len(ids)))]
+    return query, db, RankedResult("q", ranking)
+
+
+def block_spies():
+    """Patches for ``_match_block`` and ``_ransac_block`` that record each
+    matching block's candidate count and each RANSAC block's match counts."""
+    sizes = {"match": [], "ransac": []}
+    match_block, ransac_block = rerank._match_block, rerank._ransac_block
+
+    def match_spy(q, candidates, max_distance):
+        sizes["match"].append(len(candidates))
+        return match_block(q, candidates, max_distance)
+
+    def ransac_spy(matched, *args):
+        sizes["ransac"].append([src.shape[0] for src, _ in matched])
+        return ransac_block(matched, *args)
+
+    return sizes, {"_match_block": match_spy, "_ransac_block": ransac_spy}
+
+
+class TestBlockedRerank:
+    """``spatial_rerank`` verifies its head in blocks of candidates; its
+    rankings and flags must be those of the per-candidate loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_distance=st.sampled_from([math.inf, 0.4, 1.5]),
+        iterations=st.sampled_from([1, 20, 100]),
+        budgets=st.sampled_from([(_SCORE_CELLS, rerank._MATCH_CELLS), (300, 150), (2000, 400)]),
+    )
+    def test_equals_per_candidate_loop(self, seed, max_distance, iterations, budgets):
+        rng = np.random.default_rng(seed)
+        query, db, ranked = random_head(rng)
+        depth = int(rng.integers(1, len(ranked.ranking) + 2))
+        want = per_candidate_rerank(ranked, query, db.get, depth, iterations, 4.0, seed % 1000, max_distance)
+        with mock.patch.multiple(rerank, _SCORE_CELLS=budgets[0], _MATCH_CELLS=budgets[1]):
+            got = spatial_rerank(
+                ranked, query, db.get, depth, iterations=iterations, inlier_tol=4.0,
+                seed=seed % 1000, max_distance=max_distance,
+            )
+        assert (got.ranking, got.flagged) == want
+
+    def test_small_budgets_span_several_blocks(self):
+        # Candidates of up to 20 rows and 12 query rows: a matching budget
+        # of 600 cells holds two or three candidates, and 2000 RANSAC cells
+        # at 100 iterations hold two candidates of up to 10 matches.
+        rng = np.random.default_rng(31)
+        query = make_features(rng, 12, 6, width=200, height=200, image_id="q")
+        db = {}
+        for i, m in enumerate([12, 5, 20, 8, 0, 12, 15, 9]):
+            extra = make_features(rng, max(0, m - 12), 6, width=200, height=200)
+            rows = max(0, min(m, 12) - i % 3)
+            db[f"c{i}"] = features_from(
+                np.concatenate([query.vectors[:rows], extra.vectors]),
+                np.concatenate([query.positions[:rows] * 0.9 + 7.0, extra.positions]),
+                image_id=f"c{i}",
+            )
+        ids = list(db)
+        ids.insert(3, "missing")
+        ranked = RankedResult("q", [(iid, 1.0 - 0.01 * k) for k, iid in enumerate(ids)])
+        want = per_candidate_rerank(ranked, query, db.get, len(ids), 100, 2.0, 5, 0.5)
+        sizes, spies = block_spies()
+        with mock.patch.multiple(rerank, _MATCH_CELLS=600, _SCORE_CELLS=2000, **spies):
+            got = spatial_rerank(ranked, query, db.get, len(ids), iterations=100, inlier_tol=2.0, seed=5, max_distance=0.5)
+        assert (got.ranking, got.flagged) == want
+        assert got.flagged == ("missing",)
+        match, ransac = sizes["match"], [len(n) for n in sizes["ransac"]]
+        assert sum(match) == sum(ransac) == len(db)
+        assert len(match) > 1 and max(match) > 1
+        assert len(ransac) > 1 and max(ransac) > 1
+
+    def test_default_budgets_verify_the_benchmark_head_in_blocks_of_four(self):
+        # 10 candidates of 16 matches at 1000 iterations: one matching block,
+        # RANSAC blocks of 4, 4 and 2 (_SCORE_CELLS // (16 * 1000) = 4).
+        rng = np.random.default_rng(32)
+        query = make_features(rng, 16, 8, image_id="q")
+        db = {f"c{i}": make_features(rng, 80, 8, image_id=f"c{i}") for i in range(10)}
+        for candidate in db.values():
+            candidate.vectors[:16] = query.vectors
+        ranked = RankedResult("q", [(f"c{i}", 1.0 - 0.01 * i) for i in range(10)])
+        sizes, spies = block_spies()
+        with mock.patch.multiple(rerank, **spies):
+            got = spatial_rerank(ranked, query, db.get, 10)
+        assert sizes == {"match": [10], "ransac": [[16] * 4, [16] * 4, [16] * 2]}
+        assert (got.ranking, got.flagged) == per_candidate_rerank(
+            ranked, query, db.get, 10, 1000, default_inlier_tol(query), 0, math.inf
+        )
+
+
+def cdist_pairs(query: ImageFeatures, candidate: ImageFeatures, max_distance: float) -> list[list[int]]:
+    """Matched (query, candidate) index pairs from an exhaustive ``cdist``."""
+    if query.count == 0 or candidate.count == 0:
+        return []
+    d2 = cdist(query.vectors.astype(np.float64), candidate.vectors.astype(np.float64), metric="sqeuclidean")
+    nearest = np.argmin(d2, axis=1)
+    dist = np.sqrt(d2[np.arange(query.count), nearest])
+    return [[i, int(nearest[i])] for i in range(query.count) if dist[i] <= max_distance]
+
+
+class TestStackedCertificate:
+    """One product certifies each candidate's segment against the stacked
+    bound; every pair it cannot certify takes ``_nearest`` alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        scales=st.lists(st.sampled_from([1.0, 1e-3, 1e6, 1e15, 1e20]), min_size=1, max_size=5),
+        max_distance=st.sampled_from([math.inf, 0.5]),
+    )
+    def test_pairs_equal_match_features_and_cdist(self, seed, d, scales, max_distance):
+        rng = np.random.default_rng(seed)
+        query = make_features(rng, int(rng.integers(1, 10)), d, image_id="q")
+        candidates = []
+        for k, scale in enumerate(scales):
+            rows = make_features(rng, int(rng.integers(1, 12)), d, image_id=f"c{k}").vectors
+            picks = query.vectors[rng.integers(0, query.count, 3)]
+            # A few ulps off query rows (none of them is 0).
+            near = (picks.view(np.int32) + rng.integers(-3, 4, picks.shape, dtype=np.int32)).view(np.float32)
+            vectors = np.concatenate([rows, picks, near, rows[:2], picks[:1]])  # duplicated rows
+            vectors = (vectors * scale).astype(np.float32)
+            candidates.append(features_from(vectors[rng.permutation(len(vectors))], np.zeros((len(vectors), 2))))
+        # Candidate 0 holds query row 0 twice, exactly: that tie is never
+        # certified, so at least one pair takes the fallback.
+        tied = np.concatenate([candidates[0].vectors, query.vectors[:1], query.vectors[:1]])
+        candidates[0] = features_from(tied, np.zeros((len(tied), 2)))
+        fallback, bounds = [], []
+        nearest, certify = rerank._nearest, rerank._certify
+
+        def nearest_spy(points, refs, distances=True):
+            fallback.append(points.shape[0])
+            return nearest(points, refs, distances)
+
+        def certify_spy(g, bound):
+            bounds.append((g.dtype, bound.copy()))
+            return certify(g, bound)
+
+        with mock.patch.multiple(rerank, _nearest=nearest_spy, _certify=certify_spy):
+            got = rerank._match_block(query, candidates, max_distance)
+        assert sum(fallback) >= 1
+        # The premise of the stacked certificate: each segment's bound is at
+        # least the one _nearest would use for that candidate alone.
+        x = query.vectors.astype(np.float64)
+        bound = np.concatenate([b for _, b in bounds]).reshape(query.count, len(candidates))
+        unit = _Refs(np.ones((1, d), dtype=np.float32))  # the bound's coefficients at this D
+        coef, floor = (unit.coef32, 0.0) if bounds[0][0] == np.float32 else (unit.coef64, unit.floor64)
+        for k, candidate in enumerate(candidates):
+            s2 = (np.sqrt(np.vecdot(x, x)) + _Refs(candidate.vectors).max_norm) ** 2
+            assert (bound[:, k] >= coef * s2 + floor).all()
+        for pairs, candidate in zip(got, candidates):
+            assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+            assert pairs.tolist() == match_features(query, candidate, max_distance).tolist()
+            assert pairs.tolist() == cdist_pairs(query, candidate, max_distance)
+
+    def test_empty_and_mismatched_candidates(self):
+        rng = np.random.default_rng(33)
+        query = make_features(rng, 5, 4)
+        full, empty = make_features(rng, 7, 4), make_features(rng, 0, 4)
+        got = rerank._match_block(query, [empty, full, empty], math.inf)
+        assert [p.shape for p in got] == [(0, 2), (5, 2), (0, 2)]
+        assert got[1].tolist() == cdist_pairs(query, full, math.inf)
+        assert [p.shape for p in rerank._match_block(make_features(rng, 0, 4), [full], math.inf)] == [(0, 2)]
+        with pytest.raises(DimensionError):
+            rerank._match_block(query, [full, make_features(rng, 3, 5)], math.inf)
+
+
+class TestBlockSampling:
+    """Block ``_sample_picks`` and ``_sample_models`` against per-seed,
+    per-candidate calls, bit for bit."""
+
+    # n = 3 draws nothing for its first bound; (1 << 24) + 3 makes Lemire
+    # reject draws for both of its seeds below (see TestRawWordDraws).
+    NS = [16, (1 << 24) + 3, 3, 40, 4, 16, (1 << 24) + 3, 300]
+    SEEDS = [(1 << 24) + 3, 11, 5, 987_654_321, 0, 7, (1 << 24) + 3, 1 << 32]
+
+    @pytest.mark.parametrize("iterations", [0, 1, 7, 1000])
+    def test_picks_equal_per_seed_calls(self, iterations):
+        calls = []
+
+        class Spy(np.random.Generator):
+            def integers(self, low, high=None, *args, **kwargs):
+                calls.append(np.asarray(high).tolist())
+                return super().integers(low, high, *args, **kwargs)
+
+        with mock.patch.object(np.random, "Generator", Spy):
+            got = rerank._sample_picks(self.NS, iterations, self.SEEDS)
+        assert got.dtype == np.int64 and got.shape == (len(self.NS) * iterations, 3)
+        want = [rerank._sample_picks([n], iterations, [s]) for n, s in zip(self.NS, self.SEEDS)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        for k, (n, s) in enumerate(zip(self.NS, self.SEEDS)):
+            if n < 1 << 20:
+                np.testing.assert_array_equal(got[k * iterations : (k + 1) * iterations], choice_loop(n, iterations, s))
+        if iterations == 1000:
+            # Only the n = 3 candidate and the rejecting ones redraw.
+            assert calls == [[n - 2, n - 1, n, 3, 2] for n in self.NS if n == 3 or n == (1 << 24) + 3]
+
+    def test_rejecting_block_member_equals_choice(self):
+        n = (1 << 24) + 3
+        got = rerank._sample_picks([16, n, 3], 1000, [4, n, 9])
+        np.testing.assert_array_equal(got[1000:2000], choice_loop(n, 1000, n))
+
+    @pytest.mark.parametrize("kind", COLUMN_KINDS)
+    def test_models_equal_per_candidate_calls(self, kind):
+        rng = np.random.default_rng(34)
+        ns, seeds, iterations = [3, 16, 40, 7, 16], [1, 2, 3, 4, 5], 300
+        cases = [column_case(kind, n, rng)[:2] for n in ns]
+        spreads = [np.ptp(src[:, 0]) * np.ptp(src[:, 1]) for src, _ in cases]
+        picks = rerank._sample_picks(ns, iterations, seeds)
+        starts = np.cumsum(ns) - ns
+        at, keep = rerank._sample_models(
+            np.concatenate([src for src, _ in cases]),
+            np.concatenate([dst for _, dst in cases]),
+            picks + np.repeat(starts, iterations)[:, None],
+            np.repeat(spreads, iterations),
+        )
+        for k, ((src, dst), spread) in enumerate(zip(cases, spreads)):
+            own = slice(k * iterations, (k + 1) * iterations)
+            want_at, want_keep = rerank._sample_models(src, dst, picks[own], spread)
+            assert at[own].tobytes() == want_at.tobytes()
+            np.testing.assert_array_equal(keep[own], want_keep)
+
+    def test_ransac_block_equals_per_candidate_calls(self):
+        rng = np.random.default_rng(35)
+        matched = [planted_correspondences(rng, n // 2, n - n // 2)[0] for n in (0, 2, 3, 16, 40, 5, 16)]
+        # A candidate spread over a unit square beside one over 1e5: judged
+        # against the block's spread instead of its own, every triangle of
+        # the small one would count as collinear.
+        small = rng.uniform(0, 1, (12, 2))
+        matched[3:3] = [(small, small @ np.array([[0.9, 0.1], [-0.2, 1.1]]) + 0.5), (small * 1e5, small * 1e5 + 3)]
+        seeds = [9, 8, 7, 2, 1, 6, 5, 4, 3]
+        got = rerank._ransac_block(matched, 500, 3.0, seeds)
+        for result, corr, seed in zip(got, matched, seeds):
+            assert_same_result(result, ransac_affine(*corr, iterations=500, inlier_tol=3.0, seed=seed))
+            assert_same_result(result, oracle_ransac(corr, 500, 3.0, seed))
