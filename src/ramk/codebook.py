@@ -83,6 +83,20 @@ square and addition once, so ``e' <= gamma_(D+2) S + D 2^-1075``
   C=256 and 21.2 against 33.3 ms at C=1024 (distances included, one BLAS
   thread, 2-core x86-64 VM).  Quantization and descriptor matching,
   whose references are float32, rank float32-first at any C.
+- Segments.  Descriptor matching ranks a block of candidates at once:
+  ``_Refs`` holds their rows as equal segments, one per candidate, each
+  padded with zero rows to the longest, and every segment of a row takes
+  its own argmin, runner-up and certificate against the bound of the
+  whole set.  The chain above reaches ``S`` only through ``|r_j| <= R``,
+  and R is at least the largest norm ``R_k`` of any one segment, so
+  ``S >= S_k = (|x| + R_k)^2``: the bounds hold for the rows of every
+  segment, and a certified pair is the argmin of its segment's real rows
+  alone.  The float32 guard holds for the set as a whole, and the pads do
+  not raise R.  A pad's entry in the lift's norm row is +inf, so its
+  ``g`` is +inf for a finite x (never a winner, nor a runner-up in a
+  segment of two or more rows; a segment of one row has an infinite gap)
+  and NaN otherwise, which is never certified.  The exact stage
+  recomputes a pair on its segment's real rows only.
 
 On the 120k descriptors of the benchmark's LARGE reference corpus
 against its trained codebook (D=64, C=1024), 1.13% of rows fail the
@@ -236,8 +250,8 @@ class Codebook:
 # 2 MB up on 8192 rows).  A chunk keeps at least _MIN_ROWS rows, so the
 # matrix product reuses each reference across rows (single rows ran 5.7x
 # slower at C=65536), and never more than _MAX_CELLS cells, nor more rows
-# than fit the chunk's cells as [x, 1] rows (at C < D, C-sized rows alone
-# made 4096-row chunks at C=16, D=128).
+# than fit the chunk's cells as [x, 1] rows, one per segment (at C < D,
+# C-sized rows alone made 4096-row chunks at C=16, D=128).
 _CHUNK_CELLS = 1 << 16
 _F32_CHUNK_BYTES = 1 << 21
 _MIN_ROWS = 64
@@ -275,10 +289,15 @@ class _Refs:
     their squared norms and the largest norm; the lifted (D+1, C) matrix
     ``[-2 R^T; |r|^2]`` in float64, built on first use; and its float32
     rounding, kept when the references are float32 or at least
-    _F32_MIN_REFS, and lie within the float32 guard (None otherwise)."""
+    _F32_MIN_REFS, and lie within the float32 guard (None otherwise).
+    With ``counts``, the rows are ``len(counts)`` segments of equal width,
+    segment k's first counts[k] rows real and the rest zero pads, whose
+    entries in the lift's norm row are +inf (module docstring)."""
 
-    def __init__(self, refs: np.ndarray):
+    def __init__(self, refs: np.ndarray, counts: np.ndarray | None = None):
         self.rows = np.ascontiguousarray(refs, dtype=np.float64)
+        self.segmented = counts is not None
+        self.counts = counts if self.segmented else np.array([len(self.rows)])
         self.sq = np.vecdot(self.rows, self.rows)
         max_sq = float(self.sq.max())
         self.max_norm = math.sqrt(max_sq)
@@ -302,6 +321,8 @@ class _Refs:
         # a float32 lift rounds -2 r and the float64 |r|^2 once each.
         np.multiply(self.rows.T, -2.0, out=lifted[:d])
         lifted[d] = self.sq
+        norms = lifted[d].reshape(self.counts.size, -1)
+        norms[np.arange(norms.shape[1]) >= self.counts[:, None]] = np.inf  # the pads, if any
         return lifted
 
     @cached_property
@@ -310,17 +331,14 @@ class _Refs:
 
 
 def _rank(xl: np.ndarray, lifted: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the smallest ``g = xl @ lifted`` per row, and the rows
-    (as positions) whose gap to the second smallest is not above
-    ``bound``: exact ties, near-ties and non-finite rows."""
-    return _certify(np.matmul(xl, lifted), bound)
-
-
-def _certify(g: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_rank`` on computed rows ``g`` (overwritten): each row's argmin,
-    and the rows whose gap to their runner-up is not above ``bound``."""
+    """Index of the smallest ``g = xl @ lifted`` in each segment of each
+    row, the rows cut into ``bound.size // len(xl)`` equal segments, and
+    the (row, segment) pairs, as positions ``row * segments + segment``,
+    whose gap to the segment's runner-up is not above ``bound``: exact
+    ties, near-ties and non-finite rows."""
+    g = np.matmul(xl, lifted).reshape(bound.size, -1)
     best = np.argmin(g, axis=1)
-    # Flat positions of each row's start, then of its best and runner-up:
+    # Flat positions of each segment's start, then of its best and runner-up:
     # on short rows, np.min(axis=1) took 2.5x as long as argmin + gather.
     at = np.arange(0, g.size, g.shape[1])
     flat = g.reshape(-1)
@@ -340,47 +358,68 @@ def _nearest(
     lowest index, as int64 labels, and with ``distances`` the squared
     distance to it as ``_sequential_sqdist`` computes it (else None).
     ``refs`` is an array or a prepared ``_Refs``; when both sides are
-    float32, rows are ranked in float32 first (module docstring)."""
+    float32, rows are ranked in float32 first (module docstring).  A
+    ``_Refs`` with ``counts`` gives (M, len(counts)) labels and distances:
+    each row's nearest real row of every segment, counted from the
+    segment's start."""
     if not isinstance(refs, _Refs):
         refs = _Refs(refs)
     m, d = points.shape
-    labels = np.empty(m, dtype=np.int64)
-    d2 = np.empty(m, dtype=np.float64) if distances else None
-    single = points.dtype == np.float32 and refs.lifted32 is not None
     c = refs.rows.shape[0]
+    segs = refs.counts.size
+    width = c // segs
+    labels = np.empty((m, segs), dtype=np.int64)
+    d2 = np.empty((m, segs)) if distances else None
+    single = points.dtype == np.float32 and refs.lifted32 is not None
     cells = _F32_CHUNK_BYTES // 4 if single else _CHUNK_CELLS
-    step = max(1, min(max(_MIN_ROWS, cells // c), _MAX_CELLS // c, cells // (d + 1)))
+    step = max(1, min(max(_MIN_ROWS, cells // c), _MAX_CELLS // c, cells // (segs * (d + 1))))
     # Chunk buffers: [x, 1] rows in float64 (x64 is its first d columns) and float32; winners' rows.
     xl64 = np.ones((min(step, m), d + 1))
     xl32 = np.ones(xl64.shape, dtype=np.float32) if single else None
-    winners = np.empty((xl64.shape[0], d)) if distances else None
+    winners = np.empty((xl64.shape[0], segs, d)) if distances else None
     for lo in range(0, m, step):
         x = points[lo:lo + step]
-        xl = xl64[:x.shape[0]]
+        n = len(x)
+        xl = xl64[:n]
         x64 = xl[:, :d]
         x64[...] = x
         x_norm = np.sqrt(np.vecdot(x64, x64))
         s2 = (x_norm + refs.max_norm) ** 2
+        if segs > 1:
+            s2 = np.repeat(s2, segs)  # one bound per (row, segment) pair, each with the whole set's R
         if single and x_norm.max() <= refs.norm_limit:
-            xl32[:x.shape[0], :d] = x
-            best, unsure = _rank(xl32[:x.shape[0]], refs.lifted32, refs.coef32 * s2)
+            xl32[:n, :d] = x
+            best, unsure = _rank(xl32[:n], refs.lifted32, refs.coef32 * s2)
             if unsure.size:
-                # The float64 product for the rows float32 cannot certify.
-                best64, still = _rank(xl[unsure], refs.lifted, refs.coef64 * s2[unsure] + refs.floor64)
-                best[unsure] = best64
-                unsure = unsure[still]
+                # The float64 product for the rows float32 cannot certify; with
+                # segments, for every pair of those rows, in the order _rank gives them.
+                rows = pairs = unsure
+                if segs > 1:
+                    rows = np.flatnonzero(np.bincount(unsure // segs, minlength=n))
+                    pairs = (rows[:, None] * segs + np.arange(segs)).reshape(-1)
+                best64, still = _rank(xl[rows], refs.lifted, refs.coef64 * s2[pairs] + refs.floor64)
+                best[pairs] = best64
+                unsure = pairs[still]
         else:
             best, unsure = _rank(xl, refs.lifted, refs.coef64 * s2 + refs.floor64)
         if unsure.size:
-            best[unsure] = np.argmin(_sequential_sqdist(x64[unsure], refs.rows), axis=1)
-        labels[lo:lo + step] = best
+            # The exact stage, on the real rows of each pair's segment.
+            rows, seg = np.divmod(unsure, segs)
+            for k in np.flatnonzero(np.bincount(seg, minlength=segs)):
+                own = rows[seg == k]
+                real = refs.rows[k * width:k * width + refs.counts[k]]
+                best[own * segs + k] = np.argmin(_sequential_sqdist(x64[own], real), axis=1)
+        labels[lo:lo + step] = best.reshape(n, segs)
         if distances:
             # A sequential sum of squares in the order of the dimensions, as in _sequential_sqdist.
-            diff = np.take(refs.rows, best, axis=0, out=winners[:x.shape[0]], mode="clip")
-            np.subtract(x64, diff, out=diff)
+            rows = best.reshape(n, segs) + np.arange(0, c, width)
+            diff = np.take(refs.rows, rows, axis=0, out=winners[:n], mode="clip")
+            np.subtract(x64[:, None], diff, out=diff)
             diff *= diff
-            d2[lo:lo + step] = np.cumsum(diff, axis=1, out=diff)[:, -1]
-    return labels, d2
+            d2[lo:lo + step] = np.cumsum(diff, axis=2, out=diff)[..., -1]
+    if refs.segmented:
+        return labels, d2
+    return labels.reshape(m), None if d2 is None else d2.reshape(m)
 
 
 def _sequential_sqdist(x: np.ndarray, refs: np.ndarray) -> np.ndarray:

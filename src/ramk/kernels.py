@@ -56,7 +56,7 @@ from itertools import repeat
 import numpy as np
 
 from .codebook import Codebook, WordPartition
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 
 MODE_VLAD = "vlad"
 MODE_ASMK = "asmk"
@@ -150,12 +150,16 @@ def _selectivity_rows(u: np.ndarray, params: SelectivityParams) -> np.ndarray:
     """sign(u) * |u|^alpha where u > tau, else 0, for each value of ``u``.
     The power is Python's float power (the C library's ``pow``): NumPy's
     vectorized power differs from it in the last bit for about one value
-    in twenty."""
+    in twenty.  When a power overflows float64, every value of the call is
+    NumPy's, with +inf there: a total with an infinite term is not finite,
+    which ``_gammas`` and ``index.query`` turn into a DataError."""
     out = np.zeros_like(u)
     on = u > params.tau
-    powers = np.fromiter(
-        map(pow, np.abs(u[on]).tolist(), repeat(params.alpha)), np.float64, count=int(on.sum())
-    )
+    try:
+        powers = np.fromiter(map(pow, np.abs(u[on]).tolist(), repeat(params.alpha)), np.float64, count=int(on.sum()))
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            powers = np.power(np.abs(u[on]), params.alpha)
     out[on] = np.copysign(powers, u[on])
     return out
 
@@ -223,8 +227,11 @@ def _gammas(
     mode: str, rows: np.ndarray, dim: int, params: SelectivityParams, groups=None, n: int = 1
 ) -> list[float]:
     """Normalization factor of each of the ``n`` ``_match_totals`` groups of stored ``rows``: the
-    inverse square root, by Python's float power, of its self-match total if positive, else 0.0."""
+    inverse square root, by Python's float power, of its self-match total if positive, else 0.0.
+    A total that is not finite (the selectivity overflowed) is a DataError."""
     totals = _match_totals(mode, word_match_rows(mode, rows, rows, dim), params, groups, n)
+    if not np.isfinite(totals).all():
+        raise DataError(f"a self-match total overflows at selectivity alpha {params.alpha:g}")
     return [t ** -0.5 if t > 0.0 else 0.0 for t in totals.tolist()]
 
 

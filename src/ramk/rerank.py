@@ -30,48 +30,10 @@ blocks of candidates.  Each candidate's inliers are those of
 ``match_features`` and then ``ransac_affine`` with its own seed, which
 are the blocks of one.
 
-Matching a block.  The candidates' rows are stacked, each candidate
-padded with zero rows to the longest, into one ``codebook._Refs``, and
-one lifted product per chunk of query rows gives every
-``g_j = |r_j|^2 - 2 x.r_j`` of every candidate, in float32 when the
-query rows are float32 and the stack's float32 lift lies within the
-guard, as in ``_nearest``.  The pad columns are set to +inf, and each
-candidate's segment takes ``_rank``'s argmin, runner-up and certificate
-(``codebook._certify``) against the bound of the stack, which uses
-``S = (|x| + R)^2`` with R the largest row norm of the whole stack.
-
-Why a pair certified in the stack is certified for its candidate alone.
-The derivation in ``codebook.py`` bounds the rounding error of each
-computed ``g_j``, and of each ``_sequential_sqdist`` value ``c_j``, by
-terms in ``|x|`` and ``|r_j|`` (plus an absolute term for underflow), and
-reaches ``S`` only through ``|r_j| <= R``.  Let ``R_k`` be the largest
-norm of candidate k's rows and ``S_k = (|x| + R_k)^2``.  As
-``R >= R_k``, ``S >= S_k``, so the bounds ``e`` and ``e'`` stated in
-``S`` hold for every row of the segment.  If the segment's best ``g_b``
-is below every other ``g_j`` of the segment by more than the bound, the
-chain::
-
-    c_j >= G_j + |x|^2 - e' >= g_j - e - e' + |x|^2
-        >  g_b + e + e' + |x|^2 >= G_b + e' + |x|^2 >= c_b
-
-runs over the segment's rows alone, so ``b`` is the argmin of the
-candidate's ``c_j``.  That is the label ``_nearest`` returns for the
-candidate alone: it certifies the same argmin or recomputes every
-``c_j`` and takes the lowest index among ties, and a tie is never
-certified.  The float32 guard holds for the stack as a whole: the lift
-is rounded to float32 only when ``2^-60 <= R^2 <= 2^100``, and rows are
-ranked in float32 only when ``|x| <= 2^50 - R``.  So every row has
-``2^-60 <= S <= 2^100``, which is all that the overflow and underflow
-arguments use.  The zero pad rows do not raise R.  Their ``g`` is
-replaced by +inf before the argmin, so a pad is never a winner, nor a
-runner-up in a segment of two or more rows.  A segment of one row has
-an infinite gap, so it is certified when its ``g`` is finite; a
-non-finite ``g`` gives a NaN gap and is not.  A larger R only widens the
-bound: the stack certifies fewer pairs than each candidate alone would,
-never a wrong one.  The pairs it does not certify take ``_nearest`` on
-their candidate alone.  Each pair's distance is the sequential float64
-sum of squared differences to its winner, the ``d2`` of ``_nearest``, so
-``max_distance`` keeps the same pairs.
+Matching a block stacks the candidates' rows into the segments of one
+``codebook._Refs``, and one ``codebook._nearest`` call gives each query
+row's nearest row in every candidate: the one ``_nearest`` finds among
+that candidate's rows alone (``codebook`` module docstring).
 
 RANSAC on a block.  One ``_sample_picks`` call draws the samples of all
 of the block's (n, seed) pairs, each seed's raw words from its own
@@ -112,7 +74,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .codebook import _F32_CHUNK_BYTES, _certify, _nearest, _Refs
+from .codebook import _F32_CHUNK_BYTES, _nearest, _Refs
 from .errors import DimensionError
 from .features_io import ImageFeatures
 from .index import RankedResult
@@ -125,9 +87,8 @@ _MIN_DET = 1e-9
 # Hypotheses are scored in blocks of at most this many (hypothesis,
 # correspondence) errors, which bounds the error matrix for large match sets.
 _SCORE_CELLS = 1 << 16
-# Matching blocks and their query-row chunks hold about this many
-# (row, candidate row) products, and as many float64 cells of winners'
-# rows: _nearest's float32 chunk budget.
+# Matching blocks hold about this many (query row, candidate row)
+# products: _nearest's float32 chunk budget, so a block is one chunk.
 _MATCH_CELLS = _F32_CHUNK_BYTES // 4
 
 
@@ -163,66 +124,24 @@ def match_features(
 def _match_block(
     query: ImageFeatures, candidates: list[ImageFeatures], max_distance: float
 ) -> list[np.ndarray]:
-    """``match_features(query, c, max_distance)`` for each candidate ``c``.
-
-    The candidates' rows are stacked into one ``_Refs``, each padded with
-    zero rows to the longest, and one lifted product per chunk of query
-    rows ranks every (row, candidate) pair: its pad columns are set to
-    +inf and ``_certify`` takes each segment's argmin and runner-up
-    against the stacked bound (module docstring).  The pairs it cannot
-    certify take ``_nearest`` on their candidate alone.  A chunk holds
-    about _MATCH_CELLS cells of products and of the float64 winners'
-    rows, whose sequential sums of squared differences are the distances
-    ``_nearest`` returns.
-    """
+    """``match_features(query, c, max_distance)`` for each candidate ``c``:
+    the candidates' rows are stacked, each padded with zero rows to the
+    longest, into the segments of one ``_Refs``, and one ``_nearest`` call
+    gives each query row's nearest row, and its squared distance, in every
+    candidate."""
     pairs = [np.empty((0, 2), dtype=np.int64) for _ in candidates]
     live = [k for k, c in enumerate(candidates) if c.count]
     if query.count == 0 or not live:
         return pairs
-    for k in live:
+    counts = np.array([candidates[k].count for k in live])
+    stack = np.zeros((counts.size, counts.max(), query.dim), np.result_type(*(candidates[k].vectors for k in live)))
+    for i, k in enumerate(live):
         if candidates[k].dim != query.dim:
             raise DimensionError(f"descriptor dimensions differ: {query.dim} vs {candidates[k].dim}")
-    x = query.vectors
-    m, d = x.shape
-    counts = np.array([candidates[k].count for k in live])
-    segments, width = counts.size, int(counts.max())
-    stack = np.zeros((segments, width, d), dtype=np.result_type(*(candidates[k].vectors for k in live)))
-    for i, k in enumerate(live):
         stack[i, : counts[i]] = candidates[k].vectors
-    refs = _Refs(stack.reshape(-1, d))
-    pad = np.flatnonzero(np.arange(width) >= counts[:, None])
-    # Offsets of each segment's first row in the stack.
-    first = np.arange(segments) * width
-    xl64 = np.ones((m, d + 1))
-    x64 = xl64[:, :d]
-    x64[...] = x
-    x_norm = np.sqrt(np.vecdot(x64, x64))
-    s2 = (x_norm + refs.max_norm) ** 2
-    if x.dtype == np.float32 and refs.lifted32 is not None and x_norm.max() <= refs.norm_limit:
-        xl, lifted, bound = xl64.astype(np.float32), refs.lifted32, refs.coef32 * s2
-    else:
-        xl, lifted, bound = xl64, refs.lifted, refs.coef64 * s2 + refs.floor64
-    labels = np.empty((m, segments), dtype=np.int64)
-    d2 = np.empty((m, segments))
-    step = max(1, _MATCH_CELLS // (segments * max(width, d + 1)))
-    for lo in range(0, m, step):
-        g = np.matmul(xl[lo : lo + step], lifted)
-        g[:, pad] = np.inf
-        best, unsure = _certify(g.reshape(-1, width), np.repeat(bound[lo : lo + step], segments))
-        best = best.reshape(-1, segments)
-        rows, segs = np.divmod(unsure, segments)
-        for i in np.unique(segs):
-            r = rows[segs == i]
-            best[r, i] = _nearest(x[lo : lo + step][r], candidates[live[i]].vectors, distances=False)[0]
-        labels[lo : lo + step] = best
-        # A sequential sum of squares in the order of the dimensions, as in _nearest.
-        diff = refs.rows[best + first]
-        np.subtract(x64[lo : lo + step, None], diff, out=diff)
-        diff *= diff
-        d2[lo : lo + step] = np.cumsum(diff, axis=2, out=diff)[..., -1]
-    kept = np.sqrt(d2) <= max_distance
+    labels, d2 = _nearest(query.vectors, _Refs(stack.reshape(-1, query.dim), counts))
     for i, k in enumerate(live):
-        rows = np.flatnonzero(kept[:, i])
+        rows = np.flatnonzero(np.sqrt(d2[:, i]) <= max_distance)
         pairs[k] = np.stack([rows, labels[rows, i]], axis=1)
     return pairs
 

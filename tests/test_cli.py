@@ -193,6 +193,34 @@ class TestExitCodes:
         payload[offset : offset + 8] = struct.pack("<d", value)
         assert self.search(pipeline, tmp_path, bytes(payload)) == 3
 
+    @pytest.mark.parametrize("alpha,code", [("400", 0), ("1e39", 3)])
+    def test_overflowing_alpha_option_is_data_error(self, pipeline, tmp_path, alpha, code):
+        # A self-match of stored float32 unit rows can exceed 1 by a rounding,
+        # and its power at alpha 1e39 overflows float64.
+        root, data, cb = pipeline
+        out = tmp_path / "ix.dtri"
+        assert run("build-index", "--manifest", str(data / "manifest.txt"), "--codebook", str(cb),
+                   "--mode", "asmk", "--alpha", alpha, "--out", str(out)) == code
+        assert out.exists() == (code == 0)
+
+    def test_overflowing_stored_alpha_is_data_error(self, pipeline, tmp_path, index_bytes):
+        # alpha is the f64 at byte 8 of the header; the query's self-match overflows.
+        payload = bytearray(index_bytes[0])
+        payload[8:16] = struct.pack("<d", 1.02e39)
+        assert self.search(pipeline, tmp_path, bytes(payload)) == 3
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_payload_overflowing_the_selectivity_is_data_error(self, pipeline, tmp_path, index_bytes):
+        # A finite 1e38 in every asmk payload component loads; at alpha 16 the
+        # power of its match with a query row overflows float64.
+        (tmp_path / "asmk.dtri").write_bytes(index_bytes[0])
+        size = load_index(tmp_path / "asmk.dtri").payload.size
+        payload = bytearray(index_bytes[0])
+        payload[8:16] = struct.pack("<d", 16.0)
+        payload[len(payload) - 4 * size :] = struct.pack("<f", 1e38) * size
+        assert self.search(pipeline, tmp_path, bytes(payload)) == 3
+        assert not (tmp_path / "r.txt").exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_centroid_is_format_error(self, pipeline, tmp_path, index_bytes, value):
         # The first centroid component is the f32 right after the 62-byte header.

@@ -682,6 +682,111 @@ class TestNearest:
             cb.centroids = np.zeros((4, 8), dtype=np.float32)
 
 
+def stacked(segments: list[np.ndarray], width: int) -> codebook_module._Refs:
+    """The segments, each padded with zero rows to ``width``, as one ``_Refs``."""
+    stack = np.zeros((len(segments), width, segments[0].shape[1]), dtype=segments[0].dtype)
+    for k, rows in enumerate(segments):
+        stack[k, : len(rows)] = rows
+    counts = np.array([len(rows) for rows in segments])
+    return codebook_module._Refs(stack.reshape(-1, stack.shape[2]), counts)
+
+
+class TestSegments:
+    """A ``_Refs`` of S segments (descriptor matching's stacked
+    candidates): each segment's labels and distances are those of one
+    ``_nearest`` on its real rows alone and of the ``cdist`` oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 8, 65]),
+        counts=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        pads=st.integers(0, 30),
+        m=st.integers(1, 30),
+        grid=st.booleans(),
+        scale=st.sampled_from([1.0, 1e25, 1e-30]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        special=st.booleans(),
+        cells=st.sampled_from([1, 7, 64, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_segments_equal_nearest_alone_and_cdist(
+        self, d, counts, pads, m, grid, scale, dtype, special, cells, seed
+    ):
+        rng = np.random.default_rng(seed)
+        segments = []
+        for count in counts:
+            # Small integers make exact ties; a repeated row ties for every point.
+            rows = rng.integers(-2, 3, size=(count, d)) if grid else rng.normal(0, 1, size=(count, d))
+            rows[-1] = rows[0]
+            segments.append((rows * scale).astype(dtype))
+        points = rng.integers(-2, 3, size=(m, d)) if grid else rng.normal(0, 1, size=(m, d))
+        points = (points * scale).astype(np.float32)
+        pool = np.concatenate(segments)
+        points[::3] = pool[rng.integers(0, len(pool), size=points[::3].shape[0])]
+        if scale == 1.0:
+            points[m // 2] = np.float32(3e38)  # outside the float32 guard
+        if special:
+            points[rng.integers(0, m, size=2)] = [[np.nan], [np.inf]]
+            points[rng.integers(0, m), 0] = -np.inf
+        refs = stacked(segments, max(counts) + pads)  # pads make short segments mostly padding
+        patches = {"_MIN_ROWS": 1}
+        if cells is not None:
+            patches.update(_CHUNK_CELLS=cells, _F32_CHUNK_BYTES=4 * cells)
+        # The products of a non-finite row signal invalid values (inf * 0);
+        # its labels and distances are still the exact stage's.
+        with mock.patch.multiple(codebook_module, **patches), np.errstate(invalid="ignore"):
+            labels, d2 = _nearest(points, refs)
+            alone = [_nearest(points, rows) for rows in segments]
+        assert labels.dtype == np.int64 and labels.shape == (m, len(counts))
+        assert d2.dtype == np.float64 and d2.shape == (m, len(counts))
+        for k, rows in enumerate(segments):
+            want_labels, want_d2 = cdist_nearest(points.astype(np.float64), rows.astype(np.float64))
+            np.testing.assert_array_equal(labels[:, k], want_labels)
+            np.testing.assert_array_equal(alone[k][0], want_labels)
+            assert d2[:, k].tobytes() == want_d2.tobytes() == alone[k][1].tobytes()
+
+    def test_float64_settles_a_stacked_pair_and_only_a_tie_is_exact(self):
+        # Segment 0 is the three words of test_float32_cascade_sends_only_uncertified_rows_on;
+        # segment 1 holds two of them and a pad.
+        first = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 5.0]], dtype=np.float32)
+        second = np.array([[0.0, 5.0], [2.0, 0.0]], dtype=np.float32)
+        points = np.array(
+            [
+                [0.1, 4.0],  # certified in float32 in both segments
+                [1.0 - 4 * 2.0**-24, 0.0],  # word 0 of segment 0 by 2^-20: only float64 certifies it
+                [1.0, 0.0],  # an exact tie between words 0 and 1 of segment 0 alone
+            ],
+            dtype=np.float32,
+        )
+        ranked, seen = [], []
+        rank = codebook_module._rank
+        sqdist = codebook_module._sequential_sqdist
+
+        def rank_spy(xl, lifted, bound):
+            best, unsure = rank(xl, lifted, bound)
+            ranked.append((lifted.dtype, xl[:, :-1].copy(), unsure.tolist()))
+            return best, unsure
+
+        def sqdist_spy(x, r):
+            seen.append((x.copy(), r.copy()))
+            return sqdist(x, r)
+
+        with mock.patch.multiple(codebook_module, _rank=rank_spy, _sequential_sqdist=sqdist_spy):
+            labels, d2 = _nearest(points, stacked([first, second], 3))
+        assert labels.tolist() == [[2, 0], [0, 1], [0, 1]]
+        # Pairs are numbered row * 2 + segment.
+        assert [(dtype, unsure) for dtype, _, unsure in ranked] == [(np.float32, [2, 4]), (np.float64, [2])]
+        np.testing.assert_array_equal(ranked[0][1], points)
+        np.testing.assert_array_equal(ranked[1][1], points[[1, 2]])
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0][0], points[[2]])
+        np.testing.assert_array_equal(seen[0][1], first)
+        for k, rows in enumerate((first, second)):
+            want_labels, want_d2 = cdist_nearest(points.astype(np.float64), rows.astype(np.float64))
+            np.testing.assert_array_equal(labels[:, k], want_labels)
+            assert d2[:, k].tobytes() == want_d2.tobytes()
+
+
 class TestSequentialSqdist:
     """The exact stage of ``_nearest`` against scipy's ``cdist``, byte for byte."""
 

@@ -5,7 +5,9 @@ index).
 Each test starts from a valid file, mutates its bytes or its lines and
 parses the result.  Whatever the mutation, the parser returns or raises
 a ``RamkError`` subclass; any other exception is a defect, since the CLI
-would report it as an internal error (exit 4) with a traceback.
+would report it as an internal error (exit 4) with a traceback.  What a
+binary loader returns is then used: quantized against, queried and
+matched, which may raise only a ``RamkError`` too.
 """
 
 from __future__ import annotations
@@ -16,16 +18,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ramk.cli import _load_config_file, load_results
-from ramk.codebook import load_codebook, serialize_codebook, train_codebook
+from ramk.codebook import load_codebook, quantize_batch, serialize_codebook, train_codebook
 from ramk.errors import RamkError
 from ramk.features_io import (
+    ImageFeatures,
     load_ground_truth,
     load_image_features,
     load_manifest,
     serialize_image_features,
 )
-from ramk.index import build_index, load_index, serialize_index
+from ramk.index import build_index, load_index, query, serialize_index
 from ramk.regional import RegionStrategy
+from ramk.rerank import match_features, ransac_affine
 from ramk.synthetic import SyntheticConfig, generate_synthetic_dataset
 
 from conftest import make_features, random_boxes
@@ -199,3 +203,75 @@ def test_mutated_binary_file_raises_only_ramk_errors(tmp_path, binaries, what, d
         BINARY_LOADERS[what](path)
     except RamkError:
         pass
+
+
+# Finite float32 bit patterns that load but stress the arithmetic: the
+# largest float32, 1e38, the smallest subnormal, zero and -1.
+F32_FINITE = [0x7F7FFFFF, 0x7E967699, 0x00000001, 0x00000000, 0xBF800000]
+
+
+@st.composite
+def overwritten(draw, original: bytes) -> bytes:
+    """``original`` after a few bit flips or finite float32 overwrites,
+    which keep its size: most such files still load."""
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 4))
+        if draw(st.booleans()):
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        else:
+            data[at : at + 4] = draw(st.sampled_from(F32_FINITE)).to_bytes(4, "little")
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory, binaries) -> dict:
+    """The valid binaries, loaded."""
+    out = tmp_path_factory.mktemp("loaded")
+    for what in BINARY_LOADERS:
+        (out / what).write_bytes(binaries[what])
+    return {what: loader(out / what) for what, loader in BINARY_LOADERS.items()}
+
+
+def as_features(vectors: np.ndarray) -> ImageFeatures:
+    """A codebook's centroids as the descriptors of an image."""
+    m = vectors.shape[0]
+    ones = np.ones(m, dtype=np.float32)
+    return ImageFeatures("centroids", vectors, np.zeros((m, 2), dtype=np.float32), ones, ones)
+
+
+@pytest.mark.parametrize("what", sorted(BINARY_LOADERS))
+@settings(FUZZ, max_examples=50)
+@given(data=st.data())
+def test_mutated_binary_file_in_use_raises_only_ramk_errors(tmp_path, binaries, loaded, what, data):
+    # Features are quantized, queried and matched against the valid
+    # codebook, index and features; a codebook or an index is quantized
+    # against, queried or its centroids matched.  Each use runs on its own:
+    # a mutated dimension fails quantization, and matching still runs.
+    # Huge finite components take matching outside the float32 guard.
+    path = tmp_path / "input.bin"
+    path.write_bytes(data.draw(overwritten(binaries[what]), label="content"))
+    try:
+        found = BINARY_LOADERS[what](path)
+    except RamkError:
+        return
+    features, codebook, index = loaded["features"], loaded["codebook"], loaded["index asmk"]
+    if what == "features":
+        features, other = found, loaded["features"]
+    else:
+        if what == "codebook":
+            codebook = found
+        else:
+            index, codebook = found, found.codebook
+        other = as_features(codebook.centroids)
+
+    def match():
+        pairs = match_features(features, other)
+        src = features.positions[pairs[:, 0]].astype(np.float64)
+        ransac_affine(src, other.positions[pairs[:, 1]].astype(np.float64), iterations=50)
+
+    for use in (lambda: quantize_batch(codebook, features.vectors), lambda: query(index, features), match):
+        try:
+            use()
+        except RamkError:
+            pass

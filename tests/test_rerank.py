@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from ramk import codebook as codebook_module
 from ramk import rerank
 from ramk.codebook import _Refs
 from ramk.errors import DimensionError
@@ -838,8 +839,9 @@ def cdist_pairs(query: ImageFeatures, candidate: ImageFeatures, max_distance: fl
 
 
 class TestStackedCertificate:
-    """One product certifies each candidate's segment against the stacked
-    bound; every pair it cannot certify takes ``_nearest`` alone."""
+    """One product ranks every candidate's segment against the stacked
+    bound; the pairs it cannot certify take the float64 product and then
+    the exact stage on their candidate's rows alone."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -861,32 +863,32 @@ class TestStackedCertificate:
             vectors = (vectors * scale).astype(np.float32)
             candidates.append(features_from(vectors[rng.permutation(len(vectors))], np.zeros((len(vectors), 2))))
         # Candidate 0 holds query row 0 twice, exactly: that tie is never
-        # certified, so at least one pair takes the fallback.
+        # certified, so at least one pair reaches the exact stage.
         tied = np.concatenate([candidates[0].vectors, query.vectors[:1], query.vectors[:1]])
         candidates[0] = features_from(tied, np.zeros((len(tied), 2)))
-        fallback, bounds = [], []
-        nearest, certify = rerank._nearest, rerank._certify
+        exact, ranked = [], []
+        rank, sqdist = codebook_module._rank, codebook_module._sequential_sqdist
 
-        def nearest_spy(points, refs, distances=True):
-            fallback.append(points.shape[0])
-            return nearest(points, refs, distances)
+        def rank_spy(xl, lifted, bound):
+            ranked.append((lifted.dtype, xl[:, :-1].astype(np.float64), bound.reshape(len(xl), -1).copy()))
+            return rank(xl, lifted, bound)
 
-        def certify_spy(g, bound):
-            bounds.append((g.dtype, bound.copy()))
-            return certify(g, bound)
+        def sqdist_spy(x, refs):
+            exact.append(x.shape[0])
+            return sqdist(x, refs)
 
-        with mock.patch.multiple(rerank, _nearest=nearest_spy, _certify=certify_spy):
+        with mock.patch.multiple(codebook_module, _rank=rank_spy, _sequential_sqdist=sqdist_spy):
             got = rerank._match_block(query, candidates, max_distance)
-        assert sum(fallback) >= 1
+        assert sum(exact) >= 1
         # The premise of the stacked certificate: each segment's bound is at
         # least the one _nearest would use for that candidate alone.
-        x = query.vectors.astype(np.float64)
-        bound = np.concatenate([b for _, b in bounds]).reshape(query.count, len(candidates))
         unit = _Refs(np.ones((1, d), dtype=np.float32))  # the bound's coefficients at this D
-        coef, floor = (unit.coef32, 0.0) if bounds[0][0] == np.float32 else (unit.coef64, unit.floor64)
-        for k, candidate in enumerate(candidates):
-            s2 = (np.sqrt(np.vecdot(x, x)) + _Refs(candidate.vectors).max_norm) ** 2
-            assert (bound[:, k] >= coef * s2 + floor).all()
+        for dtype, x, bound in ranked:
+            coef, floor = (unit.coef32, 0.0) if dtype == np.float32 else (unit.coef64, unit.floor64)
+            assert bound.shape == (len(x), len(candidates))
+            for k, candidate in enumerate(candidates):
+                s2 = (np.sqrt(np.vecdot(x, x)) + _Refs(candidate.vectors).max_norm) ** 2
+                assert (bound[:, k] >= coef * s2 + floor).all()
         for pairs, candidate in zip(got, candidates):
             assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
             assert pairs.tolist() == match_features(query, candidate, max_distance).tolist()
