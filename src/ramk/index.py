@@ -16,19 +16,21 @@ one of the D+1 values (D - 2h)/D, so its selectivity is read from a
 table of those values, which ``kernels._selectivity_rows`` computes with
 the same expression and the same ``pow`` as a match-by-match pass.
 
-Index files ("DTRI", little-endian, version 2)::
+Index files ("DTRI", little-endian, version 3)::
 
     magic b"DTRI" | version u16 | mode u8 | flags u8 (bit0: regional
     normalization) | alpha f64 | tau f64 | codebook sha256 (32 bytes) |
     C u32 | D u16 | centroids C*D f32 | strategy string (u16 length +
     utf-8) | n u32 | id_len u16[n] | region_index u16[n] | gamma f64[n] |
-    image ids ascii | n_words u32 | word u32[n_words] | count u32[n_words]
-    | entry_id u32[N = sum(count)] | payload N rows
+    image ids ascii | n_words u32 | word uW[n_words] | count uE[n_words]
+    | entry_id uE[N = sum(count)] | payload N rows
 
-Version 2 stores version 1's fields, at their widths, as columns in place
-of per-entry and per-word records, so loading reads whole columns; version
-1 files are rejected.  Image ids follow the manifest identifier rule, so the
-id column is ASCII and decodes in one piece.  The codebook is embedded so a
+uE is the narrowest of u8, u16 and u32 that holds n (ids are below n, a
+word's count is at most n) and uW is u16, or u32 when C > 65,536, so each
+width follows from a field read before it (``_column_dtype``).  Version 2
+stored both as u32, version 1 also interleaved the columns per entry and per
+word; both are rejected.  Image ids follow the manifest identifier rule, so
+the id column is ASCII and decodes in one piece.  The codebook is embedded so a
 saved index is self-contained; the hash identifies which codebook file it
 came from.
 Loading is strict: truncation, trailing bytes, a count the rest of the
@@ -85,7 +87,7 @@ from .regional import (
 logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"DTRI"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 MODE_CODES = {
     "vlad": 1,
@@ -129,7 +131,7 @@ class RetrievalIndex:
     gammas: np.ndarray  # (n_entries,) float64
     # Posting table: word w's postings are rows word_ptr[w]:word_ptr[w+1].
     word_ptr: np.ndarray  # (C+1,) int64, non-decreasing from 0
-    entry_ids: np.ndarray  # (N,) uint32, ascending within a word
+    entry_ids: np.ndarray  # (N,) _column_dtype(n_entries), ascending within a word
     payload: np.ndarray  # (N, D) float32 rows or (N, ceil(D/8)) packed uint8 signs
     # Derived from the entry table: each image's first entry, and images by id.
     _image_starts: np.ndarray = field(init=False, repr=False)
@@ -174,6 +176,16 @@ class RetrievalIndex:
         ptr = self.word_ptr.tolist()
         spans = enumerate(zip(ptr, ptr[1:]))
         return {w: (self.entry_ids[a:b], self.payload[a:b]) for w, (a, b) in spans if a < b}
+
+
+_WIDTHS = (np.dtype("<u1"), np.dtype("<u2"), np.dtype("<u4"))
+
+
+def _column_dtype(largest: int, widths: tuple[np.dtype, ...] = _WIDTHS) -> np.dtype:
+    """The narrowest of ``widths`` that holds ``largest``: ``_column_dtype(n)``
+    stores entry ids and posting counts, ``_column_dtype(C - 1, _WIDTHS[1:])``
+    words.  Values past u32 fall to u32, which no file field exceeds."""
+    return next((w for w in widths if largest <= np.iinfo(w).max), widths[-1])
 
 
 def _payload_layout(mode: str, dim: int) -> tuple[np.dtype, int]:
@@ -253,7 +265,7 @@ def build_index(
         region_index=np.arange(len(gammas)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
         gammas=gammas,
         word_ptr=word_ptr,
-        entry_ids=np.repeat(np.arange(len(gammas), dtype=np.uint32), counts)[order],
+        entry_ids=np.repeat(np.arange(len(gammas), dtype=_column_dtype(len(gammas))), counts)[order],
         payload=rows[order],
     )
     logger.info(
@@ -387,15 +399,17 @@ class _Cursor:
 _IDX_HEADER = struct.Struct("<4sHBBdd32sIH")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_U16_MAX = 0xFFFF
 
 
-def _u16_field(values, what: str):
-    """``values`` (an int or an integer column) if each fits a u16 field, else a DataError."""
+def _fit(values, dtype, what: str):
+    """``values`` (an int or an integer column) if each fits ``dtype``, else a DataError."""
+    dtype = np.dtype(dtype)
+    top = int(np.iinfo(dtype).max)
     column = np.atleast_1d(values)
-    outside = column[(column < 0) | (column > _U16_MAX)]
+    outside = column[(column < 0) | (column > top)]
     if outside.size:
-        raise DataError(f"cannot serialize index: {what} {outside[0]} does not fit in u16 (0..{_U16_MAX})")
+        bits = 8 * dtype.itemsize
+        raise DataError(f"cannot serialize index: {what} {outside[0]} does not fit in u{bits} (0..{top})")
     return values
 
 
@@ -407,24 +421,25 @@ def serialize_index(index: RetrievalIndex) -> bytes:
     id_lens = np.array([len(ident) for ident in index.images], dtype=np.int64)[index.entry_image]
     counts = np.diff(index.word_ptr)
     words = np.flatnonzero(counts)
+    ids = _column_dtype(index.entry_count)
     return b"".join([
         _IDX_HEADER.pack(
             INDEX_MAGIC, INDEX_VERSION, MODE_CODES[index.mode], flags, index.params.alpha,
             index.params.tau, index.codebook_hash, index.codebook.size,
-            _u16_field(index.codebook.dim, "codebook dim"),
+            _fit(index.codebook.dim, "<u2", "codebook dim"),
         ),
         index.codebook.centroids.astype("<f4").tobytes(),
-        _U16.pack(_u16_field(len(strat), "strategy byte length")),
+        _U16.pack(_fit(len(strat), "<u2", "strategy byte length")),
         strat,
         _U32.pack(index.entry_count),
-        _u16_field(id_lens, "image id byte length").astype("<u2").tobytes(),
-        _u16_field(index.region_index, "region index").astype("<u2").tobytes(),
+        _fit(id_lens, "<u2", "image id byte length").astype("<u2").tobytes(),
+        _fit(index.region_index, "<u2", "region index").astype("<u2").tobytes(),
         index.gammas.astype("<f8", copy=False).tobytes(),
         "".join(ident * size for ident, size in zip(index.images, sizes)).encode(),
         _U32.pack(len(words)),
-        words.astype("<u4").tobytes(),
-        counts[words].astype("<u4").tobytes(),
-        index.entry_ids.astype("<u4", copy=False).tobytes(),
+        words.astype(_column_dtype(index.codebook.size - 1, _WIDTHS[1:])).tobytes(),
+        _fit(counts[words], ids, "posting count").astype(ids).tobytes(),
+        _fit(index.entry_ids, ids, "posting entry id").astype(ids, copy=False).tobytes(),
         index.payload.astype(_payload_layout(index.mode, index.dim)[0], copy=False).tobytes(),
     ])
 
@@ -481,11 +496,13 @@ def load_index(path: str | Path) -> RetrievalIndex:
     text = str(id_bytes, "ascii", "replace")
     new_image, starts, ends = _id_runs(id_bytes, id_lens)
     images = [text[a:b] for a, b in zip(starts[new_image].tolist(), ends[new_image].tolist())]
-    n_words = cur.count(8, "words")  # word, count: 8 bytes
-    words, counts = np.frombuffer(cur.take(8 * n_words), "<u4").reshape(2, n_words).astype(np.int64)
+    word_dtype, ids = _column_dtype(c - 1, _WIDTHS[1:]), _column_dtype(n_entries)
+    n_words = cur.count(word_dtype.itemsize + ids.itemsize, "words")
+    words = np.frombuffer(cur.take(word_dtype.itemsize * n_words), word_dtype).astype(np.int64)
+    counts = np.frombuffer(cur.take(ids.itemsize * n_words), ids).astype(np.int64)
     n = int(counts.sum())
     dtype, cols = _payload_layout(mode, d)
-    entry_ids = np.frombuffer(cur.take(4 * n), dtype="<u4").copy()
+    entry_ids = np.frombuffer(cur.take(ids.itemsize * n), ids).copy()
     payload = np.frombuffer(cur.take(n * cols * dtype.itemsize), dtype).reshape(n, cols).copy()
     cur.done()
     if not ((gammas >= 0.0) & np.isfinite(gammas)).all():

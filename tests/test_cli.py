@@ -236,6 +236,16 @@ class TestExitCodes:
             load_index(tmp_path / "v1.dtri")
         assert self.search(pipeline, tmp_path, bytes(payload)) == 3
 
+    def test_version_2_index_is_format_error(self, pipeline, tmp_path, index_bytes):
+        # Version 2 stored every posting word, count and entry id as u32.
+        payload = bytearray(index_bytes[0])
+        payload[4:6] = (2).to_bytes(2, "little")
+        (tmp_path / "v2.dtri").write_bytes(payload)
+        with pytest.raises(FormatError, match="unsupported index version 2") as err:
+            load_index(tmp_path / "v2.dtri")
+        assert err.value.exit_code == 3
+        assert self.search(pipeline, tmp_path, bytes(payload)) == 3
+
     def test_payload_overflowing_float32_scores_is_data_error(self, pipeline, tmp_path):
         # The payload rows end the file; a finite 1e38 in the first component
         # of every r-asmk row loads, but pushes pooled scores past float32.

@@ -106,19 +106,29 @@ def corpus(tmp_path_factory):
     return manifest, queries, codebook
 
 
+def dtri_widths(index) -> tuple[int, int]:
+    """Byte widths in ``serialize_index(index)`` of a posting word (u16, u32
+    past C = 65,536) and of a posting count or entry id (the narrowest of u8,
+    u16 and u32 that holds the entry count n)."""
+    n = index.entry_count
+    return 2 if index.codebook.size <= 65536 else 4, 1 if n <= 255 else 2 if n <= 65535 else 4
+
+
 def dtri_layout(index) -> tuple[int, int, list[tuple[int, int, int, int]]]:
     """Byte offsets in ``serialize_index(index)`` of the n_entries and
     n_words fields and, for each populated word, the offsets of its word
     and count fields and of its first entry id, with its count.  The fixed
     header before the centroids is 62 bytes."""
+    word_width, id_width = dtri_widths(index)
     n_entries_at = 62 + index.codebook.centroids.nbytes + 2 + len(index.strategy.encode())
     n_words_at = n_entries_at + 4 + sum(12 + len(index.images[i].encode()) for i in index.entry_image)
     counts = np.diff(index.word_ptr)[np.diff(index.word_ptr) > 0].tolist()
     words_at = n_words_at + 4
-    counts_at, ids_at = words_at + 4 * len(counts), words_at + 8 * len(counts)
+    counts_at = words_at + word_width * len(counts)
+    ids_at = counts_at + id_width * len(counts)
     starts = np.cumsum([0] + counts).tolist()
     records = [
-        (words_at + 4 * i, counts_at + 4 * i, ids_at + 4 * start, count)
+        (words_at + word_width * i, counts_at + id_width * i, ids_at + id_width * start, count)
         for i, (start, count) in enumerate(zip(starts, counts))
     ]
     return n_entries_at, n_words_at, records
@@ -519,10 +529,11 @@ class TestPersistence:
         c, d = codebook.centroids.shape
         n_words = np.count_nonzero(np.diff(index.word_ptr))
         row_bytes = (d + 7) // 8 if mode.endswith("star") else 4 * d
+        word_width, id_width = dtri_widths(index)
         expected = (
             62 + 4 * c * d + 2 + len(index.strategy.encode())
             + 4 + sum(12 + len(index.images[i].encode()) for i in index.entry_image)
-            + 4 + 8 * n_words + len(index.entry_ids) * (4 + row_bytes)
+            + 4 + (word_width + id_width) * n_words + len(index.entry_ids) * (id_width + row_bytes)
         )
         assert len(serialize_index(index)) == expected
 
@@ -627,7 +638,8 @@ class TestPersistence:
         data = bytearray(serialize_index(index))
         n_entries_at, n_words_at, records = dtri_layout(index)
         at = {"n_entries": n_entries_at, "n_words": n_words_at, "posting count": records[0][1]}[field]
-        data[at : at + 4] = b"\xff\xff\xff\xff"
+        width = dtri_widths(index)[1] if field == "posting count" else 4
+        data[at : at + width] = b"\xff" * width
         (tmp_path / "count.dtri").write_bytes(data)
         with pytest.raises(FormatError, match="truncated") as err:
             load_index(tmp_path / "count.dtri")
@@ -648,20 +660,22 @@ class TestPersistence:
         index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"))
         data = bytearray(serialize_index(index))
         records = dtri_layout(index)[2]
+        word_width, id_width = dtri_widths(index)
 
-        def put(at: int, value: int) -> None:
-            data[at : at + 4] = value.to_bytes(4, "little")
+        def put(at: int, value: int, width: int) -> None:
+            data[at : at + width] = value.to_bytes(width, "little")
 
         if defect == "word repeats":  # the first word takes the second word's number
-            put(records[0][0], int.from_bytes(data[records[1][0] : records[1][0] + 4], "little"))
+            second = int.from_bytes(data[records[1][0] : records[1][0] + word_width], "little")
+            put(records[0][0], second, word_width)
         elif defect == "word outside codebook":
-            put(records[-1][0], codebook.size)
+            put(records[-1][0], codebook.size, word_width)
         elif defect == "entry ids descend":  # swap the first two ids of a word
             at = next(ids_at for _, _, ids_at, count in records if count >= 2)
-            data[at : at + 8] = data[at + 4 : at + 8] + data[at : at + 4]
+            data[at : at + 2 * id_width] = data[at + id_width : at + 2 * id_width] + data[at : at + id_width]
         elif defect == "entry id unknown":
             _, _, ids_at, count = records[-1]
-            put(ids_at + 4 * (count - 1), index.entry_count)
+            put(ids_at + id_width * (count - 1), index.entry_count, id_width)
         else:  # asmk-star at D=12: each packed row gains a byte for dims 8-11
             star = build_index(manifest, codebook, "asmk-star", RegionStrategy.parse("detector:0.3"))
             wide = dataclasses.replace(
@@ -689,12 +703,58 @@ class TestPersistence:
         index = build_index(manifest, codebook, "asmk", RegionStrategy.parse("detector:0.3"))
         data = bytearray(serialize_index(index))
         word_at, _, ids_at, count = [r for r in dtri_layout(index)[2] if r[3] >= 3][which]
-        at = ids_at + (0 if pair == "first" else 4 * (count - 2))
-        data[at : at + 8] = data[at + 4 : at + 8] + data[at : at + 4]
-        word = int.from_bytes(data[word_at : word_at + 4], "little")
+        word_width, id_width = dtri_widths(index)
+        at = ids_at + (0 if pair == "first" else id_width * (count - 2))
+        data[at : at + 2 * id_width] = data[at + id_width : at + 2 * id_width] + data[at : at + id_width]
+        word = int.from_bytes(data[word_at : word_at + word_width], "little")
         (tmp_path / "swapped.dtri").write_bytes(data)
         with pytest.raises(FormatError, match=rf"not ascending for word {word}$"):
             load_index(tmp_path / "swapped.dtri")
+
+    @pytest.mark.parametrize("n", [255, 256, 65535, 65536])
+    def test_id_width_follows_the_entry_count(self, tmp_path, n):
+        # One image of n regions; word 1 holds every entry, so its count is n,
+        # and word 3 the last two.  Ids and counts are u8 up to 255 entries,
+        # u16 up to 65,535 and u32 past that.
+        width = 1 if n <= 255 else 2 if n <= 65535 else 4
+        ids = np.append(np.arange(n), [n - 2, n - 1]).astype(np.uint32)
+        index = dataclasses.replace(
+            entry_table(["x"], np.zeros(n), np.arange(n)),
+            word_ptr=np.array([0, 0, n, n, n + 2]),
+            entry_ids=ids,
+            payload=np.random.default_rng(n).normal(size=(n + 2, 3)).astype(np.float32),
+        )
+        assert dtri_widths(index) == (2, width)
+        data = serialize_index(index)
+        _, n_words_at, records = dtri_layout(index)
+        assert len(data) == n_words_at + 4 + 2 * (2 + width) + (n + 2) * (width + 12)
+        assert [int.from_bytes(data[at : at + width], "little") for _, at, _, _ in records] == [n, 2]
+        (tmp_path / "wide.dtri").write_bytes(data)
+        loaded = load_index(tmp_path / "wide.dtri")
+        assert loaded.entry_ids.dtype == np.dtype(f"<u{width}")
+        np.testing.assert_array_equal(loaded.entry_ids, ids)
+        assert serialize_index(loaded) == data
+
+    @pytest.mark.parametrize("mode", ["asmk", "r-asmk-star"])
+    def test_built_and_loaded_ids_have_the_file_width(self, corpus, tmp_path, mode):
+        manifest, _, codebook = corpus
+        index = build_index(manifest, codebook, mode, RegionStrategy.parse("detector:0.3"))
+        assert index.entry_count <= 255
+        save_index(index, tmp_path / "ids.dtri")
+        assert index.entry_ids.dtype == load_index(tmp_path / "ids.dtri").entry_ids.dtype == np.uint8
+
+    def test_entry_id_past_the_width_is_data_error(self, tmp_path):
+        # Two entries store ids as u8, so an in-memory id of 256 cannot be written.
+        index = dataclasses.replace(
+            entry_table(["x"], [0, 0], [0, 1]),
+            word_ptr=np.array([0, 1, 1, 1, 1]),
+            entry_ids=np.array([256], dtype=np.uint32),
+            payload=np.ones((1, 3), dtype=np.float32),
+        )
+        with pytest.raises(DataError, match=r"posting entry id 256 does not fit in u8 \(0..255\)") as err:
+            save_index(index, tmp_path / "over.dtri")
+        assert err.value.exit_code == 3
+        assert not (tmp_path / "over.dtri").exists()
 
     @pytest.mark.parametrize(
         "defect,entry,region,message",
