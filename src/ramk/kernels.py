@@ -306,11 +306,15 @@ def kernel_similarity(
     params: SelectivityParams = DEFAULT_SELECTIVITY,
 ) -> float:
     """Normalized aggregated-kernel similarity between two images: the
-    match total over the words both populate, times both gammas."""
+    match total over the words both populate, times both gammas.  A score
+    that is not finite (the selectivity overflowed) is a DataError."""
     if x_repr.mode != y_repr.mode:
         raise ConfigError(f"mode mismatch: {x_repr.mode!r} vs {y_repr.mode!r}")
     if x_repr.dim != y_repr.dim:
         raise DimensionError(f"dimension mismatch: {x_repr.dim} vs {y_repr.dim}")
     _, xi, yi = np.intersect1d(x_repr.words, y_repr.words, assume_unique=True, return_indices=True)
     u = word_match_rows(x_repr.mode, x_repr.rows[xi], y_repr.rows[yi], x_repr.dim)
-    return float(x_repr.gamma * y_repr.gamma * _match_totals(x_repr.mode, u, params)[0])
+    score = float(x_repr.gamma * y_repr.gamma * _match_totals(x_repr.mode, u, params)[0])
+    if not math.isfinite(score):
+        raise DataError(f"a kernel score of {score} overflows at selectivity alpha {params.alpha:g}")
+    return score

@@ -176,18 +176,15 @@ def select_regions(features: ImageFeatures, strategy: RegionStrategy) -> RegionS
     return RegionSet(boxes=[whole] + extra)
 
 
-def assign_to_region(features: ImageFeatures, box: RegionBox) -> np.ndarray:
-    """Indices of descriptors whose center lies in the box.
+def _box_members(x: np.ndarray, y: np.ndarray, box: RegionBox) -> np.ndarray:
+    """Indices of the float64 centers (``x``, ``y``) that lie in the box:
+    closed on the min edges, open on the max edges, as ``RegionBox.contains``."""
+    return np.flatnonzero((x >= box.xmin) & (x < box.xmax) & (y >= box.ymin) & (y < box.ymax))
 
-    Closed on the min edges, open on the max edges, compared in float64
-    as ``RegionBox.contains`` does.
-    """
-    if features.count == 0:
-        return np.empty(0, dtype=np.int64)
-    x = features.positions[:, 0].astype(np.float64)
-    y = features.positions[:, 1].astype(np.float64)
-    mask = (x >= box.xmin) & (x < box.xmax) & (y >= box.ymin) & (y < box.ymax)
-    return np.flatnonzero(mask)
+
+def assign_to_region(features: ImageFeatures, box: RegionBox) -> np.ndarray:
+    """Indices of descriptors whose center lies in the box, compared in float64."""
+    return _box_members(*features.positions.T.astype(np.float64), box)
 
 
 def region_descriptor_indices(
@@ -208,7 +205,8 @@ def _fold_images(
     image then region order.  Returns each entry's row count, the words and
     stored rows of all entries, ascending by entry then word, and each
     entry's gamma.  A region holds the descriptors ``region_descriptor_indices``
-    gives; the folds and gamma passes are those of the module docstring."""
+    gives, from positions converted to float64 once per image; the folds and
+    gamma passes are those of the module docstring."""
     c, n = codebook.size, len(images)
     regional = is_regional_mode(mode)
     # r-asmk-star binarizes after regional averaging, so its regions stay dense.
@@ -218,7 +216,9 @@ def _fold_images(
     # The block's descriptors of each region, region by region.
     members, offset = [], 0
     for features, regions in images:
-        members += [region_descriptor_indices(features, regions, r) + offset for r in range(regions.count)]
+        x, y = features.positions.T.astype(np.float64)
+        members += [np.arange(offset, offset + features.count)]
+        members += [_box_members(x, y, box) + offset for box in regions.boxes[1:]]
         offset += features.count
     desc = np.concatenate(members)
     keys = np.repeat(np.arange(len(members)) * c, [len(m) for m in members]) + part.labels[desc]

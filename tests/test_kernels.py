@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ramk.codebook import Codebook, partition
-from ramk.errors import ConfigError, DimensionError
+from ramk.errors import ConfigError, DataError, DimensionError
 from ramk.kernels import (
     ALL_MODES,
     PLAIN_COUNTERPART,
@@ -338,6 +338,17 @@ class TestKernelSimilarity:
         y = rep_of(y_mode, 5, {0: np.array([1, 0, 0, 0, 0], np.float32)}, 1.0)
         with pytest.raises(DimensionError):
             similarity(x, y)
+
+    @pytest.mark.parametrize(
+        "similarity,mode", [(kernel_similarity, "asmk"), (regional_similarity, "r-asmk")]
+    )
+    def test_overflowing_selectivity_is_data_error(self, similarity, mode):
+        # The self-match 1.0000001^2 > 1 raised to alpha 1e39 overflows float64.
+        a = rep_of(mode, 4, {0: np.array([1.0000001, 0, 0, 0], np.float32)}, 1.0)
+        with pytest.raises(DataError, match="overflows at selectivity alpha 1e[+]39") as err:
+            similarity(a, a, SelectivityParams(alpha=1e39))
+        assert err.value.exit_code == 3
+        assert similarity(a, a, SelectivityParams(alpha=1e6)) > 1.0
 
     @pytest.mark.parametrize("mode", ["vlad", "asmk", "asmk-star"])
     def test_matches_naive_oracle(self, mode):
