@@ -184,7 +184,7 @@ _WIDTHS = (np.dtype("<u1"), np.dtype("<u2"), np.dtype("<u4"))
 def _column_dtype(largest: int, widths: tuple[np.dtype, ...] = _WIDTHS) -> np.dtype:
     """The narrowest of ``widths`` that holds ``largest``: ``_column_dtype(n)``
     stores entry ids and posting counts, ``_column_dtype(C - 1, _WIDTHS[1:])``
-    words.  Values past u32 fall to u32, which no file field exceeds."""
+    words.  n and C are u32 header fields, so u32 holds every value a file names."""
     return next((w for w in widths if largest <= np.iinfo(w).max), widths[-1])
 
 
@@ -438,7 +438,7 @@ def serialize_index(index: RetrievalIndex) -> bytes:
         "".join(ident * size for ident, size in zip(index.images, sizes)).encode(),
         _U32.pack(len(words)),
         words.astype(_column_dtype(index.codebook.size - 1, _WIDTHS[1:])).tobytes(),
-        _fit(counts[words], ids, "posting count").astype(ids).tobytes(),
+        counts[words].astype(ids).tobytes(),
         _fit(index.entry_ids, ids, "posting entry id").astype(ids, copy=False).tobytes(),
         index.payload.astype(_payload_layout(index.mode, index.dim)[0], copy=False).tobytes(),
     ])

@@ -711,12 +711,10 @@ class TestPersistence:
         with pytest.raises(FormatError, match=rf"not ascending for word {word}$"):
             load_index(tmp_path / "swapped.dtri")
 
-    @pytest.mark.parametrize("n", [255, 256, 65535, 65536])
-    def test_id_width_follows_the_entry_count(self, tmp_path, n):
+    @pytest.mark.parametrize("n,width", [(255, 1), (256, 2), (65535, 2), (65536, 4)])
+    def test_id_width_follows_the_entry_count(self, tmp_path, n, width):
         # One image of n regions; word 1 holds every entry, so its count is n,
-        # and word 3 the last two.  Ids and counts are u8 up to 255 entries,
-        # u16 up to 65,535 and u32 past that.
-        width = 1 if n <= 255 else 2 if n <= 65535 else 4
+        # and word 3 the last two.
         ids = np.append(np.arange(n), [n - 2, n - 1]).astype(np.uint32)
         index = dataclasses.replace(
             entry_table(["x"], np.zeros(n), np.arange(n)),
